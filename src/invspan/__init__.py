@@ -33,6 +33,7 @@ _EXPORTS = {
     "numerical_rank": "lie_core",
     "permutation_matrix": "lie_core",
     "plane_rotation": "lie_core",
+    "signed_index_map": "lie_core",
     "so_basis": "lie_core",
     "so_dim": "lie_core",
     "unflatten_antisym": "lie_core",

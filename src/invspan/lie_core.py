@@ -36,6 +36,7 @@ __all__ = [
     "numerical_rank",
     "permutation_matrix",
     "plane_rotation",
+    "signed_index_map",
     "so_basis",
     "so_dim",
     "unflatten_antisym",
@@ -188,6 +189,30 @@ def conjugate_by_permutation(perm: Permutation, a: np.ndarray) -> np.ndarray:
     return a[np.ix_(inv, inv)].copy()
 
 
+@lru_cache(maxsize=1024)
+def signed_index_map(perm: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    """conjugate_by_permutation on flattened coordinates, as a signed gather.
+
+    Returns (idx, sign) with flat(e a e^-1)[k] = sign[k] * flat(a)[idx[k]].
+    Entry k of the result, the pair (i, j), comes from the pair
+    (inv(i), inv(j)) of a; the sign is -1 where that pair lies below the
+    diagonal.  Apply it to a (rank, n(n-1)/2) stack of flattened vectors at
+    once as vectors[:, idx] * sign.  Built on first use and cached per
+    permutation; the arrays are read-only.
+    """
+    n = perm.n
+    rows, cols = upper_triangle_indices(n)
+    position = np.empty((n, n), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    inv = np.asarray(perm.inverse().images, dtype=np.intp)
+    src_rows, src_cols = inv[rows], inv[cols]
+    idx = position[src_rows, src_cols]
+    sign = np.where(src_rows < src_cols, 1.0, -1.0)
+    idx.setflags(write=False)
+    sign.setflags(write=False)
+    return idx, sign
+
+
 def matrix_exponential(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(t a) for antisymmetric a; the result is special orthogonal.
 
@@ -242,18 +267,21 @@ def _side_from_flat(length: int) -> int:
 
 
 def unflatten_antisym(v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Inverse of flatten_antisym."""
+    """Inverse of flatten_antisym.
+
+    A stack of flattened vectors (last axis) gives a stack of matrices.
+    """
     v = np.asarray(v)
-    if v.ndim != 1:
-        raise DimensionError("flattened vector must be one dimensional")
+    if v.ndim == 0:
+        raise DimensionError("flattened vector must have at least one dimension")
     if n is None:
-        n = _side_from_flat(v.shape[0])
-    elif so_dim(n) != v.shape[0]:
-        raise DimensionError(f"vector of length {v.shape[0]} does not fit so({n})")
+        n = _side_from_flat(v.shape[-1])
+    elif so_dim(n) != v.shape[-1]:
+        raise DimensionError(f"vector of length {v.shape[-1]} does not fit so({n})")
     rows, cols = upper_triangle_indices(n)
-    a = np.zeros((n, n), dtype=v.dtype)
-    a[rows, cols] = v / math.sqrt(2.0)
-    a[cols, rows] = -a[rows, cols]
+    a = np.zeros(v.shape[:-1] + (n, n), dtype=v.dtype)
+    a[..., rows, cols] = v / math.sqrt(2.0)
+    a[..., cols, rows] = -a[..., rows, cols]
     return a
 
 
@@ -276,14 +304,18 @@ class SubspaceBasis:
                 f"basis shape {self.vectors.shape} does not match rank {self.rank} in so({self.n})"
             )
 
-    def matrices(self) -> list[np.ndarray]:
-        return [unflatten_antisym(row, self.n) for row in self.vectors]
+    def matrices(self) -> np.ndarray:
+        """The basis elements as a (rank, n, n) stack of antisymmetric matrices."""
+        return unflatten_antisym(self.vectors, self.n)
 
     def residual(self, flat: np.ndarray) -> float:
-        """Distance from flat to its projection onto the subspace."""
-        flat = np.asarray(flat, dtype=float)
-        coords = self.vectors @ flat
-        return float(np.linalg.norm(flat - self.vectors.T @ coords))
+        """Distance from flat to its projection onto the subspace.
+
+        For a stack of flattened vectors (rows) this is the largest distance.
+        """
+        flat = np.atleast_2d(np.asarray(flat, dtype=float))
+        off = flat - (flat @ self.vectors.T) @ self.vectors
+        return float(np.max(np.linalg.norm(off, axis=1), initial=0.0))
 
 
 def svd_row_basis(rows: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL):

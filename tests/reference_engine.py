@@ -1,0 +1,116 @@
+"""Slow per-vector reference for the span certificate and the so(n) splitting.
+
+Every conjugation here goes one matrix at a time: unflatten, relabel with
+conjugate_by_permutation, flatten again.  Each accumulation round takes
+the SVD of the whole stacked round, not of a reduced factor, and every
+residual, character and block-form entry is computed vector by vector.
+invariance_engine works on whole bases through signed index maps and must
+agree with these functions up to rounding.
+"""
+
+import math
+
+import numpy as np
+
+from invspan.invariance_engine import BlockFormReport, DecompositionReport, SpanReport, ones_fixing_rotation
+from invspan.lie_core import (
+    DEFAULT_RANK_TOL,
+    Permutation,
+    SubspaceBasis,
+    conjugate_by_permutation,
+    flatten_antisym,
+    numerical_rank,
+    so_dim,
+    unflatten_antisym,
+)
+
+
+def conjugate_rows(vectors, perm):
+    return np.array(
+        [flatten_antisym(conjugate_by_permutation(perm, unflatten_antisym(v, perm.n))) for v in vectors]
+    )
+
+
+def residual(basis, v):
+    return float(np.linalg.norm(v - basis.vectors.T @ (basis.vectors @ v)))
+
+
+def accumulate_span(generators, n, tol_factor=DEFAULT_RANK_TOL):
+    full_dim = so_dim(n)
+    transpositions = [Permutation.transposition(n, i, i + 1) for i in range(n - 1)]
+    basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators], tol_factor)
+    generator_dim = basis.rank
+    rounds = 0
+    while True:
+        rounds += 1
+        stack = [basis.vectors] + [conjugate_rows(basis.vectors, tau) for tau in transpositions]
+        grown = numerical_rank(np.vstack(stack), tol_factor)
+        stable = grown.rank == basis.rank
+        basis = grown
+        if stable:
+            break
+        assert rounds <= full_dim + 2, "reference accumulation did not stabilize"
+    report = SpanReport(
+        n=n,
+        generator_dim=generator_dim,
+        span_dim=basis.rank,
+        full=basis.rank == full_dim,
+        rounds=rounds,
+        tol=basis.tol,
+    )
+    return report, basis
+
+
+def character(basis, perm, tol=1e-8):
+    trace = 0.0
+    for v in basis.vectors:
+        image = conjugate_rows([v], perm)[0]
+        assert residual(basis, image) <= tol, "reference character: subspace not invariant"
+        trace += float(v @ image)
+    return trace
+
+
+def decompose(n, tol_factor=DEFAULT_RANK_TOL):
+    """Standard and stabilizer parts from the kernel of A -> A . ones."""
+    k = np.zeros((n, so_dim(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for col, (i, j) in enumerate(pairs):
+        k[i, col] += 1.0 / math.sqrt(2.0)
+        k[j, col] -= 1.0 / math.sqrt(2.0)
+    _, s, vt = np.linalg.svd(k, full_matrices=True)
+    threshold = tol_factor * s[0]
+    rank = int(np.sum(s > threshold))
+    standard = SubspaceBasis(n=n, vectors=vt[:rank].copy(), rank=rank, tol=float(threshold))
+    stabilizer = SubspaceBasis(n=n, vectors=vt[rank:].copy(), rank=vt.shape[0] - rank, tol=float(threshold))
+    for basis in (standard, stabilizer):
+        for i in range(n - 1):
+            tau = Permutation.transposition(n, i, i + 1)
+            for v in basis.vectors:
+                assert residual(basis, conjugate_rows([v], tau)[0]) <= 1e-10
+    swap01 = Permutation.transposition(n, 0, 1)
+    report = DecompositionReport(
+        n=n,
+        standard_dim=standard.rank,
+        stabilizer_dim=stabilizer.rank,
+        standard_char_transposition=character(standard, swap01),
+        stabilizer_char_transposition=character(stabilizer, swap01),
+    )
+    return report, standard, stabilizer
+
+
+def block_form(n, tol=1e-10):
+    _, standard, stabilizer = decompose(n)
+    b = ones_fixing_rotation(n)
+    conj_std = [b.T @ unflatten_antisym(v, n) @ b for v in standard.vectors]
+    conj_stab = [b.T @ unflatten_antisym(v, n) @ b for v in stabilizer.vectors]
+    stab_max = max(max(np.max(np.abs(c[0, :])), np.max(np.abs(c[:, 0]))) for c in conj_stab)
+    std_max = max(np.max(np.abs(c[1:, 1:])) for c in conj_std)
+    cross = max(abs(float(np.sum(cs * ct))) for cs in conj_std for ct in conj_stab)
+    return BlockFormReport(
+        n=n,
+        stabilizer_first_rowcol_max=float(stab_max),
+        standard_complement_max=float(std_max),
+        cross_gram_max=cross,
+        tol=tol,
+        passed=stab_max <= tol and std_max <= tol and cross <= tol,
+    )

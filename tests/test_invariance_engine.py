@@ -141,6 +141,12 @@ def test_character_of_identity_is_dimension():
     assert character_on_subspace(stabilizer, ident) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_character_of_zero_subspace_is_zero():
+    zero = numerical_rank(np.zeros((2, so_dim(4))))
+    assert zero.rank == 0
+    assert character_on_subspace(zero, Permutation.transposition(4, 0, 1)) == 0.0
+
+
 def test_character_rejects_non_invariant_subspace():
     line = numerical_rank([flatten_antisym(_coord_rotation(4, 0, 1))])
     with pytest.raises(InvarianceViolationError):

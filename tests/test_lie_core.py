@@ -2,9 +2,12 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from conftest import rational_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invspan.errors import DimensionError
 from invspan.lie_core import (
@@ -17,6 +20,7 @@ from invspan.lie_core import (
     numerical_rank,
     permutation_matrix,
     plane_rotation,
+    signed_index_map,
     so_basis,
     so_dim,
     unflatten_antisym,
@@ -142,6 +146,41 @@ def test_conjugate_composition_action():
     left = conjugate_by_permutation(tau, conjugate_by_permutation(sigma, a))
     right = conjugate_by_permutation(tau.compose(sigma), a)
     np.testing.assert_array_equal(left, right)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_signed_index_map_matches_matrix_conjugation_bitwise(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    perm = Permutation(tuple(data.draw(st.permutations(range(n)), label="images")))
+    m = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1e300, 1e300)), label="m")
+    a = m - m.T
+    idx, sign = signed_index_map(perm)
+    got = flatten_antisym(a)[idx] * sign
+    want = flatten_antisym(conjugate_by_permutation(perm, a))
+    # the flattened vector keeps no sign of a zero below the diagonal, so
+    # +0.0 and -0.0 are identified (adding 0.0 maps -0.0 to +0.0 and
+    # leaves every other value's bits alone)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    # the map is applied to whole stacks of flattened rows
+    stack = np.array([flatten_antisym(a), -flatten_antisym(a)])
+    np.testing.assert_array_equal(stack[:, idx] * sign, np.array([got, -got]))
+
+
+def test_signed_index_map_is_cached_and_read_only():
+    perm = Permutation.transposition(5, 1, 3)
+    idx, sign = signed_index_map(perm)
+    assert signed_index_map(Permutation.transposition(5, 1, 3))[0] is idx
+    assert not idx.flags.writeable and not sign.flags.writeable
+
+
+def test_unflatten_stack_matches_rows():
+    rng = np.random.default_rng(12)
+    flats = rng.standard_normal((3, so_dim(5)))
+    stacked = unflatten_antisym(flats, 5)
+    assert stacked.shape == (3, 5, 5)
+    for flat, mat in zip(flats, stacked):
+        np.testing.assert_array_equal(mat, unflatten_antisym(flat))
 
 
 def test_conjugate_dimension_mismatch():
@@ -284,6 +323,8 @@ def test_subspace_residual():
     outside = flatten_antisym(_coord_rotation(3, 1, 2))
     assert basis.residual(inside) == pytest.approx(0.0, abs=1e-12)
     assert basis.residual(outside) == pytest.approx(np.linalg.norm(outside))
+    # a stack of rows reports its largest distance
+    assert basis.residual(np.array([inside, outside])) == pytest.approx(np.linalg.norm(outside))
 
 
 def test_permutation_inverse_and_call():
