@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvarianceViolationError
+from .errors import DegenerateInputError, DimensionError, InvarianceViolationError
 from .lie_core import (
     DEFAULT_RANK_TOL,
     Permutation,
@@ -150,6 +150,8 @@ def accumulate_span(
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(n - 1)]
     basis = numerical_rank([flatten_antisym(g) for g in mats], tol_factor)
     generator_dim = basis.rank
+    if generator_dim == 0:
+        raise DegenerateInputError("the generators span only the zero matrix")
 
     rounds = 0
     while True:

@@ -50,6 +50,8 @@ GAUSSIANITY_BOOTSTRAP = 299
 
 # pooled sizes up to this use float64 distance matrices; larger ones float32
 _FLOAT32_CUTOVER = 2048
+# scratch entries per distance-covariance kernel pass (1 MiB in float64)
+_DCOV_BUFFER = 2**17
 
 
 @dataclass(frozen=True)
@@ -367,15 +369,43 @@ def test_rotational_invariance(
 # Distance covariance: radius vs direction
 
 
-def _chunked_abs_diff_dot(r: np.ndarray, centered: np.ndarray, chunk: int = 512) -> float:
-    """sum_ij |r_i - r_j| * centered_ij accumulated chunkwise."""
-    n = r.shape[0]
-    total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = np.abs(r[lo:hi, None] - r[None, :])
-        total += float(np.dot(block.ravel(), centered[lo:hi].ravel()))
-    return total
+def _triangle_panels(centered: np.ndarray, panel_elements: int) -> list[tuple[int, np.ndarray]]:
+    """Upper-triangle row panels (lo, A[lo:hi, lo:]) of a symmetric matrix.
+
+    Entries on and below the diagonal are zeroed and those above it
+    doubled (exact), so a panel sum over j >= i equals the full sum over
+    rows lo..hi-1.  Each panel holds about panel_elements entries, so
+    panels grow taller as the triangle narrows.
+    """
+    n = centered.shape[0]
+    panels = []
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, panel_elements // (n - lo)))
+        panel = np.triu(centered[lo:hi, lo:], 1)
+        panel *= 2
+        panels.append((lo, panel))
+        lo = hi
+    return panels
+
+
+def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """sum_ij |r_i - r_j| * A_ij for each row r of radius_rows.
+
+    A is given as its triangle panels (_triangle_panels).  Per panel one
+    scratch buffer takes the absolute differences of all rows at once and
+    a single matrix-vector product against the panel reduces them.
+    """
+    k = radius_rows.shape[0]
+    buf = np.empty(k * max(panel.size for _, panel in panels), dtype=radius_rows.dtype)
+    totals = np.zeros(k)
+    for lo, panel in panels:
+        h, w = panel.shape
+        diffs = buf[: k * h * w].reshape(k, h, w)
+        np.subtract(radius_rows[:, lo : lo + h, None], radius_rows[:, None, lo:], out=diffs)
+        np.abs(diffs, out=diffs)
+        totals += diffs.reshape(k, h * w) @ panel.ravel()
+    return totals
 
 
 def test_radial_angular_independence(
@@ -389,7 +419,9 @@ def test_radial_angular_independence(
     The statistic is the squared sample distance covariance (V-statistic)
     between the radius and the direction; the permutation null shuffles
     the radial column against fixed directions, which is exact under
-    independence.
+    independence.  The observed and the permuted statistics go through
+    one kernel, which scores a few radius rows at a time in about
+    _DCOV_BUFFER scratch entries.
     """
     rows = _as_rows(x, min_n=100)
     if n_permutations < 99:
@@ -409,14 +441,18 @@ def test_radial_angular_independence(
     dmat -= row_means.astype(dtype)[None, :]
     dmat += dtype(grand)
 
+    # enough permutations per pass that the widest panel is about 4 rows
+    # tall: each panel then serves several permutations while in cache
+    per_pass = max(1, _DCOV_BUFFER // (4 * n))
+    panels = _triangle_panels(dmat, _DCOV_BUFFER // per_pass)
+    del dmat
     r_cast = radii.astype(dtype)
-    observed = _chunked_abs_diff_dot(r_cast, dmat) / (n * n)
+    observed = _dcov_stats(r_cast[None, :], panels)[0] / (n * n)
     count = 0
-    for _ in range(n_permutations):
-        shuffled = r_cast[rng.permutation(n)]
-        stat = _chunked_abs_diff_dot(shuffled, dmat) / (n * n)
-        if stat >= observed:
-            count += 1
+    for done in range(0, n_permutations, per_pass):
+        k = min(per_pass, n_permutations - done)
+        shuffled = r_cast[np.stack([rng.permutation(n) for _ in range(k)])]
+        count += int(np.sum(_dcov_stats(shuffled, panels) / (n * n) >= observed))
     p_value = (1.0 + count) / (n_permutations + 1.0)
     return _report("radial_angular_independence", observed, p_value, n_permutations, alpha, seed)
 
@@ -425,11 +461,12 @@ def test_radial_angular_independence(
 # Uniformity on the sphere
 
 
-def _uniformity_stats(rows: np.ndarray) -> tuple[float, float]:
-    n, d = rows.shape
-    resultant = float(np.linalg.norm(rows.mean(axis=0)))
-    cov = rows.T @ rows / n
-    cov_dev = float(np.linalg.norm(cov - np.eye(d) / d, "fro"))
+def _uniformity_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Resultant lengths and second-moment deviations of (count, n, d) samples."""
+    n, d = stack.shape[1:]
+    resultant = np.linalg.norm(stack.mean(axis=1), axis=1)
+    cov = np.matmul(stack.transpose(0, 2, 1), stack) / n
+    cov_dev = np.linalg.norm(cov - np.eye(d) / d, "fro", axis=(1, 2))
     return resultant, cov_dev
 
 
@@ -445,7 +482,8 @@ def test_uniform_on_sphere(
     of the second-moment matrix from I/d.  Both are calibrated against
     n_simulations draws of exactly uniform samples of the same shape and
     Bonferroni-combined; the reported statistic is the smaller of the two
-    component Monte Carlo p-values (smaller means less uniform).
+    component Monte Carlo p-values (smaller means less uniform).  The
+    simulations are drawn and scored in chunks of about 2**18 entries.
     """
     rows = _as_rows(x)
     norms = np.linalg.norm(rows, axis=1)
@@ -454,16 +492,17 @@ def test_uniform_on_sphere(
     if n_simulations < 99:
         raise ValueError(f"need at least 99 simulations, got {n_simulations}")
     n, d = rows.shape
-    obs_res, obs_cov = _uniformity_stats(rows)
+    [obs_res], [obs_cov] = _uniformity_stats(rows[None])
     rng = np.random.default_rng(seed)
+    chunk = max(1, 2**18 // (n * d))
     hits_res = 0
     hits_cov = 0
-    for _ in range(n_simulations):
-        g = rng.standard_normal((n, d))
-        g /= np.linalg.norm(g, axis=1)[:, None]
+    for done in range(0, n_simulations, chunk):
+        g = rng.standard_normal((min(chunk, n_simulations - done), n, d))
+        g /= np.linalg.norm(g, axis=2)[:, :, None]
         sim_res, sim_cov = _uniformity_stats(g)
-        hits_res += sim_res >= obs_res
-        hits_cov += sim_cov >= obs_cov
+        hits_res += int(np.sum(sim_res >= obs_res))
+        hits_cov += int(np.sum(sim_cov >= obs_cov))
     p_res = (1.0 + hits_res) / (n_simulations + 1.0)
     p_cov = (1.0 + hits_cov) / (n_simulations + 1.0)
     smaller = min(p_res, p_cov)

@@ -3,6 +3,12 @@
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so the suite's
+# verdict does not depend on the run.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def rational_rank(rows) -> int:

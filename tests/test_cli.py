@@ -223,7 +223,10 @@ def test_degenerate_input_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_console_script_and_thread_cap():
-    env = dict(os.environ, INVSPAN_THREADS="1")
+    # the child process runs the same package this test imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, INVSPAN_THREADS="1", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "invspan.cli", "verify-span", "--ell", "1"],
         capture_output=True,

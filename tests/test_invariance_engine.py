@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import rational_rank
 
-from invspan.errors import DimensionError, InvarianceViolationError
+from invspan.errors import DegenerateInputError, DimensionError, InvarianceViolationError
 from invspan.invariance_engine import (
     accumulate_span,
     block_form_check,
@@ -100,6 +100,12 @@ def test_accumulate_span_input_validation():
         accumulate_span([_coord_rotation(3, 0, 1)], 4)
     with pytest.raises(DimensionError):
         accumulate_span([_coord_rotation(1, 0, 0)], 1)
+
+
+def test_accumulate_span_rejects_zero_generators():
+    for family in ([np.zeros((4, 4))], [np.zeros((3, 3)), np.zeros((3, 3))]):
+        with pytest.raises(DegenerateInputError, match="only the zero matrix"):
+            accumulate_span(family, family[0].shape[0])
 
 
 def test_decompose_dimensions():

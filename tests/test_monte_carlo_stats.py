@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from invspan import monte_carlo_stats as mcs
@@ -241,6 +243,124 @@ def test_independence_accepts_coefficient_blocks():
     block = sample_degree_block(2, 1.0, "lognormal", 800, 31)
     report = mcs.test_radial_angular_independence(block, 199, 33)
     assert report.p_value == pytest.approx(0.37)
+    assert not report.reject
+
+
+def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    r = rng.standard_normal((rows, n))
+    if ties:
+        r = np.round(r)
+    exact = np.einsum("kij,ij->k", np.abs(r[:, :, None] - r[:, None, :]), a)
+    scale = np.einsum("kij,ij->k", np.abs(r[:, :, None] - r[:, None, :]), np.abs(a))
+    panels = mcs._triangle_panels(a.astype(dtype), panel_elements)
+    got = mcs._dcov_stats(r.astype(dtype), panels)
+    return got, exact, scale, panels
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    rows=st.integers(1, 5),
+    panel_elements=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+@example(n=30, rows=3, panel_elements=2000, seed=1, ties=False)  # one panel
+@example(n=37, rows=2, panel_elements=37 * 5, seed=2, ties=False)  # ragged last panel
+@example(n=25, rows=4, panel_elements=100, seed=3, ties=True)  # tied radii
+def test_dcov_kernel_matches_double_sum(n, rows, panel_elements, seed, ties):
+    # relative to sum_ij |r_i - r_j| |A_ij|, since the signed sum may cancel
+    got, exact, scale, panels = _kernel_case(n, rows, panel_elements, seed, ties)
+    assert got.shape == (rows,)
+    assert np.all(np.abs(got - exact) <= 1e-12 * scale)
+    assert sum(panel.shape[0] for _, panel in panels) == n
+
+
+def test_dcov_kernel_panel_shapes():
+    # a budget of n**2 gives one panel; a smaller one ragged panels that
+    # cover every row, each within the budget
+    n = 37
+    assert [lo for lo, _ in mcs._triangle_panels(np.ones((n, n)), n * n)] == [0]
+    panels = mcs._triangle_panels(np.ones((n, n)), 5 * n)
+    heights = [panel.shape[0] for _, panel in panels]
+    assert heights[0] == 5 and sum(heights) == n and n % heights[0] != 0
+    assert all(panel.size <= 5 * n for _, panel in panels)
+    for lo, panel in panels:
+        h, w = panel.shape
+        assert w == n - lo
+        np.testing.assert_array_equal(panel, 2.0 * np.triu(np.ones((h, w)), 1))
+
+
+def test_dcov_kernel_float32_within_1e5_of_float64():
+    for seed in range(5):
+        got, exact, scale, panels = _kernel_case(300, 4, 3000, seed, False, np.float32)
+        assert got.dtype == np.float64 and panels[0][1].dtype == np.float32
+        assert np.all(np.abs(got - exact) <= 1e-5 * scale)
+
+
+def _record_kernel_calls(monkeypatch):
+    calls = []
+    kernel = mcs._dcov_stats
+
+    def recording(radius_rows, panels):
+        out = kernel(radius_rows, panels)
+        calls.append((radius_rows.copy(), out))
+        return out
+
+    monkeypatch.setattr(mcs, "_dcov_stats", recording)
+    return calls
+
+
+def test_independence_permutations_follow_the_draw_stream(monkeypatch):
+    # a small scratch budget splits the 99 permutations into several
+    # passes, the last one short; the count must still equal one naive
+    # statistic per rng.permutation draw, in order
+    monkeypatch.setattr(mcs, "_DCOV_BUFFER", 2**12)
+    calls = _record_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(18)
+    rows = rng.standard_normal((120, 3))
+    rows *= 1.0 + 0.3 * np.abs(rows[:, :1])
+    report = mcs.test_radial_angular_independence(rows, 99, 19)
+    sizes = [len(out) for _, out in calls[1:]]
+    assert sum(sizes) == 99 and len(sizes) > 2 and sizes[-1] < sizes[0]
+    radii = np.linalg.norm(rows, axis=1)
+    directions = rows / radii[:, None]
+    observed = _dcov_statistic_naive(rows)
+    draws = np.random.default_rng(19)
+    count = 0
+    for _ in range(99):
+        shuffled = directions * radii[draws.permutation(120)][:, None]
+        count += _dcov_statistic_naive(shuffled) >= observed
+    assert report.p_value == (1.0 + count) / 100.0
+
+
+@pytest.mark.parametrize("n", [120, 2100])
+def test_independence_statistic_is_the_unpermuted_kernel_row(n, monkeypatch):
+    # the reported statistic is exactly the kernel's value on the
+    # unpermuted radii, on both sides of the float32 cutover
+    calls = _record_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(20)
+    rows = rng.standard_normal((n, 4))
+    report = mcs.test_radial_angular_independence(rows, 99, 21)
+    radius_rows, out = calls[0]
+    np.testing.assert_array_equal(radius_rows, np.linalg.norm(rows, axis=1)[None, :].astype(radius_rows.dtype))
+    assert report.statistic == out[0] / (n * n)
+    assert sum(len(out) for _, out in calls[1:]) == 99
+
+
+@pytest.mark.parametrize("n", [120, 2100])
+def test_independence_constant_radii(n):
+    # every row has norm exactly 3, so every statistic is exactly zero
+    signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
+    base = np.concatenate([signs * np.roll([1.0, 2.0, 2.0], k) for k in range(3)])
+    rows = np.tile(base, (n // len(base) + 1, 1))[:n]
+    assert np.all(np.linalg.norm(rows, axis=1) == 3.0)
+    report = mcs.test_radial_angular_independence(rows, 99, 22)
+    assert report.statistic == 0.0
+    assert report.p_value == 1.0
     assert not report.reject
 
 
