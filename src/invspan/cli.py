@@ -25,6 +25,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
+# equal to sphere_harmonics.RADIAL_LAWS (checked in tests/test_cli.py);
+# importing that module here would load numpy and scipy while the parser is
+# built, for every command, and raised the peak RSS of the algebra commands
 _RADIAL_CHOICES = ("chi", "lognormal", "constant")
 
 

@@ -49,9 +49,12 @@ UNIFORMITY_SIMULATIONS = 499
 GAUSSIANITY_BOOTSTRAP = 299
 
 # pooled sizes up to this use float64 distance matrices; larger ones float32
+# (unpaired energy test and distance covariance only)
 _FLOAT32_CUTOVER = 2048
 # scratch entries per distance-covariance kernel pass (1 MiB in float64)
 _DCOV_BUFFER = 2**17
+# entries of K per paired-energy triangle panel (its Gram block holds 4x)
+_ENERGY_PANEL = 2**17
 
 
 @dataclass(frozen=True)
@@ -206,22 +209,30 @@ def _distance_matrix(pooled: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tie_classes(rows: np.ndarray) -> np.ndarray | None:
+    """Class index per row, shared exactly by bitwise equal rows; None if all rows differ."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    boundary = np.any(ordered[1:] != ordered[:-1], axis=1)
+    if boundary.all():
+        return None
+    classes = np.empty(rows.shape[0], dtype=np.intp)
+    classes[order] = np.concatenate(([0], np.cumsum(boundary)))
+    return classes
+
+
 def _zero_exact_row_ties(dist: np.ndarray, pooled: np.ndarray) -> None:
     """Entries between bitwise equal rows must be exactly zero.
 
     The Gram path loses that to float32 cancellation, which would break
     the tie contract (identical samples score zero), so repair in place.
     """
-    order = np.lexsort(pooled.T)
-    ordered = pooled[order]
-    boundary = np.any(ordered[1:] != ordered[:-1], axis=1)
-    if boundary.all():
+    classes = _tie_classes(pooled)
+    if classes is None:
         return
-    starts = np.flatnonzero(np.concatenate(([True], boundary)))
-    ends = np.concatenate((starts[1:], [pooled.shape[0]]))
-    for lo, hi in zip(starts, ends):
-        if hi - lo > 1:
-            group = order[lo:hi]
+    order = np.argsort(classes, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(classes[order])) + 1):
+        if len(group) > 1:
             dist[np.ix_(group, group)] = 0.0
 
 
@@ -256,23 +267,86 @@ def _relabel_columns(rng: np.random.Generator, total: int, n: int, count: int) -
     return (ranks < n).astype(np.float64)
 
 
-def _pairswap_columns(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    keep = rng.integers(0, 2, size=(n, count)).astype(np.float64)
-    return np.concatenate([keep, 1.0 - keep], axis=0)
+def _panel_rows(n: int, panel_elements: int):
+    """Row ranges (lo, hi) of upper-triangle panels [lo:hi, lo:] of an n x n matrix.
+
+    Each panel holds about panel_elements entries, so panels grow taller
+    as the triangle narrows.
+    """
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, panel_elements // (n - lo)))
+        yield lo, hi
+        lo = hi
 
 
-def _energy_test_core(x_rows, y_rows, n_permutations, rng, paired: bool):
-    n, m = x_rows.shape[0], y_rows.shape[0]
-    pooled = np.concatenate([x_rows, y_rows], axis=0)
-    dist = _distance_matrix(pooled)
-    observed = _energy_observed(dist, n, m)
-    if paired:
-        labels = _pairswap_columns(rng, n, n_permutations)
-    else:
-        labels = _relabel_columns(rng, n + m, n, n_permutations)
-    stats = _energy_permutation_stats(dist, labels, n, m)
-    p_value = (1.0 + int(np.sum(stats >= observed))) / (n_permutations + 1.0)
-    return observed, p_value
+def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Paired energy statistics, one per column u of the +-1 matrix signs.
+
+    Column u puts x_i in the first sample and y_i in the second when
+    u_i = 1, and the other way round when u_i = -1.  With
+    K = D_xy + D_yx - D_xx - D_yy (D_xy[i, j] = |x_i - y_j|), the sums of
+    distances within and across the two samples give
+    2 s_ab - s_aa - s_bb = u^T K u, so each statistic is
+    (tr K + 2 sum_{i<j} K_ij u_i u_j) / n^2.
+
+    K is never stored: it is built in float64 Gram form in upper-triangle
+    row panels K[lo:hi, lo:] of about _ENERGY_PANEL entries, and each
+    panel meets every column in one matrix product with signs[lo:].  The
+    diagonal 2|x_i - y_i| comes from x - y directly.  Pairs with x_i == y_i
+    bitwise are left out (u_i = 0): their row and column of K vanish.
+    Distances between bitwise equal rows are exactly zero.
+    """
+    n = x_rows.shape[0]
+    live = np.any(x_rows != y_rows, axis=1)
+    if not live.all():
+        x_rows, y_rows, signs = x_rows[live], y_rows[live], signs[live]
+    k = x_rows.shape[0]
+    trace = 2.0 * float(np.linalg.norm(x_rows - y_rows, axis=1).sum())
+    totals = np.zeros(signs.shape[1])
+    if k > 1:
+        pooled = np.concatenate([x_rows, y_rows])
+        classes = _tie_classes(pooled)
+        pooled -= pooled.mean(axis=0)
+        sq = np.einsum("ij,ij->i", pooled, pooled)
+        ones = np.ones(2 * k)
+        # left[a] . right[b] = |a|^2 + |b|^2 - 2 a.b, one product per panel
+        left = np.column_stack([-2.0 * pooled, sq, ones])
+        right = np.column_stack([pooled, ones, sq])
+        bounds = list(_panel_rows(k, _ENERGY_PANEL))
+        k_buf = np.empty(max((hi - lo) * (k - lo) for lo, hi in bounds))
+        gram_buf = np.empty(4 * k_buf.size)
+        for lo, hi in bounds:
+            h, w = hi - lo, k - lo
+            rows = np.r_[lo:hi, k + lo : k + hi]
+            cols = np.r_[lo:k, k + lo : 2 * k]
+            gram = np.matmul(left[rows], right[cols].T, out=gram_buf[: 4 * h * w].reshape(2 * h, 2 * w))
+            np.maximum(gram, 0.0, out=gram)
+            np.sqrt(gram, out=gram)
+            if classes is not None:
+                gram[classes[rows][:, None] == classes[cols][None, :]] = 0.0
+            panel = np.add(gram[:h, w:], gram[h:, :w], out=k_buf[: h * w].reshape(h, w))
+            panel -= gram[:h, :w]
+            panel -= gram[h:, w:]
+            panel[:, :h][np.tri(h, dtype=bool)] = 0.0
+            totals += np.einsum("ib,ib->b", signs[lo:hi], panel @ signs[lo:])
+    return (trace + 2.0 * totals) / (n * n)
+
+
+def _paired_energy_test(x_rows, y_rows, n_permutations, rng) -> tuple[float, float]:
+    """Observed paired energy statistic and its within-pair swap p-value.
+
+    Column 0 of the sign matrix is the observed orientation (all ones);
+    each further column swaps pair i where rng.integers(0, 2) drew 0.
+    """
+    keep = rng.integers(0, 2, size=(x_rows.shape[0], n_permutations))
+    signs = np.ones((x_rows.shape[0], n_permutations + 1))
+    np.multiply(keep, 2.0, out=signs[:, 1:])
+    del keep
+    signs[:, 1:] -= 1.0
+    stats = _paired_energy_stats(x_rows, y_rows, signs)
+    p_value = (1.0 + int(np.sum(stats[1:] >= stats[0]))) / (n_permutations + 1.0)
+    return float(stats[0]), p_value
 
 
 def energy_two_sample_test(
@@ -299,7 +373,11 @@ def energy_two_sample_test(
     if n_permutations < 99:
         raise ValueError(f"need at least 99 permutations, got {n_permutations}")
     rng = np.random.default_rng(seed)
-    observed, p_value = _energy_test_core(x_rows, y_rows, n_permutations, rng, paired=False)
+    n, m = x_rows.shape[0], y_rows.shape[0]
+    dist = _distance_matrix(np.concatenate([x_rows, y_rows], axis=0))
+    observed = _energy_observed(dist, n, m)
+    stats = _energy_permutation_stats(dist, _relabel_columns(rng, n + m, n, n_permutations), n, m)
+    p_value = (1.0 + int(np.sum(stats >= observed))) / (n_permutations + 1.0)
     return _report("energy_two_sample", observed, p_value, n_permutations, alpha, seed)
 
 
@@ -324,7 +402,7 @@ def test_exchangeability(
     n, d = rows.shape
     order = data_rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
     shuffled = np.take_along_axis(rows, order, axis=1)
-    observed, p_value = _energy_test_core(rows, shuffled, n_permutations, perm_rng, paired=True)
+    observed, p_value = _paired_energy_test(rows, shuffled, n_permutations, perm_rng)
     return _report("exchangeability", observed, p_value, n_permutations, alpha, seed)
 
 
@@ -358,7 +436,7 @@ def test_rotational_invariance(
         perm_rng = np.random.default_rng(children[2 * k + 1])
         q = _haar_batch(rot_rng, n, d)
         rotated = np.einsum("nij,nj->ni", q, rows)
-        stat, p = _energy_test_core(rows, rotated, n_permutations, perm_rng, paired=True)
+        stat, p = _paired_energy_test(rows, rotated, n_permutations, perm_rng)
         best_p = min(best_p, p)
         best_stat = max(best_stat, stat)
     p_value = min(1.0, n_rotations * best_p)
@@ -377,15 +455,11 @@ def _triangle_panels(centered: np.ndarray, panel_elements: int) -> list[tuple[in
     rows lo..hi-1.  Each panel holds about panel_elements entries, so
     panels grow taller as the triangle narrows.
     """
-    n = centered.shape[0]
     panels = []
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + max(1, panel_elements // (n - lo)))
+    for lo, hi in _panel_rows(centered.shape[0], panel_elements):
         panel = np.triu(centered[lo:hi, lo:], 1)
         panel *= 2
         panels.append((lo, panel))
-        lo = hi
     return panels
 
 

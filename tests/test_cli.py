@@ -13,6 +13,7 @@ import pytest
 from invspan import cli
 from invspan.errors import DegenerateInputError
 from invspan.monte_carlo_stats import load_sample_matrix
+from invspan.sphere_harmonics import RADIAL_LAWS
 
 SCHEMA = json.loads(
     resources.files("invspan").joinpath("schemas/reports.schema.json").read_text()
@@ -205,6 +206,11 @@ def test_help_exits_cleanly(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "verify-span" in out
+
+
+def test_radial_choices_are_the_library_laws():
+    # the parser keeps its own copy so that building it loads no numeric module
+    assert cli._RADIAL_CHOICES == RADIAL_LAWS
 
 
 def test_missing_spectrum_file_is_usage_error(capsys):

@@ -1,6 +1,8 @@
 """Permutation tests, Haar sampling, and the orbit random walk."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,6 +211,149 @@ def test_rotational_invariance_bonferroni_over_rotations():
     assert single.n_permutations == triple.n_permutations == 199
     with pytest.raises(ValueError):
         mcs.test_rotational_invariance(x, 0, 199, 15)
+
+
+# ---------------------------------------------------------------------------
+# Paired energy kernel (exchangeability and rotation tests)
+
+
+def _paired_dense(x, y, signs):
+    """Pooled V-statistic per swap column, from one dense broadcast distance matrix.
+
+    Also returns sum |K_ij| / n^2 for K = D_xy + D_yx - D_xx - D_yy, the
+    scale of the rounding error of a signed sum over K.
+    """
+    n = len(x)
+    pooled = np.concatenate([x, y])
+    dist = np.linalg.norm(pooled[:, None, :] - pooled[None, :, :], axis=2)
+    stats = []
+    for u in signs.T:
+        a = np.concatenate([u > 0, u < 0])
+        b = ~a
+        stats.append(
+            2.0 * dist[np.ix_(a, b)].mean() - dist[np.ix_(a, a)].mean() - dist[np.ix_(b, b)].mean()
+        )
+    k = dist[:n, n:] + dist[n:, :n] - dist[:n, :n] - dist[n:, n:]
+    return np.array(stats), float(np.abs(k).sum()) / (n * n)
+
+
+def _paired_case(n, d, columns, seed, ties, pair_ties, shift=0.0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal((n, d))
+    if ties:
+        # coarse rounding ties rows within and across the two samples
+        x, y = np.round(2.0 * x) / 2.0, np.round(2.0 * y) / 2.0
+    tied = rng.random(n) < pair_ties
+    y[tied] = x[tied]
+    x, y = x + shift, y + shift
+    signs = rng.choice([-1.0, 1.0], size=(n, columns))
+    return x, y, signs, tied
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 5),
+    columns=st.integers(1, 4),
+    panel_elements=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    pair_ties=st.sampled_from([0.0, 0.3, 1.0]),
+    shift=st.sampled_from([0.0, 1e4]),
+)
+@example(n=60, d=3, columns=3, panel_elements=4000, seed=1, ties=False, pair_ties=0.0, shift=0.0)  # one panel
+@example(n=57, d=2, columns=2, panel_elements=57 * 5, seed=2, ties=False, pair_ties=0.0, shift=0.0)  # ragged last panel
+@example(n=40, d=1, columns=4, panel_elements=50, seed=3, ties=True, pair_ties=0.3, shift=0.0)  # tied rows and pairs
+def test_paired_kernel_matches_dense_v_statistic(n, d, columns, panel_elements, seed, ties, pair_ties, shift):
+    # a shift far from the origin tests the Gram form's cancellation
+    x, y, signs, _ = _paired_case(n, d, columns, seed, ties, pair_ties, shift)
+    with mock.patch.object(mcs, "_ENERGY_PANEL", panel_elements):
+        got = mcs._paired_energy_stats(x, y, signs)
+    exact, scale = _paired_dense(x, y, signs)
+    assert got.shape == (columns,)
+    if scale == 0.0:
+        # every pair is tied, so K vanishes and so does every statistic
+        assert np.all(got == 0.0)
+    else:
+        assert np.all(np.abs(got - exact) <= 1e-9 * scale)
+
+
+def test_paired_kernel_ties_across_pairs_are_exact():
+    # every pair is (p, q) or (q, p), so every distance is 0 or c = |p - q|
+    # and column u scores 2 c (u . o)^2 / n^2 for the orientations o; a
+    # Gram-form zero off by one ulp would add about 1e-8 c per entry
+    rng = np.random.default_rng(31)
+    n = 90
+    for _ in range(5):
+        p, q = rng.standard_normal((2, 5)) * 3.0
+        orient = rng.choice([-1.0, 1.0], size=n)
+        x = np.where(orient[:, None] > 0, p, q)
+        y = np.where(orient[:, None] > 0, q, p)
+        signs = rng.choice([-1.0, 1.0], size=(n, 6))
+        with mock.patch.object(mcs, "_ENERGY_PANEL", 2**9):
+            got = mcs._paired_energy_stats(x, y, signs)
+        expected = 2.0 * np.linalg.norm(p - q) * (orient @ signs) ** 2 / n**2
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15 * np.linalg.norm(p - q))
+
+
+def test_paired_kernel_flipping_a_tied_pair_changes_no_bit():
+    x, y, signs, tied = _paired_case(200, 3, 8, 23, False, 0.2)
+    assert tied.any() and not tied.all()
+    flipped = signs.copy()
+    flipped[tied] *= -1.0
+    with mock.patch.object(mcs, "_ENERGY_PANEL", 2**10):
+        np.testing.assert_array_equal(
+            mcs._paired_energy_stats(x, y, signs), mcs._paired_energy_stats(x, y, flipped)
+        )
+
+
+@pytest.mark.parametrize("n", [150, 1100])
+def test_paired_identical_samples_score_exactly_zero(n):
+    # y is a separate, bitwise equal copy of x; pooled sizes 300 and 2200
+    # lie on both sides of the unpaired tests' float32 cutover
+    x = np.random.default_rng(24).standard_normal((n, 4))
+    observed, p_value = mcs._paired_energy_test(x, x.copy(), 199, np.random.default_rng(25))
+    assert observed == 0.0
+    assert p_value == 1.0
+    # rows with equal coordinates are their own coordinate permutations
+    rows = np.repeat(x[:, :1], 3, axis=1)
+    report = mcs.test_exchangeability(rows, 199, 26)
+    assert report.statistic == 0.0
+    assert report.p_value == 1.0
+    assert not report.reject
+
+
+def test_exchangeability_permutations_follow_the_draw_stream():
+    # a small panel budget splits K into many panels; the p-value must
+    # still equal the naive count over the same rng.integers swap columns
+    n, b, seed = 120, 99, 27
+    rows = np.random.default_rng(28).standard_normal((n, 3))
+    rows[:, 0] *= 1.3
+    with mock.patch.object(mcs, "_ENERGY_PANEL", 2**9):
+        report = mcs.test_exchangeability(rows, b, seed)
+    assert len(list(mcs._panel_rows(n, 2**9))) > 10
+    data_rng, perm_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    order = data_rng.permuted(np.tile(np.arange(3), (n, 1)), axis=1)
+    shuffled = np.take_along_axis(rows, order, axis=1)
+    keep = perm_rng.integers(0, 2, size=(n, b))
+    signs = np.column_stack([np.ones(n), 2.0 * keep - 1.0])
+    stats, _ = _paired_dense(rows, shuffled, signs)
+    assert report.statistic == pytest.approx(stats[0], rel=1e-12)
+    assert report.p_value == (1.0 + np.sum(stats[1:] >= stats[0])) / (b + 1.0)
+
+
+def test_exchangeability_memory_stays_bounded():
+    # the pooled 6000 x 6000 distance matrix alone would take 137 MiB
+    # (float32) or 275 MiB (float64); numpy reports its buffers to tracemalloc
+    rows = np.random.default_rng(29).standard_normal((3000, 9))
+    tracemalloc.start()
+    try:
+        mcs.test_exchangeability(rows, 199, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
