@@ -262,9 +262,14 @@ def _energy_permutation_stats(dist: np.ndarray, labels: np.ndarray, n: int, m: i
 
 
 def _relabel_columns(rng: np.random.Generator, total: int, n: int, count: int) -> np.ndarray:
-    noise = rng.random((total, count))
-    ranks = np.argsort(np.argsort(noise, axis=0), axis=0)
-    return (ranks < n).astype(np.float64)
+    """0/1 label columns, shape (total, count), with n ones per column.
+
+    Column b marks the n rows with the smallest noise in column b.
+    """
+    order = np.argsort(rng.random((total, count)), axis=0)
+    labels = np.zeros((total, count))
+    np.put_along_axis(labels, order[:n], 1.0, axis=0)
+    return labels
 
 
 def _panel_rows(n: int, panel_elements: int):
@@ -463,23 +468,45 @@ def _triangle_panels(centered: np.ndarray, panel_elements: int) -> list[tuple[in
     return panels
 
 
-def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]]) -> np.ndarray:
+def _panel_weights(panels: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """w_i = sum_{j != i} A_ij in float64, from the triangle panels of A.
+
+    A panel stores 2 A_ij above the diagonal, so for each i its row sums
+    plus its column sums give 2 w_i.
+    """
+    weights = np.zeros(panels[0][1].shape[1])
+    for lo, panel in panels:
+        weights[lo : lo + panel.shape[0]] += panel.sum(axis=1, dtype=np.float64)
+        weights[lo:] += panel.sum(axis=0, dtype=np.float64)
+    return weights / 2
+
+
+def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], weights=None) -> np.ndarray:
     """sum_ij |r_i - r_j| * A_ij for each row r of radius_rows.
 
-    A is given as its triangle panels (_triangle_panels).  Per panel one
-    scratch buffer takes the absolute differences of all rows at once and
-    a single matrix-vector product against the panel reduces them.
+    A is given as its triangle panels (_triangle_panels) and, optionally,
+    its off-diagonal row sums (_panel_weights, computed here when None).
+    With |a - b| = a + b - 2 min(a, b) each sum is
+    2 x.w - 2 sum_{i<j} P_ij min(x_i, x_j), where P = 2A above the
+    diagonal and x = r - c with c the row's lower median.  c is a radius
+    the row takes, so the two terms stay small and constant radii score
+    exactly zero.  Per panel one scratch buffer takes the minima of all
+    rows at once and a single matrix-vector product against the panel
+    reduces them.
     """
-    k = radius_rows.shape[0]
+    if weights is None:
+        weights = _panel_weights(panels)
+    k, n = radius_rows.shape
+    mid = (n - 1) // 2
+    x = radius_rows - np.partition(radius_rows, mid, axis=1)[:, mid : mid + 1]
     buf = np.empty(k * max(panel.size for _, panel in panels), dtype=radius_rows.dtype)
-    totals = np.zeros(k)
+    totals = x.astype(np.float64) @ weights
     for lo, panel in panels:
         h, w = panel.shape
-        diffs = buf[: k * h * w].reshape(k, h, w)
-        np.subtract(radius_rows[:, lo : lo + h, None], radius_rows[:, None, lo:], out=diffs)
-        np.abs(diffs, out=diffs)
-        totals += diffs.reshape(k, h * w) @ panel.ravel()
-    return totals
+        mins = buf[: k * h * w].reshape(k, h, w)
+        np.minimum(x[:, lo : lo + h, None], x[:, None, lo:], out=mins)
+        totals -= mins.reshape(k, h * w) @ panel.ravel()
+    return 2.0 * totals
 
 
 def test_radial_angular_independence(
@@ -520,13 +547,14 @@ def test_radial_angular_independence(
     per_pass = max(1, _DCOV_BUFFER // (4 * n))
     panels = _triangle_panels(dmat, _DCOV_BUFFER // per_pass)
     del dmat
+    weights = _panel_weights(panels)
     r_cast = radii.astype(dtype)
-    observed = _dcov_stats(r_cast[None, :], panels)[0] / (n * n)
+    observed = _dcov_stats(r_cast[None, :], panels, weights)[0] / (n * n)
     count = 0
     for done in range(0, n_permutations, per_pass):
         k = min(per_pass, n_permutations - done)
         shuffled = r_cast[np.stack([rng.permutation(n) for _ in range(k)])]
-        count += int(np.sum(_dcov_stats(shuffled, panels) / (n * n) >= observed))
+        count += int(np.sum(_dcov_stats(shuffled, panels, weights) / (n * n) >= observed))
     p_value = (1.0 + count) / (n_permutations + 1.0)
     return _report("radial_angular_independence", observed, p_value, n_permutations, alpha, seed)
 
@@ -537,10 +565,13 @@ def test_radial_angular_independence(
 
 def _uniformity_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Resultant lengths and second-moment deviations of (count, n, d) samples."""
-    n, d = stack.shape[1:]
-    resultant = np.linalg.norm(stack.mean(axis=1), axis=1)
-    cov = np.matmul(stack.transpose(0, 2, 1), stack) / n
-    cov_dev = np.linalg.norm(cov - np.eye(d) / d, "fro", axis=(1, 2))
+    count, n, d = stack.shape
+    sums = np.ones(n) @ stack
+    resultant = np.sqrt(np.einsum("ci,ci->c", sums, sums)) / n
+    cov = np.matmul(stack.transpose(0, 2, 1), stack)
+    cov /= n
+    cov.reshape(count, d * d)[:, :: d + 1] -= 1.0 / d
+    cov_dev = np.sqrt(np.einsum("cij,cij->c", cov, cov))
     return resultant, cov_dev
 
 
@@ -573,7 +604,7 @@ def test_uniform_on_sphere(
     hits_cov = 0
     for done in range(0, n_simulations, chunk):
         g = rng.standard_normal((min(chunk, n_simulations - done), n, d))
-        g /= np.linalg.norm(g, axis=2)[:, :, None]
+        g /= np.sqrt(np.einsum("cni,cni->cn", g, g))[:, :, None]
         sim_res, sim_cov = _uniformity_stats(g)
         hits_res += int(np.sum(sim_res >= obs_res))
         hits_cov += int(np.sum(sim_cov >= obs_cov))

@@ -131,20 +131,8 @@ def eval_ylm(ell: int, m: int, theta, phi):
         raise DimensionError(f"|m| = {abs(m)} exceeds ell = {ell}")
     scalar = np.isscalar(theta) and np.isscalar(phi)
     theta, phi = _as_points(theta, phi)
-    x = np.cos(theta)
-    s = np.sin(theta)
     am = abs(m)
-    # climb the diagonal to L_mm, then upward in degree to L_lm
-    cur = np.full(theta.shape, 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(1, am + 1):
-        cur = cur * s * math.sqrt((2 * k + 1) / (2.0 * k))
-    if ell > am:
-        prev = cur
-        cur = x * math.sqrt(2 * am + 3.0) * cur
-        for k in range(am + 2, ell + 1):
-            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - am * am))
-            b = math.sqrt(((k - 1.0) ** 2 - am * am) / (4.0 * (k - 1.0) ** 2 - 1.0))
-            cur, prev = a * (x * cur - b * prev), cur
+    cur = _legendre_normalized(ell, np.cos(theta), np.sin(theta))[ell, am]
     if m > 0:
         vals = math.sqrt(2.0) * cur * np.cos(m * phi)
     elif m < 0:

@@ -140,6 +140,30 @@ def test_energy_float32_path_stays_exact_on_ties():
     assert report.statistic == 0.0
 
 
+class _TiedNoise:
+    """Stands in for a Generator whose uniform draws tie often."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return np.round(self._rng.random(shape), 1)
+
+
+@pytest.mark.parametrize("total, n, count", [(10, 3, 7), (57, 20, 40), (300, 150, 9)])
+def test_relabel_columns_match_double_argsort(total, n, count):
+    # one argsort plus a scatter marks the same rows as ranking the noise
+    # with a second argsort, bit for bit, also where the noise ties
+    for rng, noise in [
+        (np.random.default_rng(total), np.random.default_rng(total).random((total, count))),
+        (_TiedNoise(total), _TiedNoise(total).random((total, count))),
+    ]:
+        labels = mcs._relabel_columns(rng, total, n, count)
+        ranks = np.argsort(np.argsort(noise, axis=0), axis=0)
+        np.testing.assert_array_equal(labels, (ranks < n).astype(np.float64))
+        assert labels.dtype == np.float64 and np.all(labels.sum(axis=0) == n)
+
+
 # ---------------------------------------------------------------------------
 # Exchangeability
 
@@ -391,17 +415,25 @@ def test_independence_accepts_coefficient_blocks():
     assert not report.reject
 
 
-def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64):
+def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric"):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     a = a + a.T
+    if a_kind == "centred":
+        a = a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean()
+    elif a_kind == "offset":
+        a += 5.0
     r = rng.standard_normal((rows, n))
     if ties:
         r = np.round(r)
-    exact = np.einsum("kij,ij->k", np.abs(r[:, :, None] - r[:, None, :]), a)
-    scale = np.einsum("kij,ij->k", np.abs(r[:, :, None] - r[:, None, :]), np.abs(a))
+    # score the radii as the kernel receives them: a float32 radius near
+    # 1e3 carries a rounding error of 3e-5 that no kernel can undo
+    r = (r + shift).astype(dtype)
+    dist = np.abs(r.astype(np.float64)[:, :, None] - r.astype(np.float64)[:, None, :])
+    exact = np.einsum("kij,ij->k", dist, a)
+    scale = np.einsum("kij,ij->k", dist, np.abs(a))
     panels = mcs._triangle_panels(a.astype(dtype), panel_elements)
-    got = mcs._dcov_stats(r.astype(dtype), panels)
+    got = mcs._dcov_stats(r, panels)
     return got, exact, scale, panels
 
 
@@ -412,13 +444,19 @@ def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64):
     panel_elements=st.integers(1, 2000),
     seed=st.integers(0, 2**32 - 1),
     ties=st.booleans(),
+    shift=st.sampled_from([0.0, 1e3, -1e3]),
+    a_kind=st.sampled_from(["symmetric", "centred", "offset"]),
 )
-@example(n=30, rows=3, panel_elements=2000, seed=1, ties=False)  # one panel
-@example(n=37, rows=2, panel_elements=37 * 5, seed=2, ties=False)  # ragged last panel
-@example(n=25, rows=4, panel_elements=100, seed=3, ties=True)  # tied radii
-def test_dcov_kernel_matches_double_sum(n, rows, panel_elements, seed, ties):
-    # relative to sum_ij |r_i - r_j| |A_ij|, since the signed sum may cancel
-    got, exact, scale, panels = _kernel_case(n, rows, panel_elements, seed, ties)
+@example(n=30, rows=3, panel_elements=2000, seed=1, ties=False, shift=0.0, a_kind="symmetric")  # one panel
+@example(n=37, rows=2, panel_elements=37 * 5, seed=2, ties=False, shift=0.0, a_kind="symmetric")  # ragged last panel
+@example(n=25, rows=4, panel_elements=100, seed=3, ties=True, shift=0.0, a_kind="symmetric")  # tied radii
+@example(n=33, rows=3, panel_elements=150, seed=4, ties=False, shift=1e3, a_kind="offset")  # far shift, large row sums
+@example(n=28, rows=2, panel_elements=90, seed=5, ties=True, shift=-1e3, a_kind="centred")  # negative radii, dCov-like A
+def test_dcov_kernel_matches_double_sum(n, rows, panel_elements, seed, ties, shift, a_kind):
+    # relative to sum_ij |r_i - r_j| |A_ij|, since the signed sum may cancel;
+    # the min form must not lose that bound to a shift of the radii or to
+    # the row sums of A, which it adds back as 2 x.w
+    got, exact, scale, panels = _kernel_case(n, rows, panel_elements, seed, ties, np.float64, shift, a_kind)
     assert got.shape == (rows,)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
     assert sum(panel.shape[0] for _, panel in panels) == n
@@ -441,17 +479,38 @@ def test_dcov_kernel_panel_shapes():
 
 def test_dcov_kernel_float32_within_1e5_of_float64():
     for seed in range(5):
-        got, exact, scale, panels = _kernel_case(300, 4, 3000, seed, False, np.float32)
-        assert got.dtype == np.float64 and panels[0][1].dtype == np.float32
-        assert np.all(np.abs(got - exact) <= 1e-5 * scale)
+        for shift in (0.0, 1e3, -1e3):
+            got, exact, scale, panels = _kernel_case(300, 4, 3000, seed, False, np.float32, shift)
+            assert got.dtype == np.float64 and panels[0][1].dtype == np.float32
+            assert np.all(np.abs(got - exact) <= 1e-5 * scale)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
+    # the shift is a radius the row takes, so every shifted radius is
+    # exactly zero; the mean of 0.1 repeated 120 times is not 0.1
+    rng = np.random.default_rng(28)
+    a = rng.standard_normal((120, 120))
+    panels = mcs._triangle_panels((a + a.T).astype(dtype), 700)
+    rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
+    got = mcs._dcov_stats(rows, panels)
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+
+def test_panel_weights_are_off_diagonal_row_sums():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((23, 23))
+    a = a + a.T
+    weights = mcs._panel_weights(mcs._triangle_panels(a, 40))
+    np.testing.assert_allclose(weights, a.sum(axis=1) - np.diag(a), rtol=1e-13, atol=1e-13)
 
 
 def _record_kernel_calls(monkeypatch):
     calls = []
     kernel = mcs._dcov_stats
 
-    def recording(radius_rows, panels):
-        out = kernel(radius_rows, panels)
+    def recording(radius_rows, panels, weights=None):
+        out = kernel(radius_rows, panels, weights)
         calls.append((radius_rows.copy(), out))
         return out
 
@@ -496,17 +555,31 @@ def test_independence_statistic_is_the_unpermuted_kernel_row(n, monkeypatch):
     assert sum(len(out) for _, out in calls[1:]) == 99
 
 
-@pytest.mark.parametrize("n", [120, 2100])
-def test_independence_constant_radii(n):
-    # every row has norm exactly 3, so every statistic is exactly zero
+def _norm_three_rows(n):
+    # every row has norm exactly 3
     signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
     base = np.concatenate([signs * np.roll([1.0, 2.0, 2.0], k) for k in range(3)])
     rows = np.tile(base, (n // len(base) + 1, 1))[:n]
     assert np.all(np.linalg.norm(rows, axis=1) == 3.0)
-    report = mcs.test_radial_angular_independence(rows, 99, 22)
+    return rows
+
+
+@pytest.mark.parametrize("n", [120, 2100])
+def test_independence_constant_radii(n):
+    # every statistic is exactly zero
+    report = mcs.test_radial_angular_independence(_norm_three_rows(n), 99, 22)
     assert report.statistic == 0.0
     assert report.p_value == 1.0
     assert not report.reject
+
+
+def test_independence_all_radii_but_one_equal():
+    # the median radius is 3, so the min form sees one nonzero shifted
+    # radius and no minimum but zero; it must still match the double sum
+    rows = _norm_three_rows(120)
+    rows[7] *= 2.0
+    report = mcs.test_radial_angular_independence(rows, 99, 30)
+    assert report.statistic == pytest.approx(_dcov_statistic_naive(rows), rel=1e-12)
 
 
 def test_independence_rejects_zero_rows():

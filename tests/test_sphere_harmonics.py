@@ -87,6 +87,42 @@ def test_degree_one_and_two_closed_forms():
     )
 
 
+def _eval_ylm_climb(ell, m, theta, phi):
+    # eval_ylm's former recursion: up the diagonal to L_mm, then upward
+    # in degree to L_lm, one order at a time
+    x, s = np.cos(theta), np.sin(theta)
+    am = abs(m)
+    cur = np.full(theta.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(1, am + 1):
+        cur = cur * s * math.sqrt((2 * k + 1) / (2.0 * k))
+    if ell > am:
+        prev = cur
+        cur = x * math.sqrt(2 * am + 3.0) * cur
+        for k in range(am + 2, ell + 1):
+            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - am * am))
+            b = math.sqrt(((k - 1.0) ** 2 - am * am) / (4.0 * (k - 1.0) ** 2 - 1.0))
+            cur, prev = a * (x * cur - b * prev), cur
+    if m > 0:
+        return math.sqrt(2.0) * cur * np.cos(m * phi)
+    if m < 0:
+        return math.sqrt(2.0) * cur * np.sin(am * phi)
+    return cur
+
+
+def test_eval_ylm_matches_its_former_recursion_bitwise():
+    # the shared Legendre table multiplies in the same order as the
+    # single-order climb it replaced
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 30)])
+    phi = rng.uniform(0.0, 2.0 * math.pi, theta.shape[0])
+    for ell in range(21):
+        for m in range(-ell, ell + 1):
+            np.testing.assert_array_equal(eval_ylm(ell, m, theta, phi), _eval_ylm_climb(ell, m, theta, phi))
+            got = eval_ylm(ell, m, 0.7, 2.1)
+            assert type(got) is float
+            assert got == _eval_ylm_climb(ell, m, np.array([0.7]), np.array([2.1]))[0]
+
+
 def test_eval_ylm_rejects_bad_order():
     with pytest.raises(DimensionError):
         eval_ylm(2, 3, 0.5, 0.5)
