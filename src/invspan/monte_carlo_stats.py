@@ -481,11 +481,11 @@ def _panel_weights(panels: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return weights / 2
 
 
-def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], weights=None) -> np.ndarray:
+def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], weights: np.ndarray) -> np.ndarray:
     """sum_ij |r_i - r_j| * A_ij for each row r of radius_rows.
 
-    A is given as its triangle panels (_triangle_panels) and, optionally,
-    its off-diagonal row sums (_panel_weights, computed here when None).
+    A is given as its triangle panels (_triangle_panels) and its
+    off-diagonal row sums (_panel_weights).
     With |a - b| = a + b - 2 min(a, b) each sum is
     2 x.w - 2 sum_{i<j} P_ij min(x_i, x_j), where P = 2A above the
     diagonal and x = r - c with c the row's lower median.  c is a radius
@@ -494,8 +494,6 @@ def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], w
     rows at once and a single matrix-vector product against the panel
     reduces them.
     """
-    if weights is None:
-        weights = _panel_weights(panels)
     k, n = radius_rows.shape
     mid = (n - 1) // 2
     x = radius_rows - np.partition(radius_rows, mid, axis=1)[:, mid : mid + 1]

@@ -71,23 +71,38 @@ def _check_lmax(lmax: int) -> None:
         raise DimensionError(f"lmax must lie in 0..{MAX_LMAX}, got {lmax}")
 
 
+def _legendre_diagonal(lmax: int, s: np.ndarray):
+    """Yield L_mm for m = 0, ..., lmax, with s = sin(theta) >= 0."""
+    cur = np.full(s.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    yield cur
+    for m in range(1, lmax + 1):
+        cur = cur * s * math.sqrt((2 * m + 1) / (2.0 * m))
+        yield cur
+
+
+def _legendre_column(lmax: int, m: int, x: np.ndarray, diag: np.ndarray):
+    """Yield L_lm(x) for l = m, ..., lmax, upward in degree from diag = L_mm."""
+    cur = diag
+    yield cur
+    if lmax > m:
+        prev, cur = cur, x * math.sqrt(2 * m + 3.0) * cur
+        yield cur
+    for ell in range(m + 2, lmax + 1):
+        a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+        b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+        prev, cur = cur, a * (x * cur - b * prev)
+        yield cur
+
+
 def _legendre_normalized(lmax: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """L_lm(x) for 0 <= m <= l <= lmax, shape (lmax+1, lmax+1, npts).
 
     x = cos(theta), s = sin(theta) >= 0.  Entry [l, m] is zero for m > l.
     """
-    npts = x.shape[0]
-    out = np.zeros((lmax + 1, lmax + 1, npts))
-    out[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, lmax + 1):
-        out[m, m] = out[m - 1, m - 1] * s * math.sqrt((2 * m + 1) / (2.0 * m))
-    for m in range(0, lmax):
-        out[m + 1, m] = x * math.sqrt(2 * m + 3.0) * out[m, m]
-    for m in range(0, lmax + 1):
-        for ell in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            out[ell, m] = a * (x * out[ell - 1, m] - b * out[ell - 2, m])
+    out = np.zeros((lmax + 1, lmax + 1, x.shape[0]))
+    for m, diag in enumerate(_legendre_diagonal(lmax, s)):
+        for ell, value in enumerate(_legendre_column(lmax, m, x, diag), m):
+            out[ell, m] = value
     return out
 
 
@@ -132,7 +147,11 @@ def eval_ylm(ell: int, m: int, theta, phi):
     scalar = np.isscalar(theta) and np.isscalar(phi)
     theta, phi = _as_points(theta, phi)
     am = abs(m)
-    cur = _legendre_normalized(ell, np.cos(theta), np.sin(theta))[ell, am]
+    # one order only: up the diagonal to L_mm, then upward in degree to L_lm
+    for cur in _legendre_diagonal(am, np.sin(theta)):
+        pass
+    for cur in _legendre_column(ell, am, np.cos(theta), cur):
+        pass
     if m > 0:
         vals = math.sqrt(2.0) * cur * np.cos(m * phi)
     elif m < 0:

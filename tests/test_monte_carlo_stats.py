@@ -426,14 +426,18 @@ def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64, shift=0.
     r = rng.standard_normal((rows, n))
     if ties:
         r = np.round(r)
-    # score the radii as the kernel receives them: a float32 radius near
-    # 1e3 carries a rounding error of 3e-5 that no kernel can undo
-    r = (r + shift).astype(dtype)
-    dist = np.abs(r.astype(np.float64)[:, :, None] - r.astype(np.float64)[:, None, :])
+    r = r + shift
+    r_in = r.astype(dtype)
+    if shift:
+        # a float32 radius near 1e3 carries a rounding error of 3e-5 that
+        # no kernel can undo, so shifted radii are scored as the kernel
+        # receives them; unshifted ones are scored unrounded
+        r = r_in.astype(np.float64)
+    dist = np.abs(r[:, :, None] - r[:, None, :])
     exact = np.einsum("kij,ij->k", dist, a)
     scale = np.einsum("kij,ij->k", dist, np.abs(a))
     panels = mcs._triangle_panels(a.astype(dtype), panel_elements)
-    got = mcs._dcov_stats(r, panels)
+    got = mcs._dcov_stats(r_in, panels, mcs._panel_weights(panels))
     return got, exact, scale, panels
 
 
@@ -493,7 +497,7 @@ def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
     a = rng.standard_normal((120, 120))
     panels = mcs._triangle_panels((a + a.T).astype(dtype), 700)
     rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
-    got = mcs._dcov_stats(rows, panels)
+    got = mcs._dcov_stats(rows, panels, mcs._panel_weights(panels))
     assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
@@ -509,7 +513,7 @@ def _record_kernel_calls(monkeypatch):
     calls = []
     kernel = mcs._dcov_stats
 
-    def recording(radius_rows, panels, weights=None):
+    def recording(radius_rows, panels, weights):
         out = kernel(radius_rows, panels, weights)
         calls.append((radius_rows.copy(), out))
         return out

@@ -110,8 +110,8 @@ def _eval_ylm_climb(ell, m, theta, phi):
 
 
 def test_eval_ylm_matches_its_former_recursion_bitwise():
-    # the shared Legendre table multiplies in the same order as the
-    # single-order climb it replaced
+    # the shared diagonal and column recursions multiply in the same
+    # order as the single-order climb they replaced
     rng = np.random.default_rng(3)
     theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 30)])
     phi = rng.uniform(0.0, 2.0 * math.pi, theta.shape[0])
