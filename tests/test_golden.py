@@ -1,0 +1,22 @@
+"""Golden CLI reports: every subcommand's JSON report, byte for byte."""
+
+import importlib.util
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_spec = importlib.util.spec_from_file_location("make_goldens", GOLDEN / "make_goldens.py")
+make_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_goldens)
+
+
+def test_reports_match_goldens():
+    # regenerate with tests/golden/make_goldens.py when a report is meant to move
+    cases = make_goldens.cases()
+    assert {argv[0] for argv in cases.values()} == set(make_goldens.cli._HANDLERS)
+    changed = [
+        name
+        for name, argv in cases.items()
+        if make_goldens.render(argv) != (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    ]
+    assert changed == []
