@@ -9,6 +9,12 @@ on a sphere driven by permutation-conjugated irreducible rotations probes
 that the group those matrices generate acts transitively enough to leave
 only the uniform distribution invariant.
 
+Every distance test (the unpaired and the paired energy tests and the
+distance covariance) reads its Euclidean distances from one generator of
+float64 upper-triangle row panels in Gram form, so no test stores an
+n x n matrix and no statistic's definition depends on the sample size.
+Distances between bitwise equal rows are exactly zero.
+
 Every test consumes an integer seed and returns a TestReport that is
 bit-identical across runs with the same inputs.  Internally each logical
 unit of randomness derives its own stream from the seed, so results do
@@ -48,12 +54,12 @@ DEFAULT_ALPHA = 0.01
 UNIFORMITY_SIMULATIONS = 499
 GAUSSIANITY_BOOTSTRAP = 299
 
-# pooled sizes up to this use float64 distance matrices; larger ones float32
-# (unpaired energy test and distance covariance only)
+# above this many rows distance covariance stores its centred distance
+# panels, and the radii it scores against them, in float32
 _FLOAT32_CUTOVER = 2048
 # scratch entries per distance-covariance kernel pass (1 MiB in float64)
 _DCOV_BUFFER = 2**17
-# entries of K per paired-energy triangle panel (its Gram block holds 4x)
+# entries per energy-test triangle panel (a paired test's Gram block holds 4x)
 _ENERGY_PANEL = 2**17
 
 
@@ -177,36 +183,7 @@ def haar_rotation(d: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Energy two-sample machinery
-
-
-def _distance_matrix(pooled: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix with an exactly zero diagonal.
-
-    Small inputs use float64 broadcast differences (bitwise reproducible
-    per entry); large ones use a float32 Gram-matrix path to keep the
-    quadratic cost and memory in check.
-    """
-    total = pooled.shape[0]
-    if total <= _FLOAT32_CUTOVER:
-        out = np.empty((total, total))
-        step = 256
-        for lo in range(0, total, step):
-            hi = min(lo + step, total)
-            diff = pooled[lo:hi, None, :] - pooled[None, :, :]
-            out[lo:hi] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    else:
-        x32 = pooled.astype(np.float32)
-        sq = np.einsum("ij,ij->i", x32, x32)
-        out = x32 @ x32.T
-        out *= -2.0
-        out += sq[:, None]
-        out += sq[None, :]
-        np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
-        _zero_exact_row_ties(out, pooled)
-    np.fill_diagonal(out, 0.0)
-    return out
+# Distance panels and the energy tests
 
 
 def _tie_classes(rows: np.ndarray) -> np.ndarray | None:
@@ -219,46 +196,6 @@ def _tie_classes(rows: np.ndarray) -> np.ndarray | None:
     classes = np.empty(rows.shape[0], dtype=np.intp)
     classes[order] = np.concatenate(([0], np.cumsum(boundary)))
     return classes
-
-
-def _zero_exact_row_ties(dist: np.ndarray, pooled: np.ndarray) -> None:
-    """Entries between bitwise equal rows must be exactly zero.
-
-    The Gram path loses that to float32 cancellation, which would break
-    the tie contract (identical samples score zero), so repair in place.
-    """
-    classes = _tie_classes(pooled)
-    if classes is None:
-        return
-    order = np.argsort(classes, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(classes[order])) + 1):
-        if len(group) > 1:
-            dist[np.ix_(group, group)] = 0.0
-
-
-def _energy_observed(dist: np.ndarray, n: int, m: int) -> float:
-    saa = float(dist[:n, :n].sum(dtype=np.float64))
-    sbb = float(dist[n:, n:].sum(dtype=np.float64))
-    sab = float(dist[:n, n:].sum(dtype=np.float64))
-    return 2.0 * (sab / (n * m)) - saa / (n * n) - sbb / (m * m)
-
-
-def _energy_permutation_stats(dist: np.ndarray, labels: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Energy statistics for many 0/1 label columns against one matrix.
-
-    labels has shape (n + m, B) with exactly n ones per column marking
-    the first group.  Everything reduces to one matrix product.
-    """
-    labels = labels.astype(dist.dtype)
-    rowsums = dist.sum(axis=1, dtype=np.float64)
-    total = float(rowsums.sum())
-    q = dist @ labels
-    szq = np.einsum("ib,ib->b", labels, q, dtype=np.float64)
-    s1q = np.einsum("i,ib->b", rowsums, labels, dtype=np.float64)
-    saa = szq
-    sab = s1q - szq
-    sbb = total - 2.0 * s1q + szq
-    return 2.0 * (sab / (n * m)) - saa / (n * n) - sbb / (m * m)
 
 
 def _relabel_columns(rng: np.random.Generator, total: int, n: int, count: int) -> np.ndarray:
@@ -285,6 +222,71 @@ def _panel_rows(n: int, panel_elements: int):
         lo = hi
 
 
+def _distance_panels(pooled: np.ndarray, parts: int, panel_elements: int):
+    """Float64 Euclidean distances of pooled rows in upper-triangle row panels.
+
+    pooled stacks `parts` samples of k rows each.  For each range (lo, hi)
+    of _panel_rows(k, panel_elements) this yields (lo, hi, block), where
+    block holds the distances from rows lo..hi-1 to rows lo..k-1 of every
+    pair of samples: a parts x parts grid of h x w blocks (h = hi - lo,
+    w = k - lo) whose entries on and below the diagonal are zero.  Each
+    block is one Gram product of augmented rows of the mean-centred pooled
+    rows ([-2a, |a|^2, 1] . [b, 1, |b|^2]), clamped at zero and square
+    rooted; distances between bitwise equal rows are exactly zero.  block
+    is a reused buffer, valid until the next one is yielded.
+    """
+    k = pooled.shape[0] // parts
+    classes = _tie_classes(pooled)
+    pooled = pooled - pooled.mean(axis=0)
+    sq = np.einsum("ij,ij->i", pooled, pooled)
+    ones = np.ones(pooled.shape[0])
+    left = np.column_stack([-2.0 * pooled, sq, ones])
+    right = np.column_stack([pooled, ones, sq])
+    offsets = k * np.arange(parts)[:, None]
+    bounds = list(_panel_rows(k, panel_elements))
+    buf = np.empty(parts * parts * max((hi - lo) * (k - lo) for lo, hi in bounds))
+    for lo, hi in bounds:
+        h, w = hi - lo, k - lo
+        rows = (offsets + np.arange(lo, hi)).ravel()
+        cols = (offsets + np.arange(lo, k)).ravel()
+        block = np.matmul(left[rows], right[cols].T, out=buf[: rows.size * cols.size].reshape(rows.size, cols.size))
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
+        if classes is not None:
+            block[classes[rows][:, None] == classes[cols][None, :]] = 0.0
+        lower = np.tri(h, dtype=bool)
+        for p, q in np.ndindex(parts, parts):
+            block[p * h : (p + 1) * h, q * w : q * w + h][lower] = 0.0
+        yield lo, hi, block
+
+
+def _energy_stats(pooled: np.ndarray, labels: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Energy statistics, one per 0/1 column z of labels (its n ones mark the first sample).
+
+    With w = z/n - (1 - z)/m, the statistic 2 s_ab/(n m) - s_aa/n^2 -
+    s_bb/m^2 is -w^T D w = -2 sum_{i<j} w_i w_j D_ij, where s_ab sums the
+    distances between the two samples and so on.  Each triangle panel of
+    _distance_panels meets every column in one matrix product.  Bitwise
+    equal rows are first merged into one row whose weight comes from the
+    integer label counts of its class, so samples holding the same rows
+    score exactly zero.
+    """
+    classes = _tie_classes(pooled)
+    sizes = 1.0
+    if classes is not None:
+        order = np.argsort(classes, kind="stable")
+        starts = np.flatnonzero(np.diff(classes[order], prepend=-1))
+        pooled = pooled[order[starts]]
+        labels = np.add.reduceat(labels[order], starts, axis=0)
+        sizes = np.diff(starts, append=order.size)[:, None]
+    weights = labels / n - (sizes - labels) / m
+    totals = np.zeros(weights.shape[1])
+    for lo, hi, block in _distance_panels(pooled, 1, _ENERGY_PANEL):
+        totals += np.einsum("ib,ib->b", weights[lo:hi], block @ weights[lo:])
+    # adding 0.0 turns the -0.0 of all-zero weights into 0.0
+    return -2.0 * totals + 0.0
+
+
 def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Paired energy statistics, one per column u of the +-1 matrix signs.
 
@@ -295,12 +297,12 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     2 s_ab - s_aa - s_bb = u^T K u, so each statistic is
     (tr K + 2 sum_{i<j} K_ij u_i u_j) / n^2.
 
-    K is never stored: it is built in float64 Gram form in upper-triangle
-    row panels K[lo:hi, lo:] of about _ENERGY_PANEL entries, and each
+    K is never stored: its upper-triangle row panels K[lo:hi, lo:] are
+    assembled from the 2 x 2 block panels of _distance_panels on the
+    pooled rows (x, y), about _ENERGY_PANEL entries of K each, and each
     panel meets every column in one matrix product with signs[lo:].  The
     diagonal 2|x_i - y_i| comes from x - y directly.  Pairs with x_i == y_i
     bitwise are left out (u_i = 0): their row and column of K vanish.
-    Distances between bitwise equal rows are exactly zero.
     """
     n = x_rows.shape[0]
     live = np.any(x_rows != y_rows, axis=1)
@@ -310,30 +312,12 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     trace = 2.0 * float(np.linalg.norm(x_rows - y_rows, axis=1).sum())
     totals = np.zeros(signs.shape[1])
     if k > 1:
-        pooled = np.concatenate([x_rows, y_rows])
-        classes = _tie_classes(pooled)
-        pooled -= pooled.mean(axis=0)
-        sq = np.einsum("ij,ij->i", pooled, pooled)
-        ones = np.ones(2 * k)
-        # left[a] . right[b] = |a|^2 + |b|^2 - 2 a.b, one product per panel
-        left = np.column_stack([-2.0 * pooled, sq, ones])
-        right = np.column_stack([pooled, ones, sq])
-        bounds = list(_panel_rows(k, _ENERGY_PANEL))
-        k_buf = np.empty(max((hi - lo) * (k - lo) for lo, hi in bounds))
-        gram_buf = np.empty(4 * k_buf.size)
-        for lo, hi in bounds:
+        k_buf = np.empty(max((hi - lo) * (k - lo) for lo, hi in _panel_rows(k, _ENERGY_PANEL)))
+        for lo, hi, gram in _distance_panels(np.concatenate([x_rows, y_rows]), 2, _ENERGY_PANEL):
             h, w = hi - lo, k - lo
-            rows = np.r_[lo:hi, k + lo : k + hi]
-            cols = np.r_[lo:k, k + lo : 2 * k]
-            gram = np.matmul(left[rows], right[cols].T, out=gram_buf[: 4 * h * w].reshape(2 * h, 2 * w))
-            np.maximum(gram, 0.0, out=gram)
-            np.sqrt(gram, out=gram)
-            if classes is not None:
-                gram[classes[rows][:, None] == classes[cols][None, :]] = 0.0
             panel = np.add(gram[:h, w:], gram[h:, :w], out=k_buf[: h * w].reshape(h, w))
             panel -= gram[:h, :w]
             panel -= gram[h:, w:]
-            panel[:, :h][np.tri(h, dtype=bool)] = 0.0
             totals += np.einsum("ib,ib->b", signs[lo:hi], panel @ signs[lo:])
     return (trace + 2.0 * totals) / (n * n)
 
@@ -379,11 +363,11 @@ def energy_two_sample_test(
         raise ValueError(f"need at least 99 permutations, got {n_permutations}")
     rng = np.random.default_rng(seed)
     n, m = x_rows.shape[0], y_rows.shape[0]
-    dist = _distance_matrix(np.concatenate([x_rows, y_rows], axis=0))
-    observed = _energy_observed(dist, n, m)
-    stats = _energy_permutation_stats(dist, _relabel_columns(rng, n + m, n, n_permutations), n, m)
-    p_value = (1.0 + int(np.sum(stats >= observed))) / (n_permutations + 1.0)
-    return _report("energy_two_sample", observed, p_value, n_permutations, alpha, seed)
+    observed = np.r_[np.ones(n), np.zeros(m)]
+    labels = np.column_stack([observed, _relabel_columns(rng, n + m, n, n_permutations)])
+    stats = _energy_stats(np.concatenate([x_rows, y_rows]), labels, n, m)
+    p_value = (1.0 + int(np.sum(stats[1:] >= stats[0]))) / (n_permutations + 1.0)
+    return _report("energy_two_sample", stats[0], p_value, n_permutations, alpha, seed)
 
 
 def test_exchangeability(
@@ -452,19 +436,30 @@ def test_rotational_invariance(
 # Distance covariance: radius vs direction
 
 
-def _triangle_panels(centered: np.ndarray, panel_elements: int) -> list[tuple[int, np.ndarray]]:
-    """Upper-triangle row panels (lo, A[lo:hi, lo:]) of a symmetric matrix.
+def _dcov_panels(directions: np.ndarray, panel_elements: int, dtype) -> list[tuple[int, np.ndarray]]:
+    """Upper-triangle row panels (lo, A[lo:hi, lo:]) of the double-centred distance matrix A.
 
-    Entries on and below the diagonal are zeroed and those above it
+    Two passes over _distance_panels: the first sums the rows of the
+    distance matrix, the second centres each distance panel in float64.
+    Entries on and below the diagonal are then zeroed and those above it
     doubled (exact), so a panel sum over j >= i equals the full sum over
-    rows lo..hi-1.  Each panel holds about panel_elements entries, so
-    panels grow taller as the triangle narrows.
+    rows lo..hi-1; only then is the panel cast to dtype.
     """
+    n = directions.shape[0]
+    sums = np.zeros(n)
+    for lo, hi, block in _distance_panels(directions, 1, panel_elements):
+        sums[lo:hi] += block.sum(axis=1)
+        sums[lo:] += block.sum(axis=0)
+    means = sums / n
+    grand = float(means.mean())
     panels = []
-    for lo, hi in _panel_rows(centered.shape[0], panel_elements):
-        panel = np.triu(centered[lo:hi, lo:], 1)
+    for lo, hi, block in _distance_panels(directions, 1, panel_elements):
+        block -= means[lo:hi, None]
+        block -= means[None, lo:]
+        block += grand
+        panel = np.triu(block, 1)
         panel *= 2
-        panels.append((lo, panel))
+        panels.append((lo, panel.astype(dtype, copy=False)))
     return panels
 
 
@@ -532,19 +527,11 @@ def test_radial_angular_independence(
     n = rows.shape[0]
     rng = np.random.default_rng(seed)
 
-    dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
-    dmat = _distance_matrix(directions).astype(dtype, copy=False)
-    row_means = dmat.mean(axis=1, dtype=np.float64)
-    grand = float(row_means.mean())
-    dmat -= row_means.astype(dtype)[:, None]
-    dmat -= row_means.astype(dtype)[None, :]
-    dmat += dtype(grand)
-
     # enough permutations per pass that the widest panel is about 4 rows
     # tall: each panel then serves several permutations while in cache
     per_pass = max(1, _DCOV_BUFFER // (4 * n))
-    panels = _triangle_panels(dmat, _DCOV_BUFFER // per_pass)
-    del dmat
+    dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
+    panels = _dcov_panels(directions, _DCOV_BUFFER // per_pass, dtype)
     weights = _panel_weights(panels)
     r_cast = radii.astype(dtype)
     observed = _dcov_stats(r_cast[None, :], panels, weights)[0] / (n * n)

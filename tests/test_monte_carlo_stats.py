@@ -133,11 +133,80 @@ def test_energy_input_validation():
 
 
 def test_energy_float32_path_stays_exact_on_ties():
-    # pooled size above the precision cutover still scores x = y as zero
+    # a pooled size of 3000 once took a float32 distance path; x = y must
+    # still score exactly zero at that size
     rng = np.random.default_rng(6)
     x = rng.standard_normal((1500, 2))
     report = mcs.energy_two_sample_test(x, x, 99, 7)
     assert report.statistic == 0.0
+
+
+def test_energy_row_shuffle_scores_exactly_zero():
+    # samples holding the same rows in another order, with and without
+    # repeated rows, score exactly +0.0; every relabeling then scores >= 0
+    rng = np.random.default_rng(8)
+    for n, d, ties in [(150, 3, False), (200, 2, True), (1500, 2, False)]:
+        x = rng.standard_normal((n, d))
+        if ties:
+            x = np.round(x)
+        report = mcs.energy_two_sample_test(x, x[rng.permutation(n)], 99, 9)
+        assert report.statistic == 0.0 and not np.signbit(report.statistic)
+        assert report.p_value == 1.0
+
+
+def _energy_dense(pooled, labels, n, m):
+    """-w^T D w per label column from one dense broadcast distance matrix, and sum |w_i w_j D_ij|."""
+    dist = np.linalg.norm(pooled[:, None, :] - pooled[None, :, :], axis=2)
+    w = labels / n - (1.0 - labels) / m
+    terms = w[:, None, :] * w[None, :, :] * dist[:, :, None]
+    return -terms.sum(axis=(0, 1)), np.abs(terms).sum(axis=(0, 1))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    d=st.integers(1, 5),
+    columns=st.integers(1, 4),
+    panel_elements=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    shift=st.sampled_from([0.0, 1e4]),
+)
+@example(n=30, m=25, d=3, columns=3, panel_elements=2000, seed=1, ties=False, shift=0.0)  # one panel
+@example(n=40, m=17, d=2, columns=2, panel_elements=57 * 5, seed=2, ties=False, shift=0.0)  # ragged last panel
+@example(n=35, m=35, d=1, columns=4, panel_elements=50, seed=3, ties=True, shift=0.0)  # tied rows
+@example(n=20, m=31, d=4, columns=2, panel_elements=120, seed=4, ties=True, shift=1e4)  # ties far from the origin
+def test_energy_kernel_matches_dense_v_statistic(n, m, d, columns, panel_elements, seed, ties, shift):
+    # relative to sum |w_i w_j D_ij|, since the signed sum may cancel; a
+    # shift far from the origin tests the Gram form's cancellation
+    rng = np.random.default_rng(seed)
+    pooled = rng.standard_normal((n + m, d))
+    if ties:
+        pooled = np.round(2.0 * pooled) / 2.0
+    pooled += shift
+    labels = np.zeros((n + m, columns))
+    for column in labels.T:
+        column[rng.permutation(n + m)[:n]] = 1.0
+    with mock.patch.object(mcs, "_ENERGY_PANEL", panel_elements):
+        got = mcs._energy_stats(pooled, labels, n, m)
+    exact, scale = _energy_dense(pooled, labels, n, m)
+    assert got.shape == (columns,)
+    assert np.all(np.abs(got - exact) <= 1e-9 * scale)
+
+
+def test_energy_memory_stays_bounded():
+    # the pooled 6000 x 6000 distance matrix alone would take 137 MiB
+    # (float32); numpy reports its buffers to tracemalloc
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((2, 3000, 9))
+    tracemalloc.start()
+    try:
+        mcs.energy_two_sample_test(x, y, 199, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 class _TiedNoise:
@@ -334,8 +403,8 @@ def test_paired_kernel_flipping_a_tied_pair_changes_no_bit():
 
 @pytest.mark.parametrize("n", [150, 1100])
 def test_paired_identical_samples_score_exactly_zero(n):
-    # y is a separate, bitwise equal copy of x; pooled sizes 300 and 2200
-    # lie on both sides of the unpaired tests' float32 cutover
+    # y is a separate, bitwise equal copy of x; pooled sizes 300 and 2200,
+    # a small and a large case
     x = np.random.default_rng(24).standard_normal((n, 4))
     observed, p_value = mcs._paired_energy_test(x, x.copy(), 199, np.random.default_rng(25))
     assert observed == 0.0
@@ -391,6 +460,49 @@ def test_independence_statistic_matches_naive():
     assert report.statistic == pytest.approx(_dcov_statistic_naive(rows), abs=1e-12)
 
 
+def _dcov_statistic_chunked(rows, chunk=100):
+    """Dense float64 distance covariance, a block of broadcast rows at a time.
+
+    With a, b the radius and direction distance matrices, the double
+    centring expands to sum a_ij b_ij - 2/n sum_i a_i. b_i. + a.. b../n^2.
+    """
+    radii = np.linalg.norm(rows, axis=1)
+    directions = rows / radii[:, None]
+    n = len(rows)
+    a_sums, b_sums, ab = np.zeros(n), np.zeros(n), 0.0
+    for lo in range(0, n, chunk):
+        a = np.abs(radii[lo : lo + chunk, None] - radii[None, :])
+        b = np.linalg.norm(directions[lo : lo + chunk, None, :] - directions[None, :, :], axis=2)
+        a_sums[lo : lo + chunk] = a.sum(axis=1)
+        b_sums[lo : lo + chunk] = b.sum(axis=1)
+        ab += float(np.sum(a * b))
+    return (ab - 2.0 * (a_sums @ b_sums) / n + a_sums.sum() * b_sums.sum() / n**2) / (n * n)
+
+
+def test_independence_large_n_matches_dense_float64():
+    # above the float32 cutover only the storage of the centred panels is
+    # float32; their distances and centring stay float64
+    rng = np.random.default_rng(45)
+    small = rng.standard_normal((120, 3))
+    assert _dcov_statistic_chunked(small, 7) == pytest.approx(_dcov_statistic_naive(small), rel=1e-12)
+    for rows in (rng.standard_normal((3000, 9)), sample_degree_block(2, 1.0, "lognormal", 3000, 46)):
+        report = mcs.test_radial_angular_independence(rows, 99, 47)
+        assert report.statistic == pytest.approx(_dcov_statistic_chunked(rows), rel=1e-6)
+
+
+def test_independence_memory_stays_bounded():
+    # the dense 3000 x 3000 direction distance matrix alone would take
+    # 34 MiB (float32) or 69 MiB (float64)
+    rows = np.random.default_rng(48).standard_normal((3000, 9))
+    tracemalloc.start()
+    try:
+        mcs.test_radial_angular_independence(rows, 199, 49)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_independence_accepts_gaussian():
     rng = np.random.default_rng(41)
     report = mcs.test_radial_angular_independence(rng.standard_normal((800, 4)), 199, 42)
@@ -415,6 +527,19 @@ def test_independence_accepts_coefficient_blocks():
     assert not report.reject
 
 
+def _triangle_panels(a, panel_elements):
+    """Doubled upper-triangle row panels (lo, A[lo:hi, lo:]) of a dense symmetric A.
+
+    The layout _dcov_stats reads, built by slicing a stored matrix.
+    """
+    panels = []
+    for lo, hi in mcs._panel_rows(a.shape[0], panel_elements):
+        panel = np.triu(a[lo:hi, lo:], 1)
+        panel *= 2
+        panels.append((lo, panel))
+    return panels
+
+
 def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric"):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
@@ -436,7 +561,7 @@ def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64, shift=0.
     dist = np.abs(r[:, :, None] - r[:, None, :])
     exact = np.einsum("kij,ij->k", dist, a)
     scale = np.einsum("kij,ij->k", dist, np.abs(a))
-    panels = mcs._triangle_panels(a.astype(dtype), panel_elements)
+    panels = _triangle_panels(a.astype(dtype), panel_elements)
     got = mcs._dcov_stats(r_in, panels, mcs._panel_weights(panels))
     return got, exact, scale, panels
 
@@ -466,12 +591,51 @@ def test_dcov_kernel_matches_double_sum(n, rows, panel_elements, seed, ties, shi
     assert sum(panel.shape[0] for _, panel in panels) == n
 
 
+def _centred_dense(points):
+    """Double-centred broadcast distance matrix, and |D_ij| + |r_i| + |r_j| + |g| per entry."""
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    means = dist.mean(axis=1)
+    grand = means.mean()
+    centred = dist - means[:, None] - means[None, :] + grand
+    return centred, dist + means[:, None] + means[None, :] + grand
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 5),
+    panel_elements=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    shift=st.sampled_from([0.0, 1e4]),
+)
+@example(n=30, d=3, panel_elements=2000, seed=1, ties=False, shift=0.0)  # one panel
+@example(n=37, d=2, panel_elements=37 * 5, seed=2, ties=False, shift=0.0)  # ragged last panel
+@example(n=25, d=1, panel_elements=100, seed=3, ties=True, shift=0.0)  # tied rows
+@example(n=33, d=4, panel_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
+def test_dcov_panels_match_dense_centring(n, d, panel_elements, seed, ties, shift):
+    # the panels of the double-centred matrix, in the layout _dcov_stats
+    # reads, built from distance panels without a dense matrix
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    if ties:
+        points = np.round(2.0 * points) / 2.0
+    points += shift
+    got = mcs._dcov_panels(points, panel_elements, np.float64)
+    centred, scale = _centred_dense(points)
+    want = _triangle_panels(centred, panel_elements)
+    assert [lo for lo, _ in got] == [lo for lo, _ in want]
+    for (_, panel), (_, exact), (_, bound) in zip(got, want, _triangle_panels(scale, panel_elements)):
+        assert panel.shape == exact.shape and panel.dtype == np.float64
+        assert np.all(np.abs(panel - exact) <= 1e-9 * bound)
+
+
 def test_dcov_kernel_panel_shapes():
     # a budget of n**2 gives one panel; a smaller one ragged panels that
     # cover every row, each within the budget
     n = 37
-    assert [lo for lo, _ in mcs._triangle_panels(np.ones((n, n)), n * n)] == [0]
-    panels = mcs._triangle_panels(np.ones((n, n)), 5 * n)
+    assert [lo for lo, _ in _triangle_panels(np.ones((n, n)), n * n)] == [0]
+    panels = _triangle_panels(np.ones((n, n)), 5 * n)
     heights = [panel.shape[0] for _, panel in panels]
     assert heights[0] == 5 and sum(heights) == n and n % heights[0] != 0
     assert all(panel.size <= 5 * n for _, panel in panels)
@@ -495,7 +659,7 @@ def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
     # exactly zero; the mean of 0.1 repeated 120 times is not 0.1
     rng = np.random.default_rng(28)
     a = rng.standard_normal((120, 120))
-    panels = mcs._triangle_panels((a + a.T).astype(dtype), 700)
+    panels = _triangle_panels((a + a.T).astype(dtype), 700)
     rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
     got = mcs._dcov_stats(rows, panels, mcs._panel_weights(panels))
     assert np.all(got == 0.0) and not np.any(np.signbit(got))
@@ -505,7 +669,7 @@ def test_panel_weights_are_off_diagonal_row_sums():
     rng = np.random.default_rng(29)
     a = rng.standard_normal((23, 23))
     a = a + a.T
-    weights = mcs._panel_weights(mcs._triangle_panels(a, 40))
+    weights = mcs._panel_weights(_triangle_panels(a, 40))
     np.testing.assert_allclose(weights, a.sum(axis=1) - np.diag(a), rtol=1e-13, atol=1e-13)
 
 
