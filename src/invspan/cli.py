@@ -76,10 +76,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _report_dict(report) -> dict:
-    return report.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # Handlers: each returns (exit_code, payload or None)
 
@@ -263,7 +259,7 @@ def _run_test_theorem2(cfg: RunConfig):
         "seed": int(cfg.seed),
         "alpha": float(cfg.alpha),
         "n_permutations": int(cfg.permutations),
-        "reports": {k: _report_dict(r) for k, r in reports.items()},
+        "reports": {k: r.to_dict() for k, r in reports.items()},
         "all_passed": bool(all_passed),
     }
     return (EXIT_OK if all_passed else EXIT_CHECK_FAILED), payload
@@ -302,7 +298,7 @@ def _run_test_bernstein(cfg: RunConfig):
                 "name": name,
                 "expected_reject": bool(expected),
                 "as_expected": bool(ok),
-                "report": _report_dict(rep),
+                "report": rep.to_dict(),
             }
         )
     payload = {
@@ -341,7 +337,7 @@ def _run_orbit_walk(cfg: RunConfig):
         "include_odd_permutation": bool(cfg.odd),
         "seed": int(cfg.seed),
         "alpha": float(cfg.alpha),
-        "uniformity": _report_dict(rep),
+        "uniformity": rep.to_dict(),
         "passed": bool(not rep.reject),
         "states_path": states_path,
     }
