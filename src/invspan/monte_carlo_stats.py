@@ -439,27 +439,31 @@ def test_rotational_invariance(
 def _dcov_panels(directions: np.ndarray, panel_elements: int, dtype) -> list[tuple[int, np.ndarray]]:
     """Upper-triangle row panels (lo, A[lo:hi, lo:]) of the double-centred distance matrix A.
 
-    Two passes over _distance_panels: the first sums the rows of the
-    distance matrix, the second centres each distance panel in float64.
-    Entries on and below the diagonal are then zeroed and those above it
-    doubled (exact), so a panel sum over j >= i equals the full sum over
-    rows lo..hi-1; only then is the panel cast to dtype.
+    Two passes over the _distance_panels blocks of about _DCOV_BUFFER
+    entries: the first sums the rows of the distance matrix, the second
+    centres each block in float64 and cuts it into panels of at most
+    panel_elements entries (or one row).  In each panel the entries on and
+    below the diagonal are zeroed and those above it doubled (exact), so a
+    panel sum over j >= i equals the full sum over rows lo..hi-1; only then
+    is the panel cast to dtype.
     """
     n = directions.shape[0]
     sums = np.zeros(n)
-    for lo, hi, block in _distance_panels(directions, 1, panel_elements):
+    for lo, hi, block in _distance_panels(directions, 1, _DCOV_BUFFER):
         sums[lo:hi] += block.sum(axis=1)
         sums[lo:] += block.sum(axis=0)
     means = sums / n
     grand = float(means.mean())
     panels = []
-    for lo, hi, block in _distance_panels(directions, 1, panel_elements):
+    for lo, hi, block in _distance_panels(directions, 1, _DCOV_BUFFER):
         block -= means[lo:hi, None]
         block -= means[None, lo:]
         block += grand
-        panel = np.triu(block, 1)
-        panel *= 2
-        panels.append((lo, panel.astype(dtype, copy=False)))
+        step = max(1, panel_elements // (n - lo))
+        for top in range(lo, hi, step):
+            panel = np.triu(block[top - lo : top - lo + step, top - lo :], 1)
+            panel *= 2
+            panels.append((top, panel.astype(dtype, copy=False)))
     return panels
 
 

@@ -605,28 +605,37 @@ def _centred_dense(points):
     n=st.integers(1, 40),
     d=st.integers(1, 5),
     panel_elements=st.integers(1, 2000),
+    block_elements=st.integers(1, 2000),
     seed=st.integers(0, 2**32 - 1),
     ties=st.booleans(),
     shift=st.sampled_from([0.0, 1e4]),
 )
-@example(n=30, d=3, panel_elements=2000, seed=1, ties=False, shift=0.0)  # one panel
-@example(n=37, d=2, panel_elements=37 * 5, seed=2, ties=False, shift=0.0)  # ragged last panel
-@example(n=25, d=1, panel_elements=100, seed=3, ties=True, shift=0.0)  # tied rows
-@example(n=33, d=4, panel_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
-def test_dcov_panels_match_dense_centring(n, d, panel_elements, seed, ties, shift):
+@example(n=30, d=3, panel_elements=2000, block_elements=2000, seed=1, ties=False, shift=0.0)  # one panel
+@example(n=37, d=2, panel_elements=37 * 5, block_elements=2000, seed=2, ties=False, shift=0.0)  # ragged last panel
+@example(n=37, d=2, panel_elements=37 * 2, block_elements=37 * 7, seed=5, ties=False, shift=0.0)  # panels cut from blocks
+@example(n=25, d=1, panel_elements=100, block_elements=300, seed=3, ties=True, shift=0.0)  # tied rows
+@example(n=33, d=4, panel_elements=150, block_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
+def test_dcov_panels_match_dense_centring(n, d, panel_elements, block_elements, seed, ties, shift):
     # the panels of the double-centred matrix, in the layout _dcov_stats
-    # reads, built from distance panels without a dense matrix
+    # reads, cut from distance blocks of _DCOV_BUFFER entries without a
+    # dense matrix; they cover every row once, each within its budget
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
     if ties:
         points = np.round(2.0 * points) / 2.0
     points += shift
-    got = mcs._dcov_panels(points, panel_elements, np.float64)
+    with mock.patch.object(mcs, "_DCOV_BUFFER", block_elements):
+        got = mcs._dcov_panels(points, panel_elements, np.float64)
     centred, scale = _centred_dense(points)
-    want = _triangle_panels(centred, panel_elements)
-    assert [lo for lo, _ in got] == [lo for lo, _ in want]
-    for (_, panel), (_, exact), (_, bound) in zip(got, want, _triangle_panels(scale, panel_elements)):
-        assert panel.shape == exact.shape and panel.dtype == np.float64
+    heights = [panel.shape[0] for _, panel in got]
+    assert [lo for lo, _ in got] == [sum(heights[:i]) for i in range(len(got))]
+    assert sum(heights) == n
+    for lo, panel in got:
+        h, w = panel.shape
+        assert w == n - lo and (h == 1 or panel.size <= panel_elements)
+        assert panel.dtype == np.float64
+        exact = 2.0 * np.triu(centred[lo : lo + h, lo:], 1)
+        bound = 2.0 * np.triu(scale[lo : lo + h, lo:], 1)
         assert np.all(np.abs(panel - exact) <= 1e-9 * bound)
 
 
