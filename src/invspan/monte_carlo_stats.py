@@ -57,7 +57,8 @@ GAUSSIANITY_BOOTSTRAP = 299
 # above this many rows distance covariance stores its centred distance
 # panels, and the radii it scores against them, in float32
 _FLOAT32_CUTOVER = 2048
-# scratch entries per distance-covariance kernel pass (1 MiB in float64)
+# scratch entries per distance-covariance kernel pass, and per distance
+# block it centres (1 MiB in float64)
 _DCOV_BUFFER = 2**17
 # entries per energy-test triangle panel (a paired test's Gram block holds 4x)
 _ENERGY_PANEL = 2**17
