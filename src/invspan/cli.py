@@ -2,7 +2,8 @@
 
 Each subcommand runs one verification or simulation pipeline and emits a
 JSON report (CSV for the raw-data outputs) that is byte-identical for
-identical arguments and seed.  Exit codes: 0 all checks passed, 1 a
+identical arguments, seed and INVSPAN_THREADS: a different BLAS thread
+count can move a statistic's last bits.  Exit codes: 0 all checks passed, 1 a
 mathematical check failed, 2 usage error, 3 degenerate input.
 
 The INVSPAN_THREADS environment variable caps the linear-algebra thread
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 DEFAULT_SEED = 1729
 
@@ -26,28 +26,9 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
 # equal to sphere_harmonics.RADIAL_LAWS (checked in tests/test_cli.py);
-# importing that module here would load numpy and scipy while the parser is
-# built, for every command, and raised the peak RSS of the algebra commands
+# importing that module here would load numpy while the parser is built,
+# before the thread cap applies and for every command
 _RADIAL_CHOICES = ("chi", "lognormal", "constant")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its numeric knobs."""
-
-    command: str
-    ell: int | None = None
-    lmax: int | None = None
-    n: int | None = None
-    d: int | None = None
-    seed: int = DEFAULT_SEED
-    alpha: float = 0.01
-    permutations: int = 999
-    radial: str = "chi"
-    spectrum: str | None = None
-    out: str | None = None
-    format: str = "json"
-    odd: bool = False
 
 
 def _apply_thread_cap() -> None:
@@ -80,13 +61,13 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # Handlers: each returns (exit_code, payload or None)
 
 
-def _run_verify_span(cfg: RunConfig):
+def _run_verify_span(args: argparse.Namespace):
     from .invariance_engine import verify_span
 
-    report = verify_span(cfg.ell)
+    report = verify_span(args.ell)
     payload = {
         "command": "verify-span",
-        "ell": int(cfg.ell),
+        "ell": int(args.ell),
         "n": int(report.n),
         "generator_dim": int(report.generator_dim),
         "w_dim": int(report.span_dim),
@@ -98,47 +79,47 @@ def _run_verify_span(cfg: RunConfig):
     return (EXIT_OK if report.full else EXIT_CHECK_FAILED), payload
 
 
-def _run_decompose(cfg: RunConfig):
+def _run_decompose(args: argparse.Namespace):
     from .invariance_engine import decompose_so_n
 
-    report, _, _ = decompose_so_n(cfg.n)
+    report, _, _ = decompose_so_n(args.n)
     payload = {"command": "decompose"}
     payload.update(report.to_dict())
     return EXIT_OK, payload
 
 
-def _run_character(cfg: RunConfig):
+def _run_character(args: argparse.Namespace):
     from .invariance_engine import decompose_so_n
 
-    report, _, _ = decompose_so_n(cfg.n)
+    report, _, _ = decompose_so_n(args.n)
     payload = {
         "command": "character",
-        "n": int(cfg.n),
+        "n": int(args.n),
         "v1": float(report.standard_char_transposition),
         "v2": float(report.stabilizer_char_transposition),
     }
     return EXIT_OK, payload
 
 
-def _run_block_check(cfg: RunConfig):
+def _run_block_check(args: argparse.Namespace):
     from .invariance_engine import block_form_check
 
-    report = block_form_check(cfg.n)
+    report = block_form_check(args.n)
     payload = {"command": "block-check"}
     payload.update(report.to_dict())
     return (EXIT_OK if report.passed else EXIT_CHECK_FAILED), payload
 
 
-def _resolve_spectrum(cfg: RunConfig, default_lmax: int):
+def _resolve_spectrum(args: argparse.Namespace, default_lmax: int):
     from .sphere_harmonics import PowerSpectrum, read_power_spectrum
 
-    if cfg.spectrum is not None:
-        return read_power_spectrum(cfg.spectrum)
-    lmax = cfg.lmax if cfg.lmax is not None else default_lmax
+    if args.spectrum is not None:
+        return read_power_spectrum(args.spectrum)
+    lmax = args.lmax if args.lmax is not None else default_lmax
     return PowerSpectrum.constant(lmax, 1.0)
 
 
-def _run_simulate_field(cfg: RunConfig):
+def _run_simulate_field(args: argparse.Namespace):
     import math
 
     import numpy as np
@@ -152,14 +133,14 @@ def _run_simulate_field(cfg: RunConfig):
         synthesize_batch,
     )
 
-    spectrum = _resolve_spectrum(cfg, default_lmax=4)
-    rows = sample_coefficient_arrays(spectrum, cfg.radial, cfg.n, cfg.seed)
+    spectrum = _resolve_spectrum(args, default_lmax=4)
+    rows = sample_coefficient_arrays(spectrum, args.radial, args.n, args.seed)
     coefficients_path = None
-    if cfg.format == "csv":
-        dump_sample_matrix(SampleMatrix(rows), cfg.out)
+    if args.format == "csv":
+        dump_sample_matrix(SampleMatrix(rows), args.out)
         return EXIT_OK, None
-    if cfg.out is not None:
-        coefficients_path = cfg.out + ".coefficients.csv"
+    if args.out is not None:
+        coefficients_path = args.out + ".coefficients.csv"
         dump_sample_matrix(SampleMatrix(rows), coefficients_path)
     estimated, _ = empirical_power_spectrum(rows)
     grid = gauss_legendre_grid(spectrum.lmax)
@@ -169,14 +150,14 @@ def _run_simulate_field(cfg: RunConfig):
         sum((2 * ell + 1) * c for ell, c in enumerate(spectrum.values)) / (4.0 * math.pi)
     )
     mean_square = float(per_sample.mean())
-    stderr = float(per_sample.std(ddof=1) / math.sqrt(cfg.n)) if cfg.n > 1 else 0.0
-    within = bool(abs(mean_square - identity_value) <= 3.0 * stderr) if cfg.n > 1 else True
+    stderr = float(per_sample.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
+    within = bool(abs(mean_square - identity_value) <= 3.0 * stderr) if args.n > 1 else True
     payload = {
         "command": "simulate-field",
         "lmax": int(spectrum.lmax),
-        "n": int(cfg.n),
-        "radial": cfg.radial,
-        "seed": int(cfg.seed),
+        "n": int(args.n),
+        "radial": args.radial,
+        "seed": int(args.seed),
         "spectrum": [float(v) for v in spectrum.values],
         "empirical_spectrum": [float(v) for v in estimated.values],
         "variance_identity": identity_value,
@@ -188,22 +169,22 @@ def _run_simulate_field(cfg: RunConfig):
     return EXIT_OK, payload
 
 
-def _run_spectrum_estimate(cfg: RunConfig):
+def _run_spectrum_estimate(args: argparse.Namespace):
     import math
 
     import numpy as np
 
     from .sphere_harmonics import empirical_power_spectrum, sample_coefficient_arrays
 
-    spectrum = _resolve_spectrum(cfg, default_lmax=4)
-    rows = sample_coefficient_arrays(spectrum, cfg.radial, cfg.n, cfg.seed)
+    spectrum = _resolve_spectrum(args, default_lmax=4)
+    rows = sample_coefficient_arrays(spectrum, args.radial, args.n, args.seed)
     estimated, moments = empirical_power_spectrum(rows)
     stderrs = []
     within = []
     for ell in range(spectrum.lmax + 1):
         block = rows[:, ell * ell : (ell + 1) ** 2]
         per_sample = np.einsum("ij,ij->i", block, block) / (2 * ell + 1)
-        se = float(per_sample.std(ddof=1) / math.sqrt(cfg.n)) if cfg.n > 1 else 0.0
+        se = float(per_sample.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
         stderrs.append(se)
         ok = abs(float(estimated.values[ell]) - float(spectrum.values[ell])) <= 3.0 * se
         within.append(bool(ok))
@@ -215,9 +196,9 @@ def _run_spectrum_estimate(cfg: RunConfig):
     payload = {
         "command": "spectrum-estimate",
         "lmax": int(spectrum.lmax),
-        "n": int(cfg.n),
-        "radial": cfg.radial,
-        "seed": int(cfg.seed),
+        "n": int(args.n),
+        "radial": args.radial,
+        "seed": int(args.seed),
         "input_spectrum": [float(v) for v in spectrum.values],
         "estimated_spectrum": [float(v) for v in estimated.values],
         "standard_errors": stderrs,
@@ -228,7 +209,7 @@ def _run_spectrum_estimate(cfg: RunConfig):
     return EXIT_OK, payload
 
 
-def _run_test_theorem2(cfg: RunConfig):
+def _run_test_theorem2(args: argparse.Namespace):
     import numpy as np
 
     from .monte_carlo_stats import (
@@ -238,54 +219,54 @@ def _run_test_theorem2(cfg: RunConfig):
     )
     from .sphere_harmonics import sample_degree_block
 
-    ss = np.random.SeedSequence(cfg.seed)
+    ss = np.random.SeedSequence(args.seed)
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(4)]
-    block = sample_degree_block(cfg.ell, 1.0, cfg.radial, cfg.n, seeds[0])
+    block = sample_degree_block(args.ell, 1.0, args.radial, args.n, seeds[0])
     reports = {
-        "exchangeability": test_exchangeability(block, cfg.permutations, seeds[1], cfg.alpha),
+        "exchangeability": test_exchangeability(block, args.permutations, seeds[1], args.alpha),
         "rotational_invariance": test_rotational_invariance(
-            block, 1, cfg.permutations, seeds[2], cfg.alpha
+            block, 1, args.permutations, seeds[2], args.alpha
         ),
         "radial_angular_independence": test_radial_angular_independence(
-            block, cfg.permutations, seeds[3], cfg.alpha
+            block, args.permutations, seeds[3], args.alpha
         ),
     }
     all_passed = not any(r.reject for r in reports.values())
     payload = {
         "command": "test-theorem2",
-        "ell": int(cfg.ell),
-        "n": int(cfg.n),
-        "radial": cfg.radial,
-        "seed": int(cfg.seed),
-        "alpha": float(cfg.alpha),
-        "n_permutations": int(cfg.permutations),
+        "ell": int(args.ell),
+        "n": int(args.n),
+        "radial": args.radial,
+        "seed": int(args.seed),
+        "alpha": float(args.alpha),
+        "n_permutations": int(args.permutations),
         "reports": {k: r.to_dict() for k, r in reports.items()},
         "all_passed": bool(all_passed),
     }
     return (EXIT_OK if all_passed else EXIT_CHECK_FAILED), payload
 
 
-def _run_test_bernstein(cfg: RunConfig):
+def _run_test_bernstein(args: argparse.Namespace):
     import numpy as np
 
     from .monte_carlo_stats import test_gaussianity_1d, test_rotational_invariance
     from .sphere_harmonics import sample_degree_block
 
-    ss = np.random.SeedSequence(cfg.seed)
+    ss = np.random.SeedSequence(args.seed)
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(6)]
     checks = []
 
-    chi_block = sample_degree_block(2, 1.0, "chi", cfg.n, seeds[0])
-    rep = test_gaussianity_1d(chi_block[:, 0], seeds[1], cfg.alpha)
+    chi_block = sample_degree_block(2, 1.0, "chi", args.n, seeds[0])
+    rep = test_gaussianity_1d(chi_block[:, 0], seeds[1], args.alpha)
     checks.append(("chi_radial_marginal_gaussian", False, rep))
 
-    log_block = sample_degree_block(2, 1.0, "lognormal", cfg.n, seeds[2])
-    rep = test_gaussianity_1d(log_block[:, 0], seeds[3], cfg.alpha)
+    log_block = sample_degree_block(2, 1.0, "lognormal", args.n, seeds[2])
+    rep = test_gaussianity_1d(log_block[:, 0], seeds[3], args.alpha)
     checks.append(("lognormal_radial_marginal_nongaussian", True, rep))
 
     data_rng = np.random.default_rng(seeds[4])
-    expo = data_rng.exponential(1.0, (cfg.n, cfg.d)) - 1.0
-    rep = test_rotational_invariance(expo, 1, cfg.permutations, seeds[5], cfg.alpha)
+    expo = data_rng.exponential(1.0, (args.n, args.d)) - 1.0
+    rep = test_rotational_invariance(expo, 1, args.permutations, seeds[5], args.alpha)
     checks.append(("centered_exponential_not_invariant", True, rep))
 
     entries = []
@@ -303,40 +284,40 @@ def _run_test_bernstein(cfg: RunConfig):
         )
     payload = {
         "command": "test-bernstein",
-        "n": int(cfg.n),
-        "d": int(cfg.d),
-        "seed": int(cfg.seed),
-        "alpha": float(cfg.alpha),
-        "n_permutations": int(cfg.permutations),
+        "n": int(args.n),
+        "d": int(args.d),
+        "seed": int(args.seed),
+        "alpha": float(args.alpha),
+        "n_permutations": int(args.permutations),
         "checks": entries,
         "all_as_expected": bool(all_ok),
     }
     return (EXIT_OK if all_ok else EXIT_CHECK_FAILED), payload
 
 
-def _run_orbit_walk(cfg: RunConfig):
+def _run_orbit_walk(args: argparse.Namespace):
     import numpy as np
 
     from .monte_carlo_stats import dump_sample_matrix, orbit_walk_samples, test_uniform_on_sphere
 
-    ss = np.random.SeedSequence(cfg.seed)
+    ss = np.random.SeedSequence(args.seed)
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(2)]
-    states = orbit_walk_samples(cfg.ell, cfg.n, cfg.odd, seeds[0])
-    if cfg.format == "csv":
-        dump_sample_matrix(states, cfg.out)
+    states = orbit_walk_samples(args.ell, args.n, args.odd, seeds[0])
+    if args.format == "csv":
+        dump_sample_matrix(states, args.out)
         return EXIT_OK, None
     states_path = None
-    if cfg.out is not None:
-        states_path = cfg.out + ".states.csv"
+    if args.out is not None:
+        states_path = args.out + ".states.csv"
         dump_sample_matrix(states, states_path)
-    rep = test_uniform_on_sphere(states, seeds[1], cfg.alpha)
+    rep = test_uniform_on_sphere(states, seeds[1], args.alpha)
     payload = {
         "command": "orbit-walk",
-        "ell": int(cfg.ell),
-        "n": int(cfg.n),
-        "include_odd_permutation": bool(cfg.odd),
-        "seed": int(cfg.seed),
-        "alpha": float(cfg.alpha),
+        "ell": int(args.ell),
+        "n": int(args.n),
+        "include_odd_permutation": bool(args.odd),
+        "seed": int(args.seed),
+        "alpha": float(args.alpha),
         "uniformity": rep.to_dict(),
         "passed": bool(not rep.reject),
         "states_path": states_path,
@@ -344,11 +325,10 @@ def _run_orbit_walk(cfg: RunConfig):
     return (EXIT_OK if not rep.reject else EXIT_CHECK_FAILED), payload
 
 
-def _run_calibrate(cfg: RunConfig):
+def _run_calibrate(args: argparse.Namespace):
     from .monte_carlo_stats import calibration_suite
 
-    repetitions = cfg.n if cfg.n is not None else 200
-    result = calibration_suite(cfg.seed, repetitions, cfg.alpha, cfg.permutations)
+    result = calibration_suite(args.seed, args.n, args.alpha, args.permutations)
     payload = {"command": "calibrate"}
     payload.update(result)
     return (EXIT_OK if result["all_within_band"] else EXIT_CHECK_FAILED), payload
@@ -378,13 +358,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "Lie-algebra span checks, harmonic field simulation, and seeded "
             "Monte Carlo symmetry tests."
         ),
-        epilog=f"The default seed is {DEFAULT_SEED}; identical invocations produce byte-identical reports.",
+        epilog=(
+            f"The default seed is {DEFAULT_SEED}; identical invocations with the same "
+            "INVSPAN_THREADS produce byte-identical reports."
+        ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
     def add(name, help_text, **needed):
         cmd = sub.add_parser(name, help=help_text)
+        # _validate reads these on every command; None where the command has no such option
+        cmd.set_defaults(ell=None, lmax=None, n=None, d=None, alpha=None, permutations=None)
         if "ell" in needed:
             cmd.add_argument("--ell", type=int, required=needed["ell"] == "required", help="weight of the irreducible rotation representation (>= 1)")
         if "lmax" in needed:
@@ -427,25 +412,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(cfg: RunConfig, parser: argparse.ArgumentParser) -> None:
-    if cfg.ell is not None and cfg.ell < 1:
-        parser.error(f"--ell must be >= 1, got {cfg.ell}")
-    if cfg.lmax is not None and cfg.lmax < 0:
-        parser.error(f"--lmax must be >= 0, got {cfg.lmax}")
-    if cfg.n is not None and cfg.n < 1:
-        parser.error(f"--n must be >= 1, got {cfg.n}")
-    if cfg.d is not None and cfg.d < 2:
-        parser.error(f"--d must be >= 2, got {cfg.d}")
-    if cfg.command in ("decompose", "character", "block-check") and cfg.n < 4:
-        parser.error(f"--n must be >= 4, got {cfg.n}")
-    if not (0.0 < cfg.alpha < 1.0):
-        parser.error(f"--alpha must lie in (0, 1), got {cfg.alpha}")
-    if cfg.permutations < 99:
-        parser.error(f"--permutations must be >= 99, got {cfg.permutations}")
-    if cfg.format == "csv":
-        if cfg.command not in _CSV_COMMANDS:
-            parser.error(f"--format csv is not available for {cfg.command}")
-        if cfg.out is None:
+def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if args.ell is not None and args.ell < 1:
+        parser.error(f"--ell must be >= 1, got {args.ell}")
+    if args.lmax is not None and args.lmax < 0:
+        parser.error(f"--lmax must be >= 0, got {args.lmax}")
+    if args.n is not None and args.n < 1:
+        parser.error(f"--n must be >= 1, got {args.n}")
+    if args.d is not None and args.d < 2:
+        parser.error(f"--d must be >= 2, got {args.d}")
+    if args.command in ("decompose", "character", "block-check") and args.n < 4:
+        parser.error(f"--n must be >= 4, got {args.n}")
+    if args.alpha is not None and not (0.0 < args.alpha < 1.0):
+        parser.error(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.permutations is not None and args.permutations < 99:
+        parser.error(f"--permutations must be >= 99, got {args.permutations}")
+    if args.format == "csv":
+        if args.command not in _CSV_COMMANDS:
+            parser.error(f"--format csv is not available for {args.command}")
+        if args.out is None:
             parser.error("--format csv requires --out")
 
 
@@ -458,33 +443,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    cfg = RunConfig(
-        command=args.command,
-        ell=getattr(args, "ell", None),
-        lmax=getattr(args, "lmax", None),
-        n=getattr(args, "n", None),
-        d=getattr(args, "d", None),
-        seed=args.seed,
-        alpha=getattr(args, "alpha", 0.01),
-        permutations=getattr(args, "permutations", 999),
-        radial=getattr(args, "radial", "chi"),
-        spectrum=getattr(args, "spectrum", None),
-        out=args.out,
-        format=args.format,
-        odd=getattr(args, "odd", False),
-    )
-    try:
-        _validate(cfg, parser)
+        _validate(args, parser)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     from .errors import DegenerateInputError, DimensionError
 
-    handler = _HANDLERS[cfg.command]
+    handler = _HANDLERS[args.command]
     try:
-        code, payload = handler(cfg)
+        code, payload = handler(args)
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -492,7 +459,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if payload is not None:
-        _emit(payload, cfg.out)
+        _emit(payload, args.out)
     return code
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError
 
@@ -219,6 +218,8 @@ def matrix_exponential(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     Raises ValueError on non-finite input and checks the orthogonality
     defect of the output against a 1e-10 tolerance.
     """
+    from scipy.linalg import expm
+
     a = _check_antisym(a, "a")
     if not np.isfinite(t) or not np.all(np.isfinite(a)):
         raise ValueError("non-finite input to matrix exponential")

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateInputError, DimensionError
 from .so3_irreps import build_generators, rep_matrix_batch
@@ -611,6 +610,8 @@ def test_uniform_on_sphere(
 
 def _ks_zero_mean_unit(sorted_scaled: np.ndarray) -> np.ndarray:
     """KS distances against N(0,1) for pre-sorted rows, shape (..., n)."""
+    from scipy.special import ndtr
+
     n = sorted_scaled.shape[-1]
     cdf = ndtr(sorted_scaled)
     steps = np.arange(1, n + 1) / n
