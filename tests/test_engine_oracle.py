@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import reference_engine as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invspan.invariance_engine import (
     accumulate_span,
@@ -10,7 +12,7 @@ from invspan.invariance_engine import (
     character_on_subspace,
     decompose_so_n,
 )
-from invspan.lie_core import Permutation, flatten_antisym, plane_rotation, unflatten_antisym
+from invspan.lie_core import Permutation, flatten_antisym, plane_rotation, so_dim, unflatten_antisym
 from invspan.so3_irreps import build_generators
 
 
@@ -63,6 +65,41 @@ def test_span_matches_reference_for_random_families():
     for n in (4, 5, 6, 7):
         assert dims[f"stabilizer-only n={n}"] == (n - 1) * (n - 2) // 2
         assert dims[f"standard-only n={n}"] == n - 1
+
+
+def _standard_part(a):
+    """Standard part v 1^T - 1 v^T of an antisymmetric a, with v = a . ones / n."""
+    v = a.sum(axis=1) / a.shape[0]
+    return np.subtract.outer(v, v)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_span_matches_reference_for_drawn_families(data):
+    n = data.draw(st.integers(3, 8), label="n")
+    count = data.draw(st.integers(1, 3), label="count")
+    kind = data.draw(
+        st.sampled_from(["generic", "stabilizer", "standard", "repeated", "near-stabilizer"]), label="kind"
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = rng.standard_normal((count, n, n))
+    family = list(m - np.swapaxes(m, 1, 2))
+    if kind == "stabilizer":
+        family = [a - _standard_part(a) for a in family]
+    elif kind == "standard":
+        family = [_standard_part(a) for a in family]
+    elif kind == "repeated":
+        # rank deficient: scaled copies of the first generator
+        scales = data.draw(st.lists(st.sampled_from([1.0, -2.0, 1e-3, 1e3]), min_size=1, max_size=2), label="scales")
+        family = family[:1] + [s * family[0] for s in scales]
+    elif kind == "near-stabilizer":
+        # a standard component at rounding scale, as in the criterion-2 control
+        family = [a - _standard_part(a) + 1e-16 * _standard_part(a) for a in family]
+
+    report = _assert_same_span(family, n)
+    stabilizer_dim = (n - 1) * (n - 2) // 2
+    expected = {"stabilizer": stabilizer_dim, "standard": n - 1, "near-stabilizer": stabilizer_dim}
+    assert report.span_dim == expected.get(kind, so_dim(n))
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -1,6 +1,7 @@
 """Span certificates and the permutation-invariant splitting of so(n)."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from invspan.invariance_engine import (
     verify_span,
 )
 from invspan.lie_core import (
+    DEFAULT_RANK_TOL,
     Permutation,
     flatten_antisym,
     numerical_rank,
     plane_rotation,
     so_dim,
 )
+from invspan.so3_irreps import build_generators
 
 
 def _coord_rotation(n, i, j):
@@ -64,6 +67,15 @@ def test_accumulate_span_returns_orthonormal_basis():
     assert basis.vectors.shape == (report.span_dim, so_dim(4))
     gram = basis.vectors @ basis.vectors.T
     np.testing.assert_allclose(gram, np.eye(report.span_dim), atol=1e-12)
+
+
+def test_accumulate_span_weight_twelve():
+    # so(25) is reached after 12 rounds; the threshold is tol_factor * sqrt(n)
+    report, basis = accumulate_span(build_generators(12).matrices, 25)
+    assert (report.span_dim, report.rounds, report.full) == (300, 12, True)
+    assert report.tol == DEFAULT_RANK_TOL * math.sqrt(25)
+    gram = basis.vectors @ basis.vectors.T
+    assert np.max(np.abs(gram - np.eye(300))) <= 1e-12
 
 
 def test_coordinate_plane_rotation_orbit_saturates_so4():
