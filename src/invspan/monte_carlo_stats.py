@@ -15,6 +15,13 @@ float64 upper-triangle row panels in Gram form, so no test stores an
 n x n matrix and no statistic's definition depends on the sample size.
 Distances between bitwise equal rows are exactly zero.
 
+Every test scores its simulated statistics through one exceedance
+counter and reports the p-value (1 + c)/(B + 1), c being the number of
+the B draws at least as large as the observed statistic.  The counter
+can stop once the decision is fixed (Besag & Clifford 1991, Biometrika
+78:301); only calibration, which exposes decisions alone, uses that, so
+every public report draws all B.
+
 Every test consumes an integer seed and returns a TestReport that is
 bit-identical across runs with the same inputs.  Internally each logical
 unit of randomness derives its own stream from the seed, so results do
@@ -23,6 +30,7 @@ not depend on evaluation order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -61,6 +69,10 @@ _FLOAT32_CUTOVER = 2048
 _DCOV_BUFFER = 2**17
 # entries per energy-test triangle panel (a paired test's Gram block holds 4x)
 _ENERGY_PANEL = 2**17
+# simulated entries per uniformity or Gaussianity chunk
+_SIMULATION_CHUNK = 2**18
+# draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
+_FIRST_CHUNK = 25
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,75 @@ def _report(name, statistic, p_value, n_permutations, alpha, seed) -> TestReport
         reject=bool(p_value < alpha),
         seed=int(seed),
     )
+
+
+# ---------------------------------------------------------------------------
+# Exceedance counting
+
+
+def _p_value(count, draws: int) -> float:
+    """Monte Carlo p-value (1 + c)/(B + 1) of c exceedances among B draws."""
+    return (1.0 + int(count)) / (draws + 1.0)
+
+
+def _stop_count(alpha: float, draws: int, components: int = 1) -> int:
+    """Smallest exceedance count at which a test no longer rejects.
+
+    A test Bonferroni-combining k components rejects when
+    min(1, k * _p_value(c, B)) < alpha for its smallest count c; k = 1 is
+    the plain rule p < alpha, since p <= 1.  The rule is evaluated as the
+    reports evaluate it, not solved, so a float boundary such as
+    10/200 < 0.05 (False) falls the way the report falls.  It only turns
+    from True to False as c grows, so once every component's count reaches
+    the returned value the decision is fixed.  0 means the test can never
+    reject; B + 1 means it always rejects.
+    """
+    return bisect.bisect_left(
+        range(draws + 1), True, key=lambda c: not min(1.0, components * _p_value(c, draws)) < alpha
+    )
+
+
+def _count_exceedances(observed, chunks, stop: int | None = None) -> tuple[np.ndarray, int]:
+    """Per component, the simulated statistics at least as large as the observed one.
+
+    observed holds one statistic per component, and chunks yields
+    (components, draws) arrays of simulated statistics in draw order.
+    Returns the counts and the number of draws scored.  Given a stop
+    count, no further chunk is pulled once every component's count has
+    reached it (not even the first when stop is 0): a count only grows,
+    so the decision is already that of the full run.
+    """
+    observed = np.reshape(observed, (-1, 1))
+    counts = np.zeros(observed.shape[0], dtype=np.int64)
+    used = 0
+    chunks = iter(chunks)
+    while stop is None or counts.min() < stop:
+        sims = next(chunks, None)
+        if sims is None:
+            break
+        counts += np.count_nonzero(sims >= observed, axis=1)
+        used += sims.shape[1]
+    return counts, used
+
+
+def _count_columns(stats: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, int]:
+    """_count_exceedances on (components, 1 + B) statistics, observed in column 0, as one chunk."""
+    return _count_exceedances(stats[:, 0], [stats[:, 1:]], stop)
+
+
+def _chunk_sizes(total: int, cap: int):
+    """Draws per chunk, summing to total: _FIRST_CHUNK, then doubling, each at most cap.
+
+    A curtailed run on null data stops after a few tens of draws, so the
+    first chunks are small; a full run soon scores cap draws per chunk.
+    Both score the same chunks up to the stop.
+    """
+    done, size = 0, _FIRST_CHUNK
+    while done < total:
+        k = min(size, cap, total - done)
+        yield k
+        done += k
+        size *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +403,8 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     return (trace + 2.0 * totals) / (n * n)
 
 
-def _paired_energy_test(x_rows, y_rows, n_permutations, rng) -> tuple[float, float]:
-    """Observed paired energy statistic and its within-pair swap p-value.
+def _paired_swap_stats(x_rows, y_rows, n_permutations, rng) -> np.ndarray:
+    """Observed paired energy statistic, then n_permutations within-pair swap statistics.
 
     Column 0 of the sign matrix is the observed orientation (all ones);
     each further column swaps pair i where rng.integers(0, 2) drew 0.
@@ -333,9 +414,25 @@ def _paired_energy_test(x_rows, y_rows, n_permutations, rng) -> tuple[float, flo
     np.multiply(keep, 2.0, out=signs[:, 1:])
     del keep
     signs[:, 1:] -= 1.0
-    stats = _paired_energy_stats(x_rows, y_rows, signs)
-    p_value = (1.0 + int(np.sum(stats[1:] >= stats[0]))) / (n_permutations + 1.0)
-    return float(stats[0]), p_value
+    return _paired_energy_stats(x_rows, y_rows, signs)
+
+
+def _energy_core(x, y, n_permutations, seed, stop=None):
+    """energy_two_sample_test's observed statistic, exceedance counts and draws scored."""
+    x_rows = _as_rows(x)
+    y_rows = _as_rows(y)
+    if x_rows.shape[1] != y_rows.shape[1]:
+        raise DimensionError(
+            f"dimension mismatch: {x_rows.shape[1]} vs {y_rows.shape[1]}"
+        )
+    if n_permutations < 99:
+        raise ValueError(f"need at least 99 permutations, got {n_permutations}")
+    rng = np.random.default_rng(seed)
+    n, m = x_rows.shape[0], y_rows.shape[0]
+    observed = np.r_[np.ones(n), np.zeros(m)]
+    labels = np.column_stack([observed, _relabel_columns(rng, n + m, n, n_permutations)])
+    stats = _energy_stats(np.concatenate([x_rows, y_rows]), labels, n, m)
+    return (stats[0], *_count_columns(stats[None], stop))
 
 
 def energy_two_sample_test(
@@ -353,21 +450,22 @@ def energy_two_sample_test(
     zero.  The null distribution comes from pooled relabelings that
     preserve the group sizes.
     """
-    x_rows = _as_rows(x)
-    y_rows = _as_rows(y)
-    if x_rows.shape[1] != y_rows.shape[1]:
-        raise DimensionError(
-            f"dimension mismatch: {x_rows.shape[1]} vs {y_rows.shape[1]}"
-        )
+    observed, counts, _ = _energy_core(x, y, n_permutations, seed)
+    return _report("energy_two_sample", observed, _p_value(counts[0], n_permutations), n_permutations, alpha, seed)
+
+
+def _exchangeability_core(x, n_permutations, seed, stop=None):
+    """test_exchangeability's observed statistic, exceedance counts and draws scored."""
+    rows = _as_rows(x, min_n=100)
     if n_permutations < 99:
         raise ValueError(f"need at least 99 permutations, got {n_permutations}")
-    rng = np.random.default_rng(seed)
-    n, m = x_rows.shape[0], y_rows.shape[0]
-    observed = np.r_[np.ones(n), np.zeros(m)]
-    labels = np.column_stack([observed, _relabel_columns(rng, n + m, n, n_permutations)])
-    stats = _energy_stats(np.concatenate([x_rows, y_rows]), labels, n, m)
-    p_value = (1.0 + int(np.sum(stats[1:] >= stats[0]))) / (n_permutations + 1.0)
-    return _report("energy_two_sample", stats[0], p_value, n_permutations, alpha, seed)
+    ss = np.random.SeedSequence(seed)
+    data_rng, perm_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    n, d = rows.shape
+    order = data_rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+    shuffled = np.take_along_axis(rows, order, axis=1)
+    stats = _paired_swap_stats(rows, shuffled, n_permutations, perm_rng)
+    return (stats[0], *_count_columns(stats[None], stop))
 
 
 def test_exchangeability(
@@ -383,16 +481,29 @@ def test_exchangeability(
     labels within pairs; that restricted relabeling keeps the test exact
     despite the rows being shared between the samples.
     """
+    observed, counts, _ = _exchangeability_core(x, n_permutations, seed)
+    return _report("exchangeability", observed, _p_value(counts[0], n_permutations), n_permutations, alpha, seed)
+
+
+def _rotation_core(x, n_rotations, n_permutations, seed, stop=None):
+    """test_rotational_invariance's per-batch observed statistics, exceedance counts and draws scored."""
     rows = _as_rows(x, min_n=100)
+    if n_rotations < 1:
+        raise ValueError(f"need at least one rotation batch, got {n_rotations}")
     if n_permutations < 99:
         raise ValueError(f"need at least 99 permutations, got {n_permutations}")
     ss = np.random.SeedSequence(seed)
-    data_rng, perm_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    children = ss.spawn(2 * n_rotations)
     n, d = rows.shape
-    order = data_rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-    shuffled = np.take_along_axis(rows, order, axis=1)
-    observed, p_value = _paired_energy_test(rows, shuffled, n_permutations, perm_rng)
-    return _report("exchangeability", observed, p_value, n_permutations, alpha, seed)
+    batches = []
+    for k in range(n_rotations):
+        rot_rng = np.random.default_rng(children[2 * k])
+        perm_rng = np.random.default_rng(children[2 * k + 1])
+        q = _haar_batch(rot_rng, n, d)
+        rotated = np.einsum("nij,nj->ni", q, rows)
+        batches.append(_paired_swap_stats(rows, rotated, n_permutations, perm_rng))
+    stats = np.stack(batches)
+    return (stats[:, 0], *_count_columns(stats, stop))
 
 
 def test_rotational_invariance(
@@ -410,26 +521,9 @@ def test_rotational_invariance(
     n_rotations > 1 the batch p-values are Bonferroni-combined and the
     largest batch statistic is reported.
     """
-    rows = _as_rows(x, min_n=100)
-    if n_rotations < 1:
-        raise ValueError(f"need at least one rotation batch, got {n_rotations}")
-    if n_permutations < 99:
-        raise ValueError(f"need at least 99 permutations, got {n_permutations}")
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(2 * n_rotations)
-    n, d = rows.shape
-    best_p = 1.0
-    best_stat = -math.inf
-    for k in range(n_rotations):
-        rot_rng = np.random.default_rng(children[2 * k])
-        perm_rng = np.random.default_rng(children[2 * k + 1])
-        q = _haar_batch(rot_rng, n, d)
-        rotated = np.einsum("nij,nj->ni", q, rows)
-        stat, p = _paired_energy_test(rows, rotated, n_permutations, perm_rng)
-        best_p = min(best_p, p)
-        best_stat = max(best_stat, stat)
-    p_value = min(1.0, n_rotations * best_p)
-    return _report("rotational_invariance", best_stat, p_value, n_permutations, alpha, seed)
+    observed, counts, _ = _rotation_core(x, n_rotations, n_permutations, seed)
+    p_value = min(1.0, n_rotations * _p_value(counts.min(), n_permutations))
+    return _report("rotational_invariance", observed.max(), p_value, n_permutations, alpha, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +577,7 @@ def _panel_weights(panels: list[tuple[int, np.ndarray]]) -> np.ndarray:
 def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], weights: np.ndarray) -> np.ndarray:
     """sum_ij |r_i - r_j| * A_ij for each row r of radius_rows.
 
-    A is given as its triangle panels (_triangle_panels) and its
+    A is given as its triangle panels (_dcov_panels) and its
     off-diagonal row sums (_panel_weights).
     With |a - b| = a + b - 2 min(a, b) each sum is
     2 x.w - 2 sum_{i<j} P_ij min(x_i, x_j), where P = 2A above the
@@ -506,21 +600,8 @@ def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], w
     return 2.0 * totals
 
 
-def test_radial_angular_independence(
-    x,
-    n_permutations: int = DEFAULT_PERMUTATIONS,
-    seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
-) -> TestReport:
-    """Distance-covariance test between |x_i| and x_i / |x_i|.
-
-    The statistic is the squared sample distance covariance (V-statistic)
-    between the radius and the direction; the permutation null shuffles
-    the radial column against fixed directions, which is exact under
-    independence.  The observed and the permuted statistics go through
-    one kernel, which scores a few radius rows at a time in about
-    _DCOV_BUFFER scratch entries.
-    """
+def _independence_core(x, n_permutations, seed, stop=None):
+    """test_radial_angular_independence's observed statistic, exceedance counts and draws scored."""
     rows = _as_rows(x, min_n=100)
     if n_permutations < 99:
         raise ValueError(f"need at least 99 permutations, got {n_permutations}")
@@ -539,13 +620,36 @@ def test_radial_angular_independence(
     weights = _panel_weights(panels)
     r_cast = radii.astype(dtype)
     observed = _dcov_stats(r_cast[None, :], panels, weights)[0] / (n * n)
-    count = 0
-    for done in range(0, n_permutations, per_pass):
-        k = min(per_pass, n_permutations - done)
-        shuffled = r_cast[np.stack([rng.permutation(n) for _ in range(k)])]
-        count += int(np.sum(_dcov_stats(shuffled, panels, weights) / (n * n) >= observed))
-    p_value = (1.0 + count) / (n_permutations + 1.0)
-    return _report("radial_angular_independence", observed, p_value, n_permutations, alpha, seed)
+
+    def permuted():
+        # a permuted statistic moves in its last bits with the number of
+        # rows scored together, so every run follows this one schedule
+        for k in _chunk_sizes(n_permutations, per_pass):
+            shuffled = r_cast[np.stack([rng.permutation(n) for _ in range(k)])]
+            yield _dcov_stats(shuffled, panels, weights)[None] / (n * n)
+
+    return (observed, *_count_exceedances(observed, permuted(), stop))
+
+
+def test_radial_angular_independence(
+    x,
+    n_permutations: int = DEFAULT_PERMUTATIONS,
+    seed: int = 0,
+    alpha: float = DEFAULT_ALPHA,
+) -> TestReport:
+    """Distance-covariance test between |x_i| and x_i / |x_i|.
+
+    The statistic is the squared sample distance covariance (V-statistic)
+    between the radius and the direction; the permutation null shuffles
+    the radial column against fixed directions, which is exact under
+    independence.  The observed and the permuted statistics go through
+    one kernel, which scores a few radius rows at a time in about
+    _DCOV_BUFFER scratch entries.
+    """
+    observed, counts, _ = _independence_core(x, n_permutations, seed)
+    return _report(
+        "radial_angular_independence", observed, _p_value(counts[0], n_permutations), n_permutations, alpha, seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +668,27 @@ def _uniformity_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return resultant, cov_dev
 
 
+def _uniformity_core(x, seed, n_simulations, stop=None):
+    """test_uniform_on_sphere's observed (resultant, deviation) pair, exceedance counts and draws scored."""
+    rows = _as_rows(x)
+    norms = np.linalg.norm(rows, axis=1)
+    if np.max(np.abs(norms - 1.0)) > 1e-8:
+        raise ValueError("rows must be unit vectors within 1e-8")
+    if n_simulations < 99:
+        raise ValueError(f"need at least 99 simulations, got {n_simulations}")
+    n, d = rows.shape
+    observed = np.concatenate(_uniformity_stats(rows[None]))
+    rng = np.random.default_rng(seed)
+
+    def simulated():
+        for k in _chunk_sizes(n_simulations, max(1, _SIMULATION_CHUNK // (n * d))):
+            g = rng.standard_normal((k, n, d))
+            g /= np.sqrt(np.einsum("cni,cni->cn", g, g))[:, :, None]
+            yield np.stack(_uniformity_stats(g))
+
+    return (observed, *_count_exceedances(observed, simulated(), stop))
+
+
 def test_uniform_on_sphere(
     x,
     seed: int = 0,
@@ -577,31 +702,12 @@ def test_uniform_on_sphere(
     n_simulations draws of exactly uniform samples of the same shape and
     Bonferroni-combined; the reported statistic is the smaller of the two
     component Monte Carlo p-values (smaller means less uniform).  The
-    simulations are drawn and scored in chunks of about 2**18 entries.
+    simulations are drawn and scored in chunks of at most about 2**18
+    entries.
     """
-    rows = _as_rows(x)
-    norms = np.linalg.norm(rows, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
-        raise ValueError("rows must be unit vectors within 1e-8")
-    if n_simulations < 99:
-        raise ValueError(f"need at least 99 simulations, got {n_simulations}")
-    n, d = rows.shape
-    [obs_res], [obs_cov] = _uniformity_stats(rows[None])
-    rng = np.random.default_rng(seed)
-    chunk = max(1, 2**18 // (n * d))
-    hits_res = 0
-    hits_cov = 0
-    for done in range(0, n_simulations, chunk):
-        g = rng.standard_normal((min(chunk, n_simulations - done), n, d))
-        g /= np.sqrt(np.einsum("cni,cni->cn", g, g))[:, :, None]
-        sim_res, sim_cov = _uniformity_stats(g)
-        hits_res += int(np.sum(sim_res >= obs_res))
-        hits_cov += int(np.sum(sim_cov >= obs_cov))
-    p_res = (1.0 + hits_res) / (n_simulations + 1.0)
-    p_cov = (1.0 + hits_cov) / (n_simulations + 1.0)
-    smaller = min(p_res, p_cov)
-    p_value = min(1.0, 2.0 * smaller)
-    return _report("uniform_on_sphere", smaller, p_value, n_simulations, alpha, seed)
+    _, counts, _ = _uniformity_core(x, seed, n_simulations)
+    smaller = _p_value(counts.min(), n_simulations)
+    return _report("uniform_on_sphere", smaller, min(1.0, 2.0 * smaller), n_simulations, alpha, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -620,19 +726,8 @@ def _ks_zero_mean_unit(sorted_scaled: np.ndarray) -> np.ndarray:
     return np.maximum(upper, lower)
 
 
-def test_gaussianity_1d(
-    values,
-    seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
-    n_bootstrap: int = GAUSSIANITY_BOOTSTRAP,
-) -> TestReport:
-    """KS test against a zero-mean normal with estimated variance.
-
-    The scale is fitted as sqrt(mean(v^2)) under the zero-mean model, and
-    the null distribution of the KS distance is simulated by a parametric
-    bootstrap that refits the scale on every replicate (exact here, by
-    scale equivariance of the statistic).
-    """
+def _gaussianity_core(values, seed, n_bootstrap, stop=None):
+    """test_gaussianity_1d's observed KS distance, exceedance counts and draws scored."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 100:
         raise ValueError(f"need at least 100 values, got {v.size}")
@@ -646,12 +741,32 @@ def test_gaussianity_1d(
     scale = math.sqrt(float(np.mean(v * v)))
     observed = float(_ks_zero_mean_unit(np.sort(v / scale)))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_bootstrap, n))
-    fitted = np.sqrt(np.mean(z * z, axis=1))
-    sims = _ks_zero_mean_unit(np.sort(z / fitted[:, None], axis=1))
-    count = int(np.sum(sims >= observed))
-    p_value = (1.0 + count) / (n_bootstrap + 1.0)
-    return _report("gaussianity_1d", observed, p_value, n_bootstrap, alpha, seed)
+
+    def simulated():
+        for k in _chunk_sizes(n_bootstrap, max(1, _SIMULATION_CHUNK // n)):
+            z = rng.standard_normal((k, n))
+            fitted = np.sqrt(np.mean(z * z, axis=1))
+            yield _ks_zero_mean_unit(np.sort(z / fitted[:, None], axis=1))[None]
+
+    return (observed, *_count_exceedances(observed, simulated(), stop))
+
+
+def test_gaussianity_1d(
+    values,
+    seed: int = 0,
+    alpha: float = DEFAULT_ALPHA,
+    n_bootstrap: int = GAUSSIANITY_BOOTSTRAP,
+) -> TestReport:
+    """KS test against a zero-mean normal with estimated variance.
+
+    The scale is fitted as sqrt(mean(v^2)) under the zero-mean model, and
+    the null distribution of the KS distance is simulated by a parametric
+    bootstrap that refits the scale on every replicate (exact here, by
+    scale equivariance of the statistic).  The replicates are drawn and
+    scored in chunks of at most about 2**18 entries.
+    """
+    observed, counts, _ = _gaussianity_core(values, seed, n_bootstrap)
+    return _report("gaussianity_1d", observed, _p_value(counts[0], n_bootstrap), n_bootstrap, alpha, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -749,40 +864,46 @@ def orbit_walk_samples(
 # Level calibration
 
 
-def _calibration_cases(alpha: float, n_permutations: int):
-    def energy_case(data_rng, test_seed):
+def _calibration_cases(n_permutations: int):
+    """(name, draws B, Bonferroni components, case) for every calibrated test.
+
+    case(data_rng, test_seed, stop) draws null data and returns the test
+    core's exceedance counts, curtailed at stop.
+    """
+
+    def energy_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((150, 3))
         y = data_rng.standard_normal((150, 3))
-        return energy_two_sample_test(x, y, n_permutations, test_seed, alpha)
+        return _energy_core(x, y, n_permutations, test_seed, stop)[1]
 
-    def exchangeability_case(data_rng, test_seed):
+    def exchangeability_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((200, 6))
-        return test_exchangeability(x, n_permutations, test_seed, alpha)
+        return _exchangeability_core(x, n_permutations, test_seed, stop)[1]
 
-    def rotation_case(data_rng, test_seed):
+    def rotation_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((200, 3))
-        return test_rotational_invariance(x, 1, n_permutations, test_seed, alpha)
+        return _rotation_core(x, 1, n_permutations, test_seed, stop)[1]
 
-    def independence_case(data_rng, test_seed):
+    def independence_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((200, 4))
-        return test_radial_angular_independence(x, n_permutations, test_seed, alpha)
+        return _independence_core(x, n_permutations, test_seed, stop)[1]
 
-    def uniformity_case(data_rng, test_seed):
+    def uniformity_case(data_rng, test_seed, stop):
         g = data_rng.standard_normal((200, 3))
         g /= np.linalg.norm(g, axis=1)[:, None]
-        return test_uniform_on_sphere(g, test_seed, alpha)
+        return _uniformity_core(g, test_seed, UNIFORMITY_SIMULATIONS, stop)[1]
 
-    def gaussianity_case(data_rng, test_seed):
+    def gaussianity_case(data_rng, test_seed, stop):
         v = data_rng.standard_normal(150)
-        return test_gaussianity_1d(v, test_seed, alpha)
+        return _gaussianity_core(v, test_seed, GAUSSIANITY_BOOTSTRAP, stop)[1]
 
     return [
-        ("energy_two_sample", energy_case),
-        ("exchangeability", exchangeability_case),
-        ("rotational_invariance", rotation_case),
-        ("radial_angular_independence", independence_case),
-        ("uniform_on_sphere", uniformity_case),
-        ("gaussianity_1d", gaussianity_case),
+        ("energy_two_sample", n_permutations, 1, energy_case),
+        ("exchangeability", n_permutations, 1, exchangeability_case),
+        ("rotational_invariance", n_permutations, 1, rotation_case),
+        ("radial_angular_independence", n_permutations, 1, independence_case),
+        ("uniform_on_sphere", UNIFORMITY_SIMULATIONS, 2, uniformity_case),
+        ("gaussianity_1d", GAUSSIANITY_BOOTSTRAP, 1, gaussianity_case),
     ]
 
 
@@ -798,18 +919,26 @@ def calibration_suite(
     seed from streams indexed by (seed, test, repetition), so the result
     is independent of evaluation order.  A rate is flagged as in-band
     when it lies within [alpha/2, 2 alpha].
+
+    Only decisions leave the suite, so each test stops drawing once its
+    decision is fixed: its core is curtailed at _stop_count, and it
+    rejects exactly when its smallest count stays below that count.  A
+    curtailed run scores a prefix of the full run's draws with the same
+    statistics, so every decision, and the result, equals that of the
+    public test functions, which draw all B.
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions}")
-    cases = _calibration_cases(alpha, n_permutations)
+    cases = _calibration_cases(n_permutations)
     tests = {}
     all_ok = True
-    for t, (name, runner) in enumerate(cases):
+    for t, (name, draws, components, case) in enumerate(cases):
+        stop = _stop_count(alpha, draws, components)
         rejections = 0
         for r in range(repetitions):
             data_rng = np.random.default_rng(np.random.SeedSequence([seed, t, r, 0]))
             test_seed = int(np.random.SeedSequence([seed, t, r, 1]).generate_state(1)[0])
-            rejections += runner(data_rng, test_seed).reject
+            rejections += bool(case(data_rng, test_seed, stop).min() < stop)
         rate = rejections / repetitions
         ok = alpha / 2.0 <= rate <= 2.0 * alpha
         all_ok = all_ok and ok

@@ -1,7 +1,9 @@
 """Permutation tests, Haar sampling, and the orbit random walk."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,13 @@ from scipy.stats import chisquare
 from invspan import monte_carlo_stats as mcs
 from invspan.errors import DegenerateInputError, DimensionError
 from invspan.sphere_harmonics import sample_degree_block
+
+# the curtailed-decision sweep's cases, shared with the decision oracle below
+_spec = importlib.util.spec_from_file_location(
+    "curtail_sweep", Path(__file__).resolve().parent / "sweeps" / "curtail_sweep.py"
+)
+curtail_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(curtail_sweep)
 
 
 def _energy_statistic_naive(x, y):
@@ -406,9 +415,10 @@ def test_paired_identical_samples_score_exactly_zero(n):
     # y is a separate, bitwise equal copy of x; pooled sizes 300 and 2200,
     # a small and a large case
     x = np.random.default_rng(24).standard_normal((n, 4))
-    observed, p_value = mcs._paired_energy_test(x, x.copy(), 199, np.random.default_rng(25))
-    assert observed == 0.0
-    assert p_value == 1.0
+    stats = mcs._paired_swap_stats(x, x.copy(), 199, np.random.default_rng(25))
+    counts, used = mcs._count_columns(stats[None])
+    assert stats[0] == 0.0
+    assert mcs._p_value(counts[0], used) == 1.0
     # rows with equal coordinates are their own coordinate permutations
     rows = np.repeat(x[:, :1], 3, axis=1)
     report = mcs.test_exchangeability(rows, 199, 26)
@@ -909,3 +919,180 @@ def test_calibration_suite_structure():
         assert 0.0 <= entry["rate"] <= 1.0
         assert entry["rejections"] <= 4
     assert isinstance(result["all_within_band"], bool)
+
+
+# ---------------------------------------------------------------------------
+# Exceedance counting and curtailed decisions
+
+
+def _report_rejects(count, b, alpha, components):
+    # the public reports' own rule: plain p < alpha, or uniformity's
+    # Bonferroni pair min(1, 2 p) < alpha
+    p = mcs._p_value(count, b)
+    if components == 1:
+        return mcs._report("x", 0.0, p, b, alpha, 0).reject
+    return min(1.0, 2.0 * p) < alpha
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("b", [99, 199, 299, 499, 999])
+@pytest.mark.parametrize(
+    "alpha", [0.001, 0.002, 0.005, 0.01, 0.015, 0.02, 0.03, 0.05, 0.1, 0.15, 0.2, 0.5, 1.5]
+)
+def test_stop_count_is_the_first_count_that_cannot_reject(alpha, b, components):
+    # the grid holds the float boundaries alpha (B + 1) in {1, 10, 15},
+    # e.g. 0.01 x 100, 0.05 x 200 and 0.05 x 300 or 0.015 x 1000
+    h = mcs._stop_count(alpha, b, components)
+    assert 0 <= h <= b + 1
+    if h > 0:
+        assert _report_rejects(h - 1, b, alpha, components)
+    if h <= b:
+        assert not _report_rejects(h, b, alpha, components)
+        assert not _report_rejects(b, b, alpha, components)
+
+
+def test_stop_count_at_calibration_defaults():
+    assert mcs._stop_count(0.05, 199) == 9  # 10/200 < 0.05 is False
+    assert mcs._stop_count(0.05, mcs.UNIFORMITY_SIMULATIONS, 2) == 12
+    assert mcs._stop_count(0.05, mcs.GAUSSIANITY_BOOTSTRAP) == 14
+    assert mcs._stop_count(0.01, 99) == 0  # 1/100 < 0.01 is False: never rejects
+    assert mcs._stop_count(1.5, 99) == 100  # always rejects
+
+
+def test_counter_stops_after_the_chunk_that_fixes_the_decision():
+    observed = np.array([0.5, 0.5])
+    chunks = [np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), np.array([[1.0], [1.0]]), np.array([[1.0], [1.0]])]
+    pulled = []
+
+    def stream():
+        for chunk in chunks:
+            pulled.append(chunk)
+            yield chunk
+
+    counts, used = mcs._count_exceedances(observed, stream(), stop=2)
+    assert counts.tolist() == [3, 2] and used == 4 and len(pulled) == 2
+    counts, used = mcs._count_exceedances(observed, chunks)
+    assert counts.tolist() == [4, 3] and used == 5
+    pulled.clear()
+    counts, used = mcs._count_exceedances(observed, stream(), stop=0)
+    assert counts.tolist() == [0, 0] and used == 0 and not pulled
+
+
+def test_chunk_schedule_grows_to_its_cap():
+    assert list(mcs._chunk_sizes(199, 163)) == [25, 50, 100, 24]
+    assert list(mcs._chunk_sizes(199, 10)) == [10] * 19 + [9]
+    assert list(mcs._chunk_sizes(20, 163)) == [20]
+
+
+def _simulated_chunks(monkeypatch, first, cap_entries, run):
+    """The simulated-statistic chunks a test core hands the counter, under a given schedule."""
+    captured = []
+    count = mcs._count_exceedances
+
+    def capturing(observed, chunks, stop=None):
+        chunks = list(chunks)
+        captured.extend(chunks)
+        return count(observed, chunks, stop)
+
+    with monkeypatch.context() as m:
+        m.setattr(mcs, "_count_exceedances", capturing)
+        m.setattr(mcs, "_FIRST_CHUNK", first)
+        m.setattr(mcs, "_SIMULATION_CHUNK", cap_entries)
+        run()
+    return captured
+
+
+@pytest.mark.parametrize(
+    "kind, n, d, draws",
+    [("uniformity", 200, 3, 299), ("uniformity", 2000, 5, 99), ("gaussianity", 150, 1, 299)],
+)
+def test_simulated_statistics_do_not_depend_on_the_chunking(kind, n, d, draws, monkeypatch):
+    # curtailing scores a prefix of the full run's draws, so the draw
+    # stream and the statistics must be the same in one chunk and in many
+    rng = np.random.default_rng(60)
+    if kind == "uniformity":
+        x = rng.standard_normal((n, d))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        run = lambda: mcs._uniformity_core(x, 61, draws)  # noqa: E731
+    else:
+        x = rng.standard_normal(n)
+        run = lambda: mcs._gaussianity_core(x, 61, draws)  # noqa: E731
+    whole = _simulated_chunks(monkeypatch, draws, 2**40, run)
+    split = _simulated_chunks(monkeypatch, 7, 40 * n * d, run)
+    assert len(whole) == 1 and len(split) > 3
+    np.testing.assert_array_equal(np.concatenate(split, axis=1), whole[0])
+
+
+@pytest.mark.parametrize("kind", sorted(curtail_sweep.TESTS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from(curtail_sweep.ALPHAS),
+    b=st.sampled_from(curtail_sweep.DRAWS),
+    strength=st.integers(0, 2),
+)
+@example(seed=3, alpha=0.01, b=99, strength=2)  # stop count 0: no draw is needed
+@example(seed=4, alpha=0.05, b=199, strength=0)  # the 10/200 float boundary
+def test_curtailed_decision_equals_the_public_report(kind, seed, alpha, b, strength):
+    core, public, components = curtail_sweep.TESTS[kind]
+    x = curtail_sweep.case_data(kind, strength, np.random.default_rng(seed))
+    report = public(x, b, seed, alpha)
+    stop = mcs._stop_count(alpha, b, components)
+    _, counts, used = core(x, b, seed, stop)
+    assert bool(counts.min() < stop) == report.reject
+    if used < b:
+        assert np.all(counts >= stop)
+    else:
+        _, full_counts, full_used = core(x, b, seed)
+        assert used == full_used == b
+        np.testing.assert_array_equal(counts, full_counts)
+    if stop == 0:
+        assert used == 0 and not report.reject
+
+
+def _public_calibration(seed, repetitions, alpha, b):
+    """calibration_suite's result, built from the public test functions on the same streams."""
+    def uniform(rng):
+        g = rng.standard_normal((200, 3))
+        return g / np.linalg.norm(g, axis=1)[:, None]
+
+    runs = {
+        "energy_two_sample": lambda rng, s: mcs.energy_two_sample_test(
+            rng.standard_normal((150, 3)), rng.standard_normal((150, 3)), b, s, alpha
+        ),
+        "exchangeability": lambda rng, s: mcs.test_exchangeability(rng.standard_normal((200, 6)), b, s, alpha),
+        "rotational_invariance": lambda rng, s: mcs.test_rotational_invariance(
+            rng.standard_normal((200, 3)), 1, b, s, alpha
+        ),
+        "radial_angular_independence": lambda rng, s: mcs.test_radial_angular_independence(
+            rng.standard_normal((200, 4)), b, s, alpha
+        ),
+        "uniform_on_sphere": lambda rng, s: mcs.test_uniform_on_sphere(uniform(rng), s, alpha),
+        "gaussianity_1d": lambda rng, s: mcs.test_gaussianity_1d(rng.standard_normal(150), s, alpha),
+    }
+    tests = {}
+    for t, (name, run) in enumerate(runs.items()):
+        rejections = 0
+        for r in range(repetitions):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, r, 0]))
+            test_seed = int(np.random.SeedSequence([seed, t, r, 1]).generate_state(1)[0])
+            rejections += run(rng, test_seed).reject
+        rate = rejections / repetitions
+        tests[name] = {"rejections": rejections, "rate": rate, "within_band": alpha / 2 <= rate <= 2 * alpha}
+    return {
+        "seed": seed,
+        "repetitions": repetitions,
+        "alpha": alpha,
+        "band": [alpha / 2, 2 * alpha],
+        "tests": tests,
+        "all_within_band": all(entry["within_band"] for entry in tests.values()),
+    }
+
+
+@pytest.mark.parametrize("b", [99, 199])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("seed", [5, 1729])
+def test_calibration_suite_matches_the_public_tests(seed, alpha, b):
+    # the suite curtails every test at its stop count; its rejection
+    # counts must still be those of the full public runs
+    assert mcs.calibration_suite(seed, 10, alpha, b) == _public_calibration(seed, 10, alpha, b)
