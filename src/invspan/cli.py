@@ -4,7 +4,8 @@ Each subcommand runs one verification or simulation pipeline and emits a
 JSON report (CSV for the raw-data outputs) that is byte-identical for
 identical arguments, seed and INVSPAN_THREADS: a different BLAS thread
 count can move a statistic's last bits.  Exit codes: 0 all checks passed, 1 a
-mathematical check failed, 2 usage error, 3 degenerate input.
+mathematical check failed, 2 usage error (also running out of memory), 3
+degenerate input.
 
 The INVSPAN_THREADS environment variable caps the linear-algebra thread
 pools (0 means automatic).  It is applied before the numeric modules are
@@ -457,6 +458,10 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (DimensionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        size = f" at --n {args.n}; try a smaller --n" if args.n is not None else ""
+        print(f"error: {args.command} ran out of memory{size}", file=sys.stderr)
         return EXIT_USAGE
     if payload is not None:
         _emit(payload, args.out)

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, DimensionError
 from .so3_irreps import build_generators, rep_matrix_batch
@@ -61,8 +62,8 @@ DEFAULT_ALPHA = 0.01
 UNIFORMITY_SIMULATIONS = 499
 GAUSSIANITY_BOOTSTRAP = 299
 
-# above this many rows distance covariance stores its centred distance
-# panels, and the radii it scores against them, in float32
+# above this many rows distance covariance stores its centred distances,
+# and the radii it scores against them, in float32
 _FLOAT32_CUTOVER = 2048
 # scratch entries per distance-covariance kernel pass, and per distance
 # block it centres (1 MiB in float64)
@@ -530,16 +531,21 @@ def test_rotational_invariance(
 # Distance covariance: radius vs direction
 
 
-def _dcov_panels(directions: np.ndarray, panel_elements: int, dtype) -> list[tuple[int, np.ndarray]]:
-    """Upper-triangle row panels (lo, A[lo:hi, lo:]) of the double-centred distance matrix A.
+def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic-offset rows of the double-centred distance matrix A, and its off-diagonal row sums.
+
+    Row c - 1 of the (n // 2, n) array holds 2 A[i, (i + c) % n] at column
+    i, for c = 1..n // 2: diagonal c of A followed by diagonal n - c, so
+    every pair i < j is stored once, at offset j - i or n - (j - i),
+    whichever is at most n // 2.  For even n the pairs at offset n / 2
+    would appear twice; the second copy, columns n / 2 and up of the last
+    row, is zero.
 
     Two passes over the _distance_panels blocks of about _DCOV_BUFFER
     entries: the first sums the rows of the distance matrix, the second
-    centres each block in float64 and cuts it into panels of at most
-    panel_elements entries (or one row).  In each panel the entries on and
-    below the diagonal are zeroed and those above it doubled (exact), so a
-    panel sum over j >= i equals the full sum over rows lo..hi-1; only then
-    is the panel cast to dtype.
+    centres and doubles each block in float64 (exact) and writes its
+    upper triangle into the rows, which alone are cast to dtype.  The
+    returned w_i = sum_{j != i} A_ij sums those stored entries in float64.
     """
     n = directions.shape[0]
     sums = np.zeros(n)
@@ -548,55 +554,69 @@ def _dcov_panels(directions: np.ndarray, panel_elements: int, dtype) -> list[tup
         sums[lo:] += block.sum(axis=0)
     means = sums / n
     grand = float(means.mean())
-    panels = []
+    half = n // 2
+    offsets = np.zeros((half, n), dtype=dtype)
     for lo, hi, block in _distance_panels(directions, 1, _DCOV_BUFFER):
         block -= means[lo:hi, None]
         block -= means[None, lo:]
         block += grand
-        step = max(1, panel_elements // (n - lo))
-        for top in range(lo, hi, step):
-            panel = np.triu(block[top - lo : top - lo + step, top - lo :], 1)
-            panel *= 2
-            panels.append((top, panel.astype(dtype, copy=False)))
-    return panels
+        block *= 2
+        h, w = block.shape
+        # sheared[r, e] = block[r, r + e]: the pair (lo + r, lo + r + e),
+        # for every offset e < n - hi + 1, where no row runs out of the block
+        sheared = sliding_window_view(block.reshape(-1), n - hi + 1)[:: w + 1]
+        near = min(half, n - hi)
+        offsets[:near, lo:hi] = sheared[:, 1 : near + 1].T
+        if n - hi > half:
+            # offset e > n // 2 goes to row n - e - 1 at column lo + r + e;
+            # those rows, counted up from hi - 1, start n - 1 entries apart
+            rows = sliding_window_view(offsets.reshape(-1), h, writeable=True)[lo + n - 1 :: n - 1]
+            rows[hi - 1 : n - half - 1] = sheared[:, n - hi : half : -1].T
+        # the offsets beyond n - hi are the strict upper triangle of the
+        # block's last h columns, one diagonal at a time
+        corner = block[:, w - h :]
+        for q in range(1, h):
+            e = n - hi + q
+            line = np.diagonal(corner, q)
+            if e <= half:
+                offsets[e - 1, lo : lo + h - q] = line
+            else:
+                offsets[n - e - 1, lo + e : lo + e + h - q] = line
+    weights = offsets.sum(axis=0, dtype=np.float64)
+    for c, row in enumerate(offsets, 1):
+        weights[c:] += row[: n - c]
+        weights[:c] += row[n - c :]
+    return offsets, weights / 2
 
 
-def _panel_weights(panels: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """w_i = sum_{j != i} A_ij in float64, from the triangle panels of A.
-
-    A panel stores 2 A_ij above the diagonal, so for each i its row sums
-    plus its column sums give 2 w_i.
-    """
-    weights = np.zeros(panels[0][1].shape[1])
-    for lo, panel in panels:
-        weights[lo : lo + panel.shape[0]] += panel.sum(axis=1, dtype=np.float64)
-        weights[lo:] += panel.sum(axis=0, dtype=np.float64)
-    return weights / 2
-
-
-def _dcov_stats(radius_rows: np.ndarray, panels: list[tuple[int, np.ndarray]], weights: np.ndarray) -> np.ndarray:
+def _dcov_stats(radius_rows: np.ndarray, offsets: np.ndarray, weights: np.ndarray, height: int) -> np.ndarray:
     """sum_ij |r_i - r_j| * A_ij for each row r of radius_rows.
 
-    A is given as its triangle panels (_dcov_panels) and its
-    off-diagonal row sums (_panel_weights).
-    With |a - b| = a + b - 2 min(a, b) each sum is
-    2 x.w - 2 sum_{i<j} P_ij min(x_i, x_j), where P = 2A above the
-    diagonal and x = r - c with c the row's lower median.  c is a radius
-    the row takes, so the two terms stay small and constant radii score
-    exactly zero.  Per panel one scratch buffer takes the minima of all
-    rows at once and a single matrix-vector product against the panel
-    reduces them.
+    A is given as its cyclic-offset rows D (_dcov_offsets), D[c - 1, i] =
+    2 A[i, (i + c) % n], and its off-diagonal row sums w.  With
+    |a - b| = a + b - 2 min(a, b) each sum is
+    2 x.w - 2 sum_{c, i} D[c - 1, i] min(x_i, x_{(i + c) % n}), where
+    x = r - m with m the row's lower median.  m is a radius the row takes,
+    so the two terms stay small and constant radii score exactly zero.
+    With xx = [x, x], the partners x_{(i + c) % n} of offset c are the
+    contiguous run xx[c : c + n], so for each panel of `height` offsets
+    one `np.minimum` of two contiguous operands fills a scratch buffer
+    with the minima of all rows at once, and a single matrix-vector
+    product against the panel reduces them.
     """
     k, n = radius_rows.shape
     mid = (n - 1) // 2
     x = radius_rows - np.partition(radius_rows, mid, axis=1)[:, mid : mid + 1]
-    buf = np.empty(k * max(panel.size for _, panel in panels), dtype=radius_rows.dtype)
+    # partners[:, c, i] = x[:, (i + c) % n]
+    partners = sliding_window_view(np.concatenate([x, x], axis=1), n, axis=1)
+    buf = np.empty(k * min(height, offsets.shape[0]) * n, dtype=x.dtype)
     totals = x.astype(np.float64) @ weights
-    for lo, panel in panels:
-        h, w = panel.shape
-        mins = buf[: k * h * w].reshape(k, h, w)
-        np.minimum(x[:, lo : lo + h, None], x[:, None, lo:], out=mins)
-        totals -= mins.reshape(k, h * w) @ panel.ravel()
+    for c0 in range(0, offsets.shape[0], height):
+        panel = offsets[c0 : c0 + height]
+        h = panel.shape[0]
+        mins = buf[: k * h * n].reshape(k, h, n)
+        np.minimum(x[:, None, :], partners[:, c0 + 1 : c0 + 1 + h], out=mins)
+        totals -= mins.reshape(k, h * n) @ panel.ravel()
     return 2.0 * totals
 
 
@@ -612,21 +632,21 @@ def _independence_core(x, n_permutations, seed, stop=None):
     n = rows.shape[0]
     rng = np.random.default_rng(seed)
 
-    # enough permutations per pass that the widest panel is about 4 rows
-    # tall: each panel then serves several permutations while in cache
+    # enough permutations per pass that a panel is about 4 offsets tall:
+    # each panel then serves several permutations while in cache
     per_pass = max(1, _DCOV_BUFFER // (4 * n))
+    height = max(1, _DCOV_BUFFER // (per_pass * n))
     dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
-    panels = _dcov_panels(directions, _DCOV_BUFFER // per_pass, dtype)
-    weights = _panel_weights(panels)
+    offsets, weights = _dcov_offsets(directions, dtype)
     r_cast = radii.astype(dtype)
-    observed = _dcov_stats(r_cast[None, :], panels, weights)[0] / (n * n)
+    observed = _dcov_stats(r_cast[None, :], offsets, weights, height)[0] / (n * n)
 
     def permuted():
         # a permuted statistic moves in its last bits with the number of
         # rows scored together, so every run follows this one schedule
         for k in _chunk_sizes(n_permutations, per_pass):
             shuffled = r_cast[np.stack([rng.permutation(n) for _ in range(k)])]
-            yield _dcov_stats(shuffled, panels, weights)[None] / (n * n)
+            yield _dcov_stats(shuffled, offsets, weights, height)[None] / (n * n)
 
     return (observed, *_count_exceedances(observed, permuted(), stop))
 
@@ -642,9 +662,12 @@ def test_radial_angular_independence(
     The statistic is the squared sample distance covariance (V-statistic)
     between the radius and the direction; the permutation null shuffles
     the radial column against fixed directions, which is exact under
-    independence.  The observed and the permuted statistics go through
-    one kernel, which scores a few radius rows at a time in about
-    _DCOV_BUFFER scratch entries.
+    independence.  The centred direction distances are stored once per
+    pair, by cyclic offset (n // 2 rows of n), and the observed and the
+    permuted statistics go through one kernel, which scores a few radius
+    rows at a time against a few offsets at a time in about _DCOV_BUFFER
+    scratch entries, reading each offset's radius partners as one
+    contiguous run.
     """
     observed, counts, _ = _independence_core(x, n_permutations, seed)
     return _report(

@@ -228,6 +228,18 @@ def test_degenerate_input_maps_to_exit_3(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_memory_error_maps_to_exit_2(capsys, monkeypatch):
+    # an oversized --n ends in a usage error naming the command and --n,
+    # not in a traceback
+    def raiser(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._HANDLERS, "test-theorem2", raiser)
+    assert cli.main(["test-theorem2", "--ell", "1", "--n", "10000000"]) == 2
+    err = capsys.readouterr().err
+    assert "test-theorem2" in err and "--n 10000000" in err
+
+
 def test_console_script_and_thread_cap():
     # the child process runs the same package this test imported
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -1,6 +1,7 @@
 """Permutation tests, Haar sampling, and the orbit random walk."""
 
 import importlib.util
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -43,6 +44,57 @@ def _dcov_statistic_naive(rows):
 
     n = len(rows)
     return float(np.sum(center(a) * center(b))) / (n * n)
+
+
+def _row_panels(directions, panel_elements, dtype):
+    """Doubled upper-triangle row panels (lo, 2 A[lo:hi, lo:] above the diagonal) of the double-centred A.
+
+    The layout the distance covariance kept before its cyclic-offset
+    rows, kept with _row_panel_weights and _row_panel_stats as the oracle
+    of _dcov_offsets and _dcov_stats: the same two passes over the
+    _distance_panels blocks, each centred block cut into panels of at most
+    panel_elements entries (or one row), each panel cast to dtype.
+    """
+    n = directions.shape[0]
+    sums = np.zeros(n)
+    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._DCOV_BUFFER):
+        sums[lo:hi] += block.sum(axis=1)
+        sums[lo:] += block.sum(axis=0)
+    means = sums / n
+    grand = float(means.mean())
+    panels = []
+    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._DCOV_BUFFER):
+        block -= means[lo:hi, None]
+        block -= means[None, lo:]
+        block += grand
+        step = max(1, panel_elements // (n - lo))
+        for top in range(lo, hi, step):
+            panel = np.triu(block[top - lo : top - lo + step, top - lo :], 1)
+            panel *= 2
+            panels.append((top, panel.astype(dtype, copy=False)))
+    return panels
+
+
+def _row_panel_weights(panels):
+    """w_i = sum_{j != i} A_ij in float64: a panel's row sums plus its column sums give 2 w_i."""
+    weights = np.zeros(panels[0][1].shape[1])
+    for lo, panel in panels:
+        weights[lo : lo + panel.shape[0]] += panel.sum(axis=1, dtype=np.float64)
+        weights[lo:] += panel.sum(axis=0, dtype=np.float64)
+    return weights / 2
+
+
+def _row_panel_stats(radius_rows, panels, weights):
+    """sum_ij |r_i - r_j| A_ij per row r, as 2 x.w - 2 sum_{i<j} P_ij min(x_i, x_j) over the row panels P."""
+    k, n = radius_rows.shape
+    mid = (n - 1) // 2
+    x = radius_rows - np.partition(radius_rows, mid, axis=1)[:, mid : mid + 1]
+    totals = x.astype(np.float64) @ weights
+    for lo, panel in panels:
+        h, w = panel.shape
+        mins = np.minimum(x[:, lo : lo + h, None], x[:, None, lo:])
+        totals -= mins.reshape(k, h * w) @ panel.ravel()
+    return 2.0 * totals
 
 
 def _vmf_threeway(n, kappa, seed):
@@ -537,20 +589,30 @@ def test_independence_accepts_coefficient_blocks():
     assert not report.reject
 
 
-def _triangle_panels(a, panel_elements):
-    """Doubled upper-triangle row panels (lo, A[lo:hi, lo:]) of a dense symmetric A.
+def _offset_rows(a):
+    """Cyclic-offset rows D[c - 1, i] = 2 a[i, (i + c) % n] of a dense symmetric a, c = 1..n // 2.
 
-    The layout _dcov_stats reads, built by slicing a stored matrix.
+    The layout _dcov_stats reads, gathered from a stored matrix.  For even
+    n the second copy of each offset-n/2 pair (columns n/2 and up of the
+    last row) is zero.
     """
-    panels = []
-    for lo, hi in mcs._panel_rows(a.shape[0], panel_elements):
-        panel = np.triu(a[lo:hi, lo:], 1)
-        panel *= 2
-        panels.append((lo, panel))
-    return panels
+    n = a.shape[0]
+    cols = np.arange(n)
+    rows = np.array([2 * a[cols, (cols + c) % n] for c in range(1, n // 2 + 1)]).reshape(n // 2, n)
+    if n % 2 == 0:
+        rows[-1, n // 2 :] = 0
+    return rows
 
 
-def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric"):
+def _offset_pairs(n):
+    """The unordered pair (min, max) each entry of the (n // 2, n) offset layout stores, None where it stores 0."""
+    pairs = [[tuple(sorted((i, (i + c) % n))) for i in range(n)] for c in range(1, n // 2 + 1)]
+    if n % 2 == 0:
+        pairs[-1][n // 2 :] = [None] * (n // 2)
+    return pairs
+
+
+def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric"):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     a = a + a.T
@@ -571,34 +633,39 @@ def _kernel_case(n, rows, panel_elements, seed, ties, dtype=np.float64, shift=0.
     dist = np.abs(r[:, :, None] - r[:, None, :])
     exact = np.einsum("kij,ij->k", dist, a)
     scale = np.einsum("kij,ij->k", dist, np.abs(a))
-    panels = _triangle_panels(a.astype(dtype), panel_elements)
-    got = mcs._dcov_stats(r_in, panels, mcs._panel_weights(panels))
-    return got, exact, scale, panels
+    stored = a.astype(dtype)
+    weights = stored.sum(axis=1, dtype=np.float64) - np.diag(stored)
+    offsets = _offset_rows(stored)
+    got = mcs._dcov_stats(r_in, offsets, weights, height)
+    return got, exact, scale, offsets
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     n=st.integers(1, 40),
     rows=st.integers(1, 5),
-    panel_elements=st.integers(1, 2000),
+    height=st.integers(1, 25),
     seed=st.integers(0, 2**32 - 1),
     ties=st.booleans(),
     shift=st.sampled_from([0.0, 1e3, -1e3]),
     a_kind=st.sampled_from(["symmetric", "centred", "offset"]),
 )
-@example(n=30, rows=3, panel_elements=2000, seed=1, ties=False, shift=0.0, a_kind="symmetric")  # one panel
-@example(n=37, rows=2, panel_elements=37 * 5, seed=2, ties=False, shift=0.0, a_kind="symmetric")  # ragged last panel
-@example(n=25, rows=4, panel_elements=100, seed=3, ties=True, shift=0.0, a_kind="symmetric")  # tied radii
-@example(n=33, rows=3, panel_elements=150, seed=4, ties=False, shift=1e3, a_kind="offset")  # far shift, large row sums
-@example(n=28, rows=2, panel_elements=90, seed=5, ties=True, shift=-1e3, a_kind="centred")  # negative radii, dCov-like A
-def test_dcov_kernel_matches_double_sum(n, rows, panel_elements, seed, ties, shift, a_kind):
+@example(n=1, rows=2, height=4, seed=6, ties=False, shift=0.0, a_kind="symmetric")  # no pair at all
+@example(n=2, rows=3, height=4, seed=7, ties=False, shift=1e3, a_kind="offset")  # one pair, half its row zero
+@example(n=3, rows=2, height=1, seed=8, ties=True, shift=0.0, a_kind="centred")  # one offset row, wrapping
+@example(n=30, rows=3, height=15, seed=1, ties=False, shift=0.0, a_kind="symmetric")  # one panel, even n
+@example(n=37, rows=2, height=5, seed=2, ties=False, shift=0.0, a_kind="symmetric")  # ragged last panel, odd n
+@example(n=25, rows=4, height=4, seed=3, ties=True, shift=0.0, a_kind="symmetric")  # tied radii
+@example(n=33, rows=3, height=4, seed=4, ties=False, shift=1e3, a_kind="offset")  # far shift, large row sums
+@example(n=28, rows=2, height=3, seed=5, ties=True, shift=-1e3, a_kind="centred")  # negative radii, dCov-like A
+def test_dcov_kernel_matches_double_sum(n, rows, height, seed, ties, shift, a_kind):
     # relative to sum_ij |r_i - r_j| |A_ij|, since the signed sum may cancel;
     # the min form must not lose that bound to a shift of the radii or to
     # the row sums of A, which it adds back as 2 x.w
-    got, exact, scale, panels = _kernel_case(n, rows, panel_elements, seed, ties, np.float64, shift, a_kind)
+    got, exact, scale, offsets = _kernel_case(n, rows, height, seed, ties, np.float64, shift, a_kind)
     assert got.shape == (rows,)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
-    assert sum(panel.shape[0] for _, panel in panels) == n
+    assert offsets.shape == (n // 2, n)
 
 
 def _centred_dense(points):
@@ -614,61 +681,58 @@ def _centred_dense(points):
 @given(
     n=st.integers(1, 40),
     d=st.integers(1, 5),
-    panel_elements=st.integers(1, 2000),
     block_elements=st.integers(1, 2000),
     seed=st.integers(0, 2**32 - 1),
     ties=st.booleans(),
     shift=st.sampled_from([0.0, 1e4]),
 )
-@example(n=30, d=3, panel_elements=2000, block_elements=2000, seed=1, ties=False, shift=0.0)  # one panel
-@example(n=37, d=2, panel_elements=37 * 5, block_elements=2000, seed=2, ties=False, shift=0.0)  # ragged last panel
-@example(n=37, d=2, panel_elements=37 * 2, block_elements=37 * 7, seed=5, ties=False, shift=0.0)  # panels cut from blocks
-@example(n=25, d=1, panel_elements=100, block_elements=300, seed=3, ties=True, shift=0.0)  # tied rows
-@example(n=33, d=4, panel_elements=150, block_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
-def test_dcov_panels_match_dense_centring(n, d, panel_elements, block_elements, seed, ties, shift):
-    # the panels of the double-centred matrix, in the layout _dcov_stats
-    # reads, cut from distance blocks of _DCOV_BUFFER entries without a
-    # dense matrix; they cover every row once, each within its budget
+@example(n=1, d=2, block_elements=2000, seed=6, ties=False, shift=0.0)  # no pair at all
+@example(n=2, d=3, block_elements=1, seed=7, ties=False, shift=0.0)  # one pair, one row per block
+@example(n=3, d=1, block_elements=4, seed=8, ties=True, shift=1e4)  # one offset row, wrapping
+@example(n=30, d=3, block_elements=2000, seed=1, ties=False, shift=0.0)  # one block, even n
+@example(n=37, d=2, block_elements=2000, seed=2, ties=False, shift=0.0)  # one block, odd n
+@example(n=37, d=2, block_elements=37 * 7, seed=5, ties=False, shift=0.0)  # offsets on both sides of n // 2 per block
+@example(n=40, d=2, block_elements=100, seed=9, ties=False, shift=0.0)  # many blocks, even n
+@example(n=25, d=1, block_elements=300, seed=3, ties=True, shift=0.0)  # tied rows
+@example(n=33, d=4, block_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
+def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shift):
+    # the offset rows of the double-centred matrix, in the layout
+    # _dcov_stats reads, written from distance blocks of _DCOV_BUFFER
+    # entries without a dense matrix
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
     if ties:
         points = np.round(2.0 * points) / 2.0
     points += shift
     with mock.patch.object(mcs, "_DCOV_BUFFER", block_elements):
-        got = mcs._dcov_panels(points, panel_elements, np.float64)
+        got, _ = mcs._dcov_offsets(points, np.float64)
     centred, scale = _centred_dense(points)
-    heights = [panel.shape[0] for _, panel in got]
-    assert [lo for lo, _ in got] == [sum(heights[:i]) for i in range(len(got))]
-    assert sum(heights) == n
-    for lo, panel in got:
-        h, w = panel.shape
-        assert w == n - lo and (h == 1 or panel.size <= panel_elements)
-        assert panel.dtype == np.float64
-        exact = 2.0 * np.triu(centred[lo : lo + h, lo:], 1)
-        bound = 2.0 * np.triu(scale[lo : lo + h, lo:], 1)
-        assert np.all(np.abs(panel - exact) <= 1e-9 * bound)
+    assert got.shape == (n // 2, n) and got.dtype == np.float64
+    assert np.all(np.abs(got - _offset_rows(centred)) <= 1e-9 * _offset_rows(scale))
 
 
 def test_dcov_kernel_panel_shapes():
-    # a budget of n**2 gives one panel; a smaller one ragged panels that
-    # cover every row, each within the budget
-    n = 37
-    assert [lo for lo, _ in _triangle_panels(np.ones((n, n)), n * n)] == [0]
-    panels = _triangle_panels(np.ones((n, n)), 5 * n)
-    heights = [panel.shape[0] for _, panel in panels]
-    assert heights[0] == 5 and sum(heights) == n and n % heights[0] != 0
-    assert all(panel.size <= 5 * n for _, panel in panels)
-    for lo, panel in panels:
-        h, w = panel.shape
-        assert w == n - lo
-        np.testing.assert_array_equal(panel, 2.0 * np.triu(np.ones((h, w)), 1))
+    # n // 2 offset rows of n entries; every unordered pair i < j is stored
+    # exactly once, and only the second copy of the offset-n/2 pairs
+    # of an even n is left zero
+    for n in (1, 2, 3, 36, 37):
+        pairs = _offset_pairs(n)
+        stored = [pair for row in pairs for pair in row if pair is not None]
+        assert sorted(stored) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert sum(pair is None for row in pairs for pair in row) == (n // 2 if n % 2 == 0 else 0)
+        expected = np.array([[0.0 if pair is None else 2.0 for pair in row] for row in pairs]).reshape(n // 2, n)
+        np.testing.assert_array_equal(_offset_rows(np.ones((n, n))), expected)
+        points = np.random.default_rng(n).standard_normal((n, 2))
+        offsets, weights = mcs._dcov_offsets(points, np.float32)
+        assert offsets.shape == (n // 2, n) and offsets.dtype == np.float32 and weights.shape == (n,)
+        assert not np.any(offsets[expected == 0.0])
 
 
 def test_dcov_kernel_float32_within_1e5_of_float64():
     for seed in range(5):
         for shift in (0.0, 1e3, -1e3):
-            got, exact, scale, panels = _kernel_case(300, 4, 3000, seed, False, np.float32, shift)
-            assert got.dtype == np.float64 and panels[0][1].dtype == np.float32
+            got, exact, scale, offsets = _kernel_case(300, 4, 4, seed, False, np.float32, shift)
+            assert got.dtype == np.float64 and offsets.dtype == np.float32
             assert np.all(np.abs(got - exact) <= 1e-5 * scale)
 
 
@@ -678,31 +742,65 @@ def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
     # exactly zero; the mean of 0.1 repeated 120 times is not 0.1
     rng = np.random.default_rng(28)
     a = rng.standard_normal((120, 120))
-    panels = _triangle_panels((a + a.T).astype(dtype), 700)
+    a = (a + a.T).astype(dtype)
+    weights = a.sum(axis=1, dtype=np.float64) - np.diag(a)
     rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
-    got = mcs._dcov_stats(rows, panels, mcs._panel_weights(panels))
+    got = mcs._dcov_stats(rows, _offset_rows(a), weights, 7)
     assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
 def test_panel_weights_are_off_diagonal_row_sums():
-    rng = np.random.default_rng(29)
-    a = rng.standard_normal((23, 23))
-    a = a + a.T
-    weights = mcs._panel_weights(_triangle_panels(a, 40))
-    np.testing.assert_allclose(weights, a.sum(axis=1) - np.diag(a), rtol=1e-13, atol=1e-13)
+    # w_i sums the stored entries of row i of A, read back from the layout,
+    # for even and odd n and either storage dtype
+    for n, dtype in itertools.product((22, 23), (np.float64, np.float32)):
+        points = np.random.default_rng(29).standard_normal((n, 3))
+        offsets, weights = mcs._dcov_offsets(points, dtype)
+        stored = np.zeros((n, n))
+        for c, row in enumerate(_offset_pairs(n)):
+            for i, pair in enumerate(row):
+                if pair is not None:
+                    stored[pair] = stored[pair[::-1]] = offsets[c, i] / 2.0
+        np.testing.assert_allclose(weights, stored.sum(axis=1), rtol=1e-13, atol=1e-13)
 
 
 def _record_kernel_calls(monkeypatch):
     calls = []
     kernel = mcs._dcov_stats
 
-    def recording(radius_rows, panels, weights):
-        out = kernel(radius_rows, panels, weights)
+    def recording(radius_rows, offsets, weights, height):
+        out = kernel(radius_rows, offsets, weights, height)
         calls.append((radius_rows.copy(), out))
         return out
 
     monkeypatch.setattr(mcs, "_dcov_stats", recording)
     return calls
+
+
+@pytest.mark.parametrize("n", [120, 2100])
+def test_dcov_kernel_matches_the_row_panel_oracle_on_the_draw_stream(n, monkeypatch):
+    # every radius row the test scores, observed and permuted, against the
+    # row-panel kernel, within 1e-12 (float64) or 1e-5 (float32) of
+    # sum_ij |r_i - r_j| |A_ij|; an exceedance flag may differ only for a
+    # draw that close to the observed statistic
+    calls = _record_kernel_calls(monkeypatch)
+    rows = np.random.default_rng(54).standard_normal((n, 4))
+    rows *= 1.0 + 0.2 * np.abs(rows[:, :1])
+    mcs.test_radial_angular_independence(rows, 99, 55)
+    radius_rows = np.concatenate([r for r, _ in calls])
+    got = np.concatenate([out for _, out in calls])
+    assert radius_rows.shape == (100, n)
+    radii = np.linalg.norm(rows, axis=1)
+    directions = rows / radii[:, None]
+    dtype = radius_rows.dtype
+    panels = _row_panels(directions, 4 * n, dtype)
+    oracle = _row_panel_stats(radius_rows, panels, _row_panel_weights(panels))
+    wide = [(lo, np.abs(panel)) for lo, panel in _row_panels(directions, 4 * n, np.float64)]
+    scale = _row_panel_stats(radius_rows.astype(np.float64), wide, _row_panel_weights(wide))
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.all(np.abs(got - oracle) <= tol * scale)
+    bound = tol * (scale[1:] + scale[0])
+    differ = (got[1:] >= got[0]) != (oracle[1:] >= oracle[0])
+    assert np.all(np.abs(got[1:] - got[0])[differ] <= bound[differ])
 
 
 def test_independence_permutations_follow_the_draw_stream(monkeypatch):
