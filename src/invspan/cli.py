@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+__all__ = ["main"]
+
 DEFAULT_SEED = 1729
 
 EXIT_OK = 0

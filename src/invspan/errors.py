@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DegenerateInputError", "DimensionError", "InvarianceViolationError"]
+
 
 class DimensionError(ValueError):
     """Inputs have an invalid or mutually incompatible dimension."""

@@ -13,7 +13,8 @@ invariant subspaces of so(n),
     standard part:   its orthocomplement under the trace form,
 
 whose characters on a transposition (+1 on the standard part, -1 on the
-stabilizer part for n = 4) drive the span argument.
+stabilizer part for n = 4) drive the span argument.  Both bases are
+built in closed form from ones_fixing_rotation; no rank is decided.
 """
 
 from __future__ import annotations
@@ -206,6 +207,12 @@ def verify_span(ell: int, tol_factor: float = DEFAULT_RANK_TOL) -> SpanReport:
     Checks the no-fixed-vector hypothesis first; a violation is recorded
     in the report rather than raised, since the span itself is still
     well defined.
+
+    What is checked is a positive-dimensional group given by its Lie
+    algebra generators, here the weight-ell irrep of SO(3).  A finite
+    group has none: the 24 rotations of the cube act irreducibly on R^3
+    and, like the coordinate permutations, keep {+-1}^3, which a generic
+    rotation moves.  No claim is made about any other hypothesis.
     """
     gens = build_generators(ell)
     n = gens.dimension
@@ -215,38 +222,28 @@ def verify_span(ell: int, tol_factor: float = DEFAULT_RANK_TOL) -> SpanReport:
     return report
 
 
-def _ones_annihilation_map(n: int) -> np.ndarray:
-    """Matrix of the flattened-coordinates map A -> A . (1, ..., 1)^T."""
-    rows, cols = upper_triangle_indices(n)
-    pairs = np.arange(rows.size)
-    k = np.zeros((n, rows.size))
-    k[rows, pairs] = 1.0 / math.sqrt(2.0)
-    k[cols, pairs] = -1.0 / math.sqrt(2.0)
-    return k
-
-
-def decompose_so_n(
-    n: int, tol_factor: float = DEFAULT_RANK_TOL
-) -> tuple[DecompositionReport, SubspaceBasis, SubspaceBasis]:
+def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, SubspaceBasis]:
     """Split so(n) into its two invariant parts under index relabeling.
 
-    The stabilizer part is the kernel of A -> A.ones (dimension
-    (n-1)(n-2)/2) and the standard part is its orthocomplement under the
-    trace form (dimension n-1, a copy of the standard permutation
-    representation).  Both bases are checked to be invariant under all
-    adjacent transpositions.  Returns (report, standard, stabilizer).
+    Let b_0, ..., b_{n-1} be the columns of b = ones_fixing_rotation(n),
+    with b_0 = ones/sqrt(n).  The flattened matrices
+    (b_j b_k^T - b_k b_j^T) / sqrt(2) = b (E_jk - E_kj) b^T / sqrt(2),
+    j < k in row-major order, are the rows of the second compound of b^T
+    and form an orthonormal basis of so(n).  The n-1 rows with j = 0 are
+    plane rotations moving the ones direction: they span the standard
+    part, a copy of the standard permutation representation.  The other
+    (n-1)(n-2)/2 rows only involve columns orthogonal to ones, so they
+    annihilate it and span the stabilizer part.  Both bases are checked
+    to be invariant under all adjacent transpositions.  Returns
+    (report, standard, stabilizer).
     """
     if n < 4:
         raise DimensionError(f"decomposition is defined for n >= 4, got {n}")
-    k = _ones_annihilation_map(n)
-    _, s, vt = np.linalg.svd(k, full_matrices=True)
-    smax = s[0]
-    threshold = tol_factor * smax
-    rank = int(np.sum(s > threshold))
-    standard = SubspaceBasis(n=n, vectors=vt[:rank].copy(), rank=rank, tol=float(threshold))
-    stabilizer = SubspaceBasis(
-        n=n, vectors=vt[rank:].copy(), rank=vt.shape[0] - rank, tol=float(threshold)
-    )
+    bt = ones_fixing_rotation(n).T
+    rows, cols = upper_triangle_indices(n)
+    pairs = bt[rows][:, rows] * bt[cols][:, cols] - bt[rows][:, cols] * bt[cols][:, rows]
+    standard = SubspaceBasis(n=n, vectors=pairs[: n - 1], rank=n - 1, tol=0.0)
+    stabilizer = SubspaceBasis(n=n, vectors=pairs[n - 1 :], rank=so_dim(n) - n + 1, tol=0.0)
 
     for basis in (standard, stabilizer):
         for i in range(n - 1):
@@ -306,7 +303,8 @@ def block_form_check(n: int, tol: float = 1e-10) -> BlockFormReport:
     In the rotated frame every stabilizer element must have zero first
     row and column, every standard element must vanish outside the first
     row and column, and the two families must stay orthogonal under the
-    trace form.
+    trace form.  decompose_so_n builds both parts from the same rotation,
+    so the residuals measure rounding in that construction.
     """
     _, standard, stabilizer = decompose_so_n(n)
     b = ones_fixing_rotation(n)

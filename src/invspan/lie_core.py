@@ -38,6 +38,7 @@ __all__ = [
     "signed_index_map",
     "so_basis",
     "so_dim",
+    "svd_row_basis",
     "unflatten_antisym",
     "upper_triangle_indices",
 ]
@@ -291,7 +292,8 @@ class SubspaceBasis:
     """Orthonormal basis of a subspace of so(n) in flattened coordinates.
 
     vectors has shape (rank, n(n-1)/2) with orthonormal rows; tol is the
-    absolute singular-value threshold that produced the rank.
+    absolute singular-value threshold that produced the rank, or 0.0 for
+    a basis built in closed form with no rank decision (decompose_so_n).
     """
 
     n: int

@@ -34,6 +34,7 @@ __all__ = [
     "euler_zyz_from_matrix",
     "random_rotation",
     "rep_matrix",
+    "rep_matrix_batch",
 ]
 
 _TWO_PI = 2.0 * math.pi

@@ -34,14 +34,12 @@ __all__ = [
     "PowerSpectrum",
     "RADIAL_LAWS",
     "SphereGrid",
-    "dump_coefficients",
     "empirical_power_spectrum",
     "eval_ylm",
     "gauss_legendre_grid",
     "grid_mean_square",
     "laplacian_eigen_check",
     "lm_index",
-    "load_coefficients",
     "read_power_spectrum",
     "rotate_coefficient_array",
     "rotate_coefficients",
@@ -302,41 +300,6 @@ class CoefficientArray:
         if ell < 0 or ell > self.lmax:
             raise DimensionError(f"degree {ell} outside 0..{self.lmax}")
         return self.values[ell * ell : (ell + 1) ** 2]
-
-
-def dump_coefficients(coeffs: CoefficientArray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ell,m,value\n")
-        for ell in range(coeffs.lmax + 1):
-            for m in range(-ell, ell + 1):
-                fh.write(f"{ell},{m},{float(coeffs.values[lm_index(ell, m)])!r}\n")
-
-
-def load_coefficients(path) -> CoefficientArray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "ell,m,value":
-            raise ValueError(f"{path}: expected header 'ell,m,value', got {header!r}")
-        rows = {}
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'ell,m,value'")
-            ell, m = int(parts[0]), int(parts[1])
-            rows[(ell, m)] = float(parts[2])
-    if not rows:
-        raise ValueError(f"{path}: no coefficients found")
-    lmax = max(ell for ell, _ in rows)
-    values = np.zeros((lmax + 1) ** 2)
-    for ell in range(lmax + 1):
-        for m in range(-ell, ell + 1):
-            if (ell, m) not in rows:
-                raise ValueError(f"{path}: missing coefficient ({ell}, {m})")
-            values[lm_index(ell, m)] = rows[(ell, m)]
-    return CoefficientArray(lmax=lmax, values=values)
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -102,7 +102,7 @@ def test_span_matches_reference_for_drawn_families(data):
     assert report.span_dim == expected.get(kind, so_dim(n))
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, 17))
 def test_decompose_character_and_block_form_match_reference(n):
     fast, standard, stabilizer = decompose_so_n(n)
     slow, ref_standard, ref_stabilizer = ref.decompose(n)
@@ -112,11 +112,22 @@ def test_decompose_character_and_block_form_match_reference(n):
     assert np.max(np.abs(_projector(standard) - _projector(ref_standard))) <= 1e-10
     assert np.max(np.abs(_projector(stabilizer) - _projector(ref_stabilizer))) <= 1e-10
 
-    # characters of a permutation that is not a transposition, on the engine's own bases
-    cycle = Permutation(tuple(range(1, n)) + (0,))
-    for basis in (standard, stabilizer):
-        expected = ref.character(basis, cycle)
-        assert character_on_subspace(basis, cycle) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # the closed-form bases stack to an orthonormal basis of so(n)
+    stacked = np.vstack([standard.vectors, stabilizer.vectors])
+    assert stacked.shape == (so_dim(n), so_dim(n))
+    assert np.max(np.abs(stacked @ stacked.T - np.eye(so_dim(n)))) <= 1e-14
+
+    # characters on the engine's own bases: a transposition touching 0, one
+    # that does not, and the n-cycle, which is not a transposition
+    perms = (
+        Permutation.transposition(n, 0, 1),
+        Permutation.transposition(n, n - 2, n - 1),
+        Permutation(tuple(range(1, n)) + (0,)),
+    )
+    for perm in perms:
+        for basis in (standard, stabilizer):
+            expected = ref.character(basis, perm)
+            assert character_on_subspace(basis, perm) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     fast_block = block_form_check(n)
     slow_block = ref.block_form(n)

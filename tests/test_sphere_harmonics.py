@@ -12,14 +12,12 @@ from invspan.sphere_harmonics import (
     RADIAL_LAWS,
     CoefficientArray,
     PowerSpectrum,
-    dump_coefficients,
     empirical_power_spectrum,
     eval_ylm,
     gauss_legendre_grid,
     grid_mean_square,
     laplacian_eigen_check,
     lm_index,
-    load_coefficients,
     read_power_spectrum,
     rotate_coefficient_array,
     rotate_coefficients,
@@ -330,22 +328,6 @@ def test_power_spectrum_file_errors(tmp_path):
     neg.write_text("0 -1.0\n")
     with pytest.raises(ValueError):
         read_power_spectrum(neg)
-
-
-def test_coefficient_file_round_trip(tmp_path):
-    path = tmp_path / "coeffs.csv"
-    coeffs = sample_coefficients(PowerSpectrum(np.array([1.0, 0.5, 2.0])), "chi", 11)
-    dump_coefficients(coeffs, path)
-    back = load_coefficients(path)
-    assert back.lmax == coeffs.lmax
-    np.testing.assert_array_equal(back.values, coeffs.values)
-
-
-def test_coefficient_file_rejects_missing_entry(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("ell,m,value\n0,0,1.0\n1,0,2.0\n")
-    with pytest.raises(ValueError):
-        load_coefficients(path)
 
 
 def test_lmax_cap_enforced():
