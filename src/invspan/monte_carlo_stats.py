@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,8 +410,9 @@ def _paired_swap_stats(x_rows, y_rows, n_permutations, rng) -> np.ndarray:
 
     Column 0 of the sign matrix is the observed orientation (all ones);
     each further column swaps pair i where rng.integers(0, 2) drew 0.
+    The int32 draw is the default int64 stream at half the memory.
     """
-    keep = rng.integers(0, 2, size=(x_rows.shape[0], n_permutations))
+    keep = rng.integers(0, 2, size=(x_rows.shape[0], n_permutations), dtype=np.int32)
     signs = np.ones((x_rows.shape[0], n_permutations + 1))
     np.multiply(keep, 2.0, out=signs[:, 1:])
     del keep
@@ -813,7 +815,14 @@ def orbit_random_walk(
     first two coordinates is interleaved after every step.  States are
     recorded every `thin` steps once `burn_in` steps have passed.  With
     steps=0 the output is the start vector alone.
+
+    The state advances one step at a time up to the first recorded state
+    and through the few steps at the end of each draw block that reach
+    none; in between, the `thin` steps leading to each recorded state are
+    multiplied together first, so the state advances by one matrix
+    product per recorded state.
     """
+    steps, burn_in, thin = (operator.index(k) for k in (steps, burn_in, thin))
     if steps < 0 or burn_in < 0 or thin < 1:
         raise ValueError("need steps >= 0, burn_in >= 0 and thin >= 1")
     gens = build_generators(ell)
@@ -824,12 +833,19 @@ def orbit_random_walk(
     start = np.asarray(start, dtype=float)
     if start.shape != (d,):
         raise DimensionError(f"start of shape {start.shape} does not match dimension {d}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("start entries must be finite")
     if abs(np.linalg.norm(start) - 1.0) > 1e-8:
         raise ValueError("start must be a unit vector within 1e-8")
     if steps == 0:
         return SampleMatrix(start[None, :].copy())
 
     rng = np.random.default_rng(seed)
+    # the odd swap after each step is folded in as a swap of the step
+    # matrix's rows 0 and 1, gathered through the row permutation
+    rows = np.arange(d)
+    if include_odd_permutation:
+        rows[[0, 1]] = [1, 0]
     v = start.copy()
     recorded = []
     done = 0
@@ -841,14 +857,20 @@ def orbit_random_walk(
         gammas = rng.uniform(0.0, 2.0 * math.pi, block)
         mats = rep_matrix_batch(gens, alphas, betas, gammas)
         perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
-        conj = mats[np.arange(block)[:, None, None], perms[:, :, None], perms[:, None, :]]
-        for t in range(block):
+        conj = mats[np.arange(block)[:, None, None], perms[:, rows, None], perms[:, None, :]]
+        # single steps up to the next recorded state, or to the block's end
+        lead = min(block, burn_in + thin * (max(done - burn_in, 0) // thin + 1) - done)
+        for t in range(lead):
             v = conj[t] @ v
-            if include_odd_permutation:
-                v[0], v[1] = v[1], v[0]
-            done += 1
-            if done > burn_in and (done - burn_in) % thin == 0:
-                recorded.append(v.copy())
+        if done + lead > burn_in and (done + lead - burn_in) % thin == 0:
+            recorded.append(v)
+        groups = (block - lead) // thin
+        for product in _ordered_products(conj[lead : lead + groups * thin].reshape(groups, thin, d, d)):
+            v = product @ v
+            recorded.append(v)
+        for t in range(lead + groups * thin, block):
+            v = conj[t] @ v
+        done += block
     if not recorded:
         raise ValueError(
             f"no states recorded: steps={steps} with burn_in={burn_in}, thin={thin}"
@@ -858,6 +880,17 @@ def orbit_random_walk(
     if drift > 1e-8:
         raise ArithmeticError(f"norm drift {drift:.3e} exceeds 1e-8")
     return SampleMatrix(out)
+
+
+def _ordered_products(mats: np.ndarray) -> np.ndarray:
+    """The products M[k, t-1] ... M[k, 1] M[k, 0] of a (g, t, d, d) stack, by pairwise halving."""
+    while mats.shape[1] > 1:
+        pairs = mats.shape[1] // 2
+        halved = mats[:, 1 : 2 * pairs : 2] @ mats[:, 0 : 2 * pairs : 2]
+        if mats.shape[1] % 2:
+            halved = np.concatenate([halved, mats[:, -1:]], axis=1)
+        mats = halved
+    return mats[:, 0]
 
 
 def orbit_walk_samples(

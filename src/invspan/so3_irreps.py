@@ -90,7 +90,7 @@ class IrrepGenerators:
     gen_x: np.ndarray
     gen_y: np.ndarray
     gen_z: np.ndarray
-    _eig: dict = field(default_factory=dict, repr=False)
+    _exp_basis: dict = field(default_factory=dict, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -174,32 +174,35 @@ def _validate_generators(gens: IrrepGenerators) -> None:
         raise ArithmeticError(f"Casimir defect {defect:.3e} at weight {ell}")
 
 
-def _axis_eig(gens: IrrepGenerators, axis: str):
-    """Eigendecomposition of i * gen_axis (Hermitian), cached per instance."""
-    if axis not in gens._eig:
+def _axis_exp_basis(gens: IrrepGenerators, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w of i gen_axis and the real (2d, d*d) basis [Re O; Im O], cached per instance.
+
+    With i gen_axis = V diag(w) V^H (Hermitian), exp(angle gen_axis) =
+    V diag(exp(-i angle w)) V^H, whose real part is
+    sum_j cos(angle w_j) Re O_j + sin(angle w_j) Im O_j for O_j = v_j v_j^H.
+    """
+    if axis not in gens._exp_basis:
         g = {"x": gens.gen_x, "y": gens.gen_y, "z": gens.gen_z}[axis]
         w, vecs = np.linalg.eigh(1j * g)
-        gens._eig[axis] = (w, vecs)
-    return gens._eig[axis]
+        outer = np.einsum("aj,bj->jab", vecs, vecs.conj()).reshape(w.size, -1)
+        basis = np.concatenate([outer.real, outer.imag])
+        basis.setflags(write=False)
+        gens._exp_basis[axis] = (w, basis)
+    return gens._exp_basis[axis]
 
 
-def _axis_exp(gens: IrrepGenerators, axis: str, angle: float) -> np.ndarray:
-    """exp(angle * gen_axis) through the cached unitary diagonalization."""
-    w, vecs = _axis_eig(gens, axis)
-    phases = np.exp(-1j * angle * w)
-    return ((vecs * phases) @ vecs.conj().T).real
-
-
-def _axis_exp_batch(gens: IrrepGenerators, axis: str, angles: np.ndarray) -> np.ndarray:
-    w, vecs = _axis_eig(gens, axis)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(angles, dtype=float), w))
-    return np.einsum("aj,tj,bj->tab", vecs, phases, vecs.conj()).real
+def _axis_exp_batch(gens: IrrepGenerators, axis: str, angles) -> np.ndarray:
+    """Stack of exp(angle * gen_axis), one real matrix product for all angles."""
+    w, basis = _axis_exp_basis(gens, axis)
+    theta = np.multiply.outer(np.asarray(angles, dtype=float), w)
+    d = w.size
+    return (np.concatenate([np.cos(theta), np.sin(theta)], axis=1) @ basis).reshape(-1, d, d)
 
 
 def rep_matrix(gens: IrrepGenerators, rot: RotationSpec) -> np.ndarray:
     """Representation matrix exp(a gen_z) exp(b gen_y) exp(g gen_z)."""
     a, b, g = rot.angles()
-    q = _axis_exp(gens, "z", a) @ _axis_exp(gens, "y", b) @ _axis_exp(gens, "z", g)
+    q = rep_matrix_batch(gens, [a], [b], [g])[0]
     defect = np.max(np.abs(q.T @ q - np.eye(q.shape[0])))
     if defect > 1e-10:
         raise ArithmeticError(f"representation matrix not orthogonal, defect {defect:.3e}")

@@ -1,11 +1,13 @@
-"""Slow per-vector reference for the span certificate and the so(n) splitting.
+"""Slow per-vector reference for the span certificate, the so(n) splitting and the orbit walk.
 
 Every conjugation here goes one matrix at a time: unflatten, relabel with
 conjugate_by_permutation, flatten again.  Each accumulation round takes
 the SVD of the whole stacked round, not of a reduced factor, and every
 residual, character and block-form entry is computed vector by vector.
 invariance_engine works on whole bases through signed index maps and must
-agree with these functions up to rounding.
+agree with these functions up to rounding.  The orbit walk here applies
+every step to the state on its own; monte_carlo_stats.orbit_random_walk
+draws the same steps and must record the same states up to rounding.
 """
 
 import math
@@ -23,6 +25,7 @@ from invspan.lie_core import (
     so_dim,
     unflatten_antisym,
 )
+from invspan.so3_irreps import build_generators, rep_matrix_batch
 
 
 def conjugate_rows(vectors, perm):
@@ -114,3 +117,32 @@ def block_form(n, tol=1e-10):
         tol=tol,
         passed=stab_max <= tol and std_max <= tol and cross <= tol,
     )
+
+
+def orbit_random_walk(ell, steps, include_odd_permutation=False, start=None, seed=0, burn_in=100, thin=10):
+    gens = build_generators(ell)
+    d = gens.dimension
+    if start is None:
+        start = np.zeros(d)
+        start[0] = 1.0
+    rng = np.random.default_rng(seed)
+    v = np.array(start, dtype=float)
+    recorded = []
+    done = 0
+    block_size = 20000
+    while done < steps:
+        block = min(block_size, steps - done)
+        alphas = rng.uniform(0.0, 2.0 * math.pi, block)
+        betas = np.arccos(rng.uniform(-1.0, 1.0, block))
+        gammas = rng.uniform(0.0, 2.0 * math.pi, block)
+        mats = rep_matrix_batch(gens, alphas, betas, gammas)
+        perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
+        conj = mats[np.arange(block)[:, None, None], perms[:, :, None], perms[:, None, :]]
+        for t in range(block):
+            v = conj[t] @ v
+            if include_odd_permutation:
+                v[0], v[1] = v[1], v[0]
+            done += 1
+            if done > burn_in and (done - burn_in) % thin == 0:
+                recorded.append(v.copy())
+    return np.array(recorded)

@@ -1,0 +1,66 @@
+"""Compare the orbit walk with its step-by-step reference through the uniformity test.
+
+Each case runs `orbit_walk_samples` and the one-step-at-a-time walk in
+tests/reference_engine.py on the same seed, then the uniformity test on
+both sets of recorded states with one test seed.  A case has moved when
+the two p-values or the two statistics differ in any bit.  The grid is
+ell x odd swap x seeds, with n recorded states per walk.
+
+    PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000]
+
+It prints every moved case and the largest state difference, and exits
+1 if any case moved.  pytest does not collect this file; the walk oracle
+in tests/test_monte_carlo_stats.py covers the same walk at small sizes.
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import reference_engine as ref  # noqa: E402
+from invspan import monte_carlo_stats as mcs  # noqa: E402
+
+BURN_IN, THIN = 100, 10
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, default=20)
+    parser.add_argument("--n", type=int, default=2000)
+    args = parser.parse_args()
+    start = time.perf_counter()
+    cases = moved = 0
+    worst_state = worst_statistic = 0.0
+    for ell in (1, 2, 3):
+        for odd in (False, True):
+            for seed in range(args.seeds):
+                walk_seed = 1000 * ell + 100 * odd + seed
+                states = mcs.orbit_walk_samples(ell, args.n, odd, walk_seed, BURN_IN, THIN).rows
+                reference = ref.orbit_random_walk(
+                    ell, BURN_IN + THIN * args.n, odd, seed=walk_seed, burn_in=BURN_IN, thin=THIN
+                )
+                got = mcs.test_uniform_on_sphere(states, walk_seed + 1)
+                want = mcs.test_uniform_on_sphere(reference, walk_seed + 1)
+                worst_state = max(worst_state, float(np.max(np.abs(states - reference))))
+                worst_statistic = max(worst_statistic, abs(got.statistic - want.statistic))
+                if got.p_value != want.p_value or got.statistic != want.statistic:
+                    moved += 1
+                    print(
+                        f"MOVED ell={ell} odd={odd} seed={walk_seed}: p {want.p_value} -> {got.p_value}, "
+                        f"statistic {want.statistic!r} -> {got.statistic!r}"
+                    )
+                cases += 1
+    print(
+        f"{cases} cases, {moved} moved, largest state difference {worst_state:.1e}, "
+        f"largest statistic difference {worst_statistic:.1e}, {time.perf_counter() - start:.1f} s"
+    )
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import reference_engine as ref
 from invspan import monte_carlo_stats as mcs
 from invspan.errors import DegenerateInputError, DimensionError
 from invspan.sphere_harmonics import sample_degree_block
@@ -477,6 +478,22 @@ def test_paired_identical_samples_score_exactly_zero(n):
     assert report.statistic == 0.0
     assert report.p_value == 1.0
     assert not report.reject
+
+
+@pytest.mark.parametrize("shape", [(3000, 199), (200, 199), (150, 999)])
+def test_paired_swap_int32_draw_reproduces_the_int64_stream(shape):
+    a, b = np.random.default_rng(29), np.random.default_rng(29)
+    np.testing.assert_array_equal(a.integers(0, 2, shape, dtype=np.int32), b.integers(0, 2, shape))
+    np.testing.assert_array_equal(a.random(8), b.random(8))
+    # the swap statistics are the ones the int64 draw's signs give
+    n, k = shape
+    x = np.random.default_rng(30).standard_normal((n, 3))
+    y = x + 0.1 * np.random.default_rng(31).standard_normal((n, 3))
+    signs = np.ones((n, k + 1))
+    signs[:, 1:] = 2.0 * np.random.default_rng(32).integers(0, 2, shape) - 1.0
+    np.testing.assert_array_equal(
+        mcs._paired_swap_stats(x, y, k, np.random.default_rng(32)), mcs._paired_energy_stats(x, y, signs)
+    )
 
 
 def test_exchangeability_permutations_follow_the_draw_stream():
@@ -971,6 +988,46 @@ def test_orbit_walk_start_validation():
         mcs.orbit_random_walk(1, 200, start=np.array([2.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         mcs.orbit_random_walk(1, 200, thin=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_orbit_walk_rejects_non_finite_start(bad):
+    # abs(nan - 1) > 1e-8 is False, so the unit-norm check alone lets nan through
+    with pytest.raises(ValueError, match="start"):
+        mcs.orbit_random_walk(1, 200, start=np.array([bad, 0.0, 0.0]))
+
+
+def test_orbit_walk_requires_integer_step_counts():
+    for counts in ({"steps": 50.0}, {"steps": 50, "burn_in": 1.5}, {"steps": 50, "thin": 2.5}):
+        with pytest.raises(TypeError):
+            mcs.orbit_random_walk(1, **counts)
+    out = mcs.orbit_random_walk(1, np.int64(50), burn_in=np.int32(0), thin=np.int64(5))
+    assert out.rows.shape == (10, 3)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_orbit_walk_matches_step_by_step_reference(ell, odd):
+    start = np.random.default_rng(ell).standard_normal(2 * ell + 1)
+    start /= np.linalg.norm(start)
+    for thin, burn_in in itertools.product((1, 2, 3, 10), (0, 7, 100)):
+        # 25 recorded states and thin - 1 trailing steps that reach none
+        steps = burn_in + 26 * thin - 1
+        kwargs = dict(start=start, seed=10 * thin + burn_in, burn_in=burn_in, thin=thin)
+        got = mcs.orbit_random_walk(ell, steps, odd, **kwargs).rows
+        want = ref.orbit_random_walk(ell, steps, odd, **kwargs)
+        assert got.shape == want.shape == (25, 2 * ell + 1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_orbit_walk_matches_reference_across_a_draw_block():
+    # the 20000-step draw block ends one step into a group of three
+    steps, burn_in, thin = 20500, 7, 3
+    assert (20000 - burn_in) % thin == 1
+    got = mcs.orbit_random_walk(2, steps, True, seed=41, burn_in=burn_in, thin=thin).rows
+    want = ref.orbit_random_walk(2, steps, True, seed=41, burn_in=burn_in, thin=thin)
+    assert got.shape == want.shape == ((steps - burn_in) // thin, 5)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

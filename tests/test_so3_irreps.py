@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invspan.errors import DimensionError
-from invspan.lie_core import flatten_antisym, numerical_rank
+from invspan.lie_core import flatten_antisym, matrix_exponential, numerical_rank
 from invspan.so3_irreps import (
     RotationSpec,
     build_generators,
@@ -109,6 +109,23 @@ def test_rep_matrix_batch_matches_single():
     assert batch.shape == (5, 5, 5)
     for k, r in enumerate(rots):
         np.testing.assert_allclose(batch[k], rep_matrix(gens, r), atol=1e-12)
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_rep_matrix_batch_matches_matrix_exponential(ell):
+    gens = build_generators(ell)
+    near = 2.0 * math.pi - 1e-9
+    alphas = np.array([0.4, near, near, 1.1, 2.0 * math.pi - 1e-3])
+    betas = np.array([0.0, math.pi, 1.0, 0.0, math.pi])
+    gammas = np.array([near, 0.2, near, 5.0, 2.0 * math.pi - 1e-3])
+    batch = rep_matrix_batch(gens, alphas, betas, gammas)
+    for k in range(alphas.size):
+        expected = (
+            matrix_exponential(gens.gen_z, alphas[k])
+            @ matrix_exponential(gens.gen_y, betas[k])
+            @ matrix_exponential(gens.gen_z, gammas[k])
+        )
+        np.testing.assert_allclose(batch[k], expected, rtol=0.0, atol=1e-12)
 
 
 def test_rotation_spec_folds_angles():
