@@ -8,13 +8,20 @@ mathematical check failed, 2 usage error (also running out of memory), 3
 degenerate input.
 
 The INVSPAN_THREADS environment variable caps the linear-algebra thread
-pools (0 means automatic).  It is applied before the numeric modules are
-imported, which is why every handler imports its dependencies lazily.
+pools (0 means automatic).  It is read on every call and applied before
+the numeric modules are imported, which is why every handler imports its
+dependencies lazily.  A report that cannot be written to --out is a usage
+error (exit 2), like any other unwritable or unreadable file.
+
+The argument parser is built once per process and shared by every call
+of main, so in-process callers (scripts, tests, benchmarks) pay for it
+once; a one-shot CLI process builds it once as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,9 +45,13 @@ def _apply_thread_cap() -> None:
     raw = os.environ.get("INVSPAN_THREADS")
     if raw is None:
         return
-    count = int(raw)
+    message = f"INVSPAN_THREADS must be an integer >= 0, got {raw!r}"
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
     if count < 0:
-        raise ValueError(f"INVSPAN_THREADS must be >= 0, got {count}")
+        raise ValueError(message)
     if count == 0:
         return
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -353,7 +364,10 @@ _HANDLERS = {
 _CSV_COMMANDS = {"simulate-field", "orbit-walk"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing keeps no state in the parser, and it
+    # looks up sys.stdout and sys.stderr only when it prints
     parser = argparse.ArgumentParser(
         prog="invspan",
         description=(
@@ -466,7 +480,11 @@ def main(argv=None) -> int:
         print(f"error: {args.command} ran out of memory{size}", file=sys.stderr)
         return EXIT_USAGE
     if payload is not None:
-        _emit(payload, args.out)
+        try:
+            _emit(payload, args.out)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out or 'stdout'}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

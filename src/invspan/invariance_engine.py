@@ -136,24 +136,40 @@ def accumulate_span(
     Only the frontier is conjugated: the directions D_k that round k
     added, with D_0 the generators' own basis.  If B_k = B_{k-1} + D_k,
     every transposition t maps B_{k-1} into B_k, so the span of B_k and
-    t B_k equals the span of B_k and t D_k.  A round therefore stacks the
-    n-1 images of D_k, projects the current span out of them twice (one
-    classical Gram-Schmidt pass can lose orthogonality to rounding, two
-    are enough: Giraud, Langou and Rozloznik 2005, Numer. Math. 101:87),
-    reduces a tall stack to its R factor and takes its SVD.  The right
-    singular vectors above the threshold form D_{k+1}.  Over the whole
-    run at most (n-1) n(n-1)/2 rows are ever conjugated, and no round
-    factors the whole span again.
+    t B_k equals the span of B_k and t D_k.
+
+    Alongside the span the function keeps an orthonormal basis C of its
+    complement, taken at the start from the full SVD of the generators'
+    basis.  A round stacks the n-1 images of D_k and forms images @ C^T,
+    their coordinates in the complement: the projection off the span
+    becomes one product with an orthonormal C instead of two
+    Gram-Schmidt passes against the whole span, and every factorization
+    after it has width dim C, which shrinks as the span grows.  A tall
+    product is reduced to its R factor first.  Its full SVD R = U S W^T
+    splits the complement: the rows of W^T with singular value above the
+    threshold, times C, are D_{k+1}, and the remaining rows, times C,
+    are the next C.  Both come out orthonormal and orthogonal to each
+    other, and over the whole run at most (n-1) n(n-1)/2 rows are ever
+    conjugated.
 
     The threshold is tol_factor * sqrt(n).  sqrt(n) is the largest
     singular value of the stack [B; t_1 B; ...; t_{n-1} B] of n
     orthonormal blocks once B is stable (stack^T stack is then n times
     the projector onto B), and an upper bound on it before, since each
-    block has norm 1.  Kept and dropped singular values sit
-    many orders apart (for the weight-ell generators, ell <= 16, kept ones
-    are >= 8e-4 and dropped ones <= 6e-13), so every round's rank, and
-    with it rounds, span_dim and full, equals that of thresholding each
-    whole stack relative to its largest singular value.
+    block has norm 1.  Since C has orthonormal rows, images @ C^T has
+    the singular values of the images projected off the span, so the
+    threshold is compared with what each round adds, as in full so(n)
+    coordinates.  Kept and dropped singular values
+    sit many orders apart (for the weight-ell generators, ell <= 20,
+    kept ones are >= 5e-4 and dropped ones <= 2e-12; see
+    tests/sweeps/span_sweep.py), so every round's rank, and with it
+    rounds, span_dim and full, equals that of thresholding each whole
+    stack relative to its largest singular value.
+
+    Once C is empty the span is all of so(n) and every image lies in
+    it.  If the frontier is not empty then, the next round is counted,
+    since projecting its images off the span would leave nothing, but it
+    is not carried out.
 
     Returns the report and an orthonormal basis of the accumulated span.
     """
@@ -175,19 +191,20 @@ def accumulate_span(
 
     threshold = tol_factor * math.sqrt(n)
     span = frontier = basis.vectors
+    complement = np.linalg.svd(span, full_matrices=True)[2][generator_dim:]
     rounds = 0
     while frontier.shape[0]:
         rounds += 1
-        images = np.vstack([_conjugate_flat(frontier, tau) for tau in transpositions])
-        for _ in range(2):
-            images -= (images @ span.T) @ span
+        if not complement.shape[0]:
+            break
+        images = np.vstack([_conjugate_flat(frontier, tau) for tau in transpositions]) @ complement.T
         if images.shape[0] > images.shape[1]:
             images = np.linalg.qr(images, mode="r")
-        _, s, vt = np.linalg.svd(images, full_matrices=False)
-        frontier = vt[s > threshold]
+        _, s, wt = np.linalg.svd(images, full_matrices=True)
+        kept = int(np.count_nonzero(s > threshold))
+        frontier = wt[:kept] @ complement
+        complement = wt[kept:] @ complement
         span = np.vstack([span, frontier])
-        if span.shape[0] > full_dim:
-            raise ArithmeticError("span accumulation exceeded the dimension of so(n)")
 
     rank = span.shape[0]
     report = SpanReport(

@@ -1,13 +1,18 @@
-"""Slow per-vector reference for the span certificate, the so(n) splitting and the orbit walk.
+"""Slow references for the span certificate, the so(n) splitting and the orbit walk.
 
-Every conjugation here goes one matrix at a time: unflatten, relabel with
-conjugate_by_permutation, flatten again.  Each accumulation round takes
-the SVD of the whole stacked round, not of a reduced factor, and every
-residual, character and block-form entry is computed vector by vector.
-invariance_engine works on whole bases through signed index maps and must
-agree with these functions up to rounding.  The orbit walk here applies
-every step to the state on its own; monte_carlo_stats.orbit_random_walk
-draws the same steps and must record the same states up to rounding.
+Every conjugation in the per-vector references goes one matrix at a time:
+unflatten, relabel with conjugate_by_permutation, flatten again.  Each
+accumulation round of accumulate_span takes the SVD of the whole stacked
+round, not of a reduced factor, and every residual, character and
+block-form entry is computed vector by vector.  invariance_engine works on
+whole bases through signed index maps and must agree with these functions
+up to rounding.  accumulate_span_projected is the frontier accumulation
+that projects the images off the whole span with two Gram-Schmidt passes
+in full so(n) coordinates; the engine, which works in coordinates of the
+span's complement, must report the same rank, rounds and tol.  The orbit
+walk here applies every step to the state on its own;
+monte_carlo_stats.orbit_random_walk draws the same steps and must record
+the same states up to rounding.
 """
 
 import math
@@ -22,6 +27,7 @@ from invspan.lie_core import (
     conjugate_by_permutation,
     flatten_antisym,
     numerical_rank,
+    signed_index_map,
     so_dim,
     unflatten_antisym,
 )
@@ -62,6 +68,43 @@ def accumulate_span(generators, n, tol_factor=DEFAULT_RANK_TOL):
         tol=basis.tol,
     )
     return report, basis
+
+
+def accumulate_span_projected(generators, n, tol_factor=DEFAULT_RANK_TOL):
+    """Frontier accumulation with the images projected off the whole span.
+
+    Each round conjugates the frontier by the n-1 adjacent transpositions,
+    subtracts the projection onto the current span twice, reduces a tall
+    stack to its R factor and keeps the right singular vectors above
+    tol_factor * sqrt(n) as the next frontier.
+    """
+    full_dim = so_dim(n)
+    maps = [signed_index_map(Permutation.transposition(n, i, i + 1)) for i in range(n - 1)]
+    basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators], tol_factor)
+    threshold = tol_factor * math.sqrt(n)
+    span = frontier = basis.vectors
+    rounds = 0
+    while frontier.shape[0]:
+        rounds += 1
+        images = np.vstack([frontier[:, idx] * sign for idx, sign in maps])
+        for _ in range(2):
+            images -= (images @ span.T) @ span
+        if images.shape[0] > images.shape[1]:
+            images = np.linalg.qr(images, mode="r")
+        _, s, vt = np.linalg.svd(images, full_matrices=False)
+        frontier = vt[s > threshold]
+        span = np.vstack([span, frontier])
+        assert span.shape[0] <= full_dim, "span accumulation exceeded the dimension of so(n)"
+    rank = span.shape[0]
+    report = SpanReport(
+        n=n,
+        generator_dim=basis.rank,
+        span_dim=rank,
+        full=rank == full_dim,
+        rounds=rounds,
+        tol=threshold,
+    )
+    return report, SubspaceBasis(n=n, vectors=span, rank=rank, tol=threshold)
 
 
 def character(basis, perm, tol=1e-8):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,6 +16,7 @@ from invspan.errors import DegenerateInputError
 from invspan.monte_carlo_stats import load_sample_matrix
 from invspan.sphere_harmonics import RADIAL_LAWS
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
     resources.files("invspan").joinpath("schemas/reports.schema.json").read_text()
 )
@@ -264,3 +266,61 @@ def test_console_script_and_thread_cap():
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr
+    assert "INVSPAN_THREADS" in proc.stderr
+
+
+def test_empty_thread_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("INVSPAN_THREADS", "")
+    assert cli.main(["verify-span", "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: INVSPAN_THREADS must be an integer >= 0, got ''\n"
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    # a missing directory is a usage error (2), not a failed check (1)
+    out_path = str(tmp_path / "missing" / "x.json")
+    assert cli.main(["verify-span", "--ell", "1", "--out", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {out_path}: ")
+    assert not os.path.exists(out_path)
+
+
+def _captured_call(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_gives_identical_calls(capsys, monkeypatch):
+    # every subcommand's golden argv, interleaved with a usage error and
+    # --help, twice in one process: the parser is built once and shared
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    calls = []
+    for argv in cases.values():
+        calls += [argv, ["decompose", "--n", "3"], ["--help"], [argv[0], "--help"]]
+    first = [_captured_call(capsys, argv) for argv in calls]
+    second = [_captured_call(capsys, argv) for argv in calls]
+    assert second == first
+    assert cli._build_parser() is cli._build_parser()
+
+    outcomes = {}
+    for argv, outcome in zip(calls, first):
+        outcomes.setdefault(tuple(argv), set()).add(outcome)
+    assert all(len(seen) == 1 for seen in outcomes.values())
+    [(code, out, err)] = outcomes[("decompose", "--n", "3")]
+    assert (code, out) == (2, "") and "--n must be >= 4, got 3" in err
+    [(code, out, err)] = outcomes[("--help",)]
+    assert (code, err) == (0, "") and "verify-span" in out
+    for name, argv in cases.items():
+        [(code, out, err)] = outcomes[tuple(argv)]
+        assert code in (0, 1) and json.loads(out)["command"] == argv[0], name
+        [(code, out, err)] = outcomes[(argv[0], "--help")]
+        assert code == 0 and out.startswith(f"usage: invspan {argv[0]} "), name
+
+    # the thread cap is still read on every call
+    monkeypatch.setenv("INVSPAN_THREADS", "-1")
+    code, out, err = _captured_call(capsys, ["verify-span", "--ell", "1"])
+    assert (code, out) == (2, "")
+    assert "INVSPAN_THREADS" in err

@@ -11,6 +11,7 @@ from invspan.invariance_engine import (
     block_form_check,
     character_on_subspace,
     decompose_so_n,
+    verify_span,
 )
 from invspan.lie_core import Permutation, flatten_antisym, plane_rotation, so_dim, unflatten_antisym
 from invspan.so3_irreps import build_generators
@@ -73,10 +74,9 @@ def _standard_part(a):
     return np.subtract.outer(v, v)
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(st.data())
-def test_span_matches_reference_for_drawn_families(data):
-    n = data.draw(st.integers(3, 8), label="n")
+def _draw_family(data, max_n):
+    """A drawn generator family of one kind and the span dimension it must reach."""
+    n = data.draw(st.integers(3, max_n), label="n")
     count = data.draw(st.integers(1, 3), label="count")
     kind = data.draw(
         st.sampled_from(["generic", "stabilizer", "standard", "repeated", "near-stabilizer"]), label="kind"
@@ -95,11 +95,41 @@ def test_span_matches_reference_for_drawn_families(data):
     elif kind == "near-stabilizer":
         # a standard component at rounding scale, as in the criterion-2 control
         family = [a - _standard_part(a) + 1e-16 * _standard_part(a) for a in family]
-
-    report = _assert_same_span(family, n)
     stabilizer_dim = (n - 1) * (n - 2) // 2
     expected = {"stabilizer": stabilizer_dim, "standard": n - 1, "near-stabilizer": stabilizer_dim}
-    assert report.span_dim == expected.get(kind, so_dim(n))
+    return family, n, expected.get(kind, so_dim(n))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_span_matches_reference_for_drawn_families(data):
+    family, n, expected_dim = _draw_family(data, 8)
+    assert _assert_same_span(family, n).span_dim == expected_dim
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_span_matches_projected_accumulation_for_drawn_families(data):
+    # complement coordinates against the projection off the whole span
+    family, n, expected_dim = _draw_family(data, 12)
+    fast, fast_basis = accumulate_span(family, n)
+    slow, slow_basis = ref.accumulate_span_projected(family, n)
+    for field in ("n", "generator_dim", "span_dim", "full", "rounds", "tol"):
+        assert getattr(fast, field) == getattr(slow, field), field
+    assert fast.span_dim == expected_dim
+    assert np.max(np.abs(_projector(fast_basis) - _projector(slow_basis))) <= 1e-10
+    assert np.max(np.abs(fast_basis.vectors @ fast_basis.vectors.T - np.eye(fast.span_dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("ell", range(1, 13))
+def test_verify_span_matches_projected_accumulation(ell):
+    report = verify_span(ell)
+    slow, _ = ref.accumulate_span_projected(build_generators(ell).matrices, 2 * ell + 1)
+    slow.hypothesis_satisfied = True
+    assert report == slow
+    # the same float, bit for bit
+    assert report.tol.hex() == slow.tol.hex()
+    assert report.full
 
 
 @pytest.mark.parametrize("n", range(4, 17))
