@@ -72,24 +72,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (exit_code, payload or None)
+# Handlers: each returns (exit_code, payload or None, *tables); see _tables
 
 
 def _run_verify_span(args: argparse.Namespace):
     from .invariance_engine import verify_span
 
     report = verify_span(args.ell)
-    payload = {
-        "command": "verify-span",
-        "ell": int(args.ell),
-        "n": int(report.n),
-        "generator_dim": int(report.generator_dim),
-        "w_dim": int(report.span_dim),
-        "full": bool(report.full),
-        "rounds": int(report.rounds),
-        "tol": float(report.tol),
-        "hypothesis_satisfied": bool(report.hypothesis_satisfied),
-    }
+    payload = {"command": "verify-span", "ell": int(args.ell)}
+    payload.update(report.to_dict())
+    # the report schema still names the span dimension w_dim
+    payload["w_dim"] = payload.pop("span_dim")
     return (EXIT_OK if report.full else EXIT_CHECK_FAILED), payload
 
 
@@ -133,12 +126,22 @@ def _resolve_spectrum(args: argparse.Namespace, default_lmax: int):
     return PowerSpectrum.constant(lmax, 1.0)
 
 
+def _tables(args: argparse.Namespace, samples, suffix: str) -> list:
+    """The (path, samples) files to write: --out itself under --format csv, else --out + suffix.
+
+    main writes them after the JSON report, so a report that fails leaves none behind.
+    """
+    if args.format == "csv":
+        return [(args.out, samples)]
+    return [] if args.out is None else [(args.out + suffix, samples)]
+
+
 def _run_simulate_field(args: argparse.Namespace):
     import math
 
     import numpy as np
 
-    from .monte_carlo_stats import SampleMatrix, dump_sample_matrix
+    from .monte_carlo_stats import SampleMatrix
     from .sphere_harmonics import (
         empirical_power_spectrum,
         gauss_legendre_grid,
@@ -149,13 +152,9 @@ def _run_simulate_field(args: argparse.Namespace):
 
     spectrum = _resolve_spectrum(args, default_lmax=4)
     rows = sample_coefficient_arrays(spectrum, args.radial, args.n, args.seed)
-    coefficients_path = None
+    tables = _tables(args, SampleMatrix(rows), ".coefficients.csv")
     if args.format == "csv":
-        dump_sample_matrix(SampleMatrix(rows), args.out)
-        return EXIT_OK, None
-    if args.out is not None:
-        coefficients_path = args.out + ".coefficients.csv"
-        dump_sample_matrix(SampleMatrix(rows), coefficients_path)
+        return (EXIT_OK, None, *tables)
     estimated, _ = empirical_power_spectrum(rows)
     grid = gauss_legendre_grid(spectrum.lmax)
     fields = synthesize_batch(rows, spectrum.lmax, grid)
@@ -178,9 +177,9 @@ def _run_simulate_field(args: argparse.Namespace):
         "grid_mean_square": mean_square,
         "standard_error": stderr,
         "within_3se": within,
-        "coefficients_path": coefficients_path,
+        "coefficients_path": tables[0][0] if tables else None,
     }
-    return EXIT_OK, payload
+    return (EXIT_OK, payload, *tables)
 
 
 def _run_spectrum_estimate(args: argparse.Namespace):
@@ -312,18 +311,14 @@ def _run_test_bernstein(args: argparse.Namespace):
 def _run_orbit_walk(args: argparse.Namespace):
     import numpy as np
 
-    from .monte_carlo_stats import dump_sample_matrix, orbit_walk_samples, test_uniform_on_sphere
+    from .monte_carlo_stats import orbit_walk_samples, test_uniform_on_sphere
 
     ss = np.random.SeedSequence(args.seed)
     seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(2)]
     states = orbit_walk_samples(args.ell, args.n, args.odd, seeds[0])
+    tables = _tables(args, states, ".states.csv")
     if args.format == "csv":
-        dump_sample_matrix(states, args.out)
-        return EXIT_OK, None
-    states_path = None
-    if args.out is not None:
-        states_path = args.out + ".states.csv"
-        dump_sample_matrix(states, states_path)
+        return (EXIT_OK, None, *tables)
     rep = test_uniform_on_sphere(states, seeds[1], args.alpha)
     payload = {
         "command": "orbit-walk",
@@ -334,9 +329,9 @@ def _run_orbit_walk(args: argparse.Namespace):
         "alpha": float(args.alpha),
         "uniformity": rep.to_dict(),
         "passed": bool(not rep.reject),
-        "states_path": states_path,
+        "states_path": tables[0][0] if tables else None,
     }
-    return (EXIT_OK if not rep.reject else EXIT_CHECK_FAILED), payload
+    return (EXIT_OK if not rep.reject else EXIT_CHECK_FAILED, payload, *tables)
 
 
 def _run_calibrate(args: argparse.Namespace):
@@ -468,7 +463,7 @@ def main(argv=None) -> int:
 
     handler = _HANDLERS[args.command]
     try:
-        code, payload = handler(args)
+        code, payload, *tables = handler(args)
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -484,6 +479,17 @@ def main(argv=None) -> int:
             _emit(payload, args.out)
         except OSError as exc:
             print(f"error: cannot write report to {args.out or 'stdout'}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    for path, samples in tables:
+        from .monte_carlo_stats import dump_sample_matrix
+
+        try:
+            dump_sample_matrix(samples, path)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            if payload is not None:
+                # the report names this file; remove it rather than leave it pointing nowhere
+                os.remove(args.out)
             return EXIT_USAGE
     return code
 

@@ -20,7 +20,7 @@ built in closed form from ones_fixing_rotation; no rank is decided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .lie_core import (
     DEFAULT_RANK_TOL,
     Permutation,
     SubspaceBasis,
+    _square_stack,
     flatten_antisym,
     numerical_rank,
     signed_index_map,
@@ -63,15 +64,7 @@ class SpanReport:
     hypothesis_satisfied: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "generator_dim": self.generator_dim,
-            "span_dim": self.span_dim,
-            "full": self.full,
-            "rounds": self.rounds,
-            "tol": self.tol,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -85,13 +78,7 @@ class DecompositionReport:
     stabilizer_char_transposition: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "standard_dim": self.standard_dim,
-            "stabilizer_dim": self.stabilizer_dim,
-            "standard_char_transposition": self.standard_char_transposition,
-            "stabilizer_char_transposition": self.stabilizer_char_transposition,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -106,14 +93,7 @@ class BlockFormReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "stabilizer_first_rowcol_max": self.stabilizer_first_rowcol_max,
-            "standard_complement_max": self.standard_complement_max,
-            "cross_gram_max": self.cross_gram_max,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _conjugate_flat(vectors: np.ndarray, perm: Permutation) -> np.ndarray:
@@ -175,12 +155,7 @@ def accumulate_span(
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
-    mats = [np.asarray(g, dtype=float) for g in generators]
-    if not mats:
-        raise ValueError("no generators given")
-    for g in mats:
-        if g.shape != (n, n):
-            raise DimensionError(f"generator of shape {g.shape} does not live in so({n})")
+    mats = _square_stack(generators, n)
 
     full_dim = so_dim(n)
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(n - 1)]

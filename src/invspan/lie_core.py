@@ -67,6 +67,19 @@ def _check_antisym(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _square_stack(matrices, n: int | None = None) -> list[np.ndarray]:
+    """matrices as float arrays: a non-empty family of square matrices of one size, n if given."""
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    if not mats:
+        raise ValueError("no generators given")
+    if n is None:
+        n = mats[0].shape[0] if mats[0].ndim else 0
+    for m in mats:
+        if m.shape != (n, n):
+            raise DimensionError(f"generator of shape {m.shape} is not a square matrix of size {n}")
+    return mats
+
+
 def so_basis(n: int) -> list[np.ndarray]:
     """Canonical basis of so(n): E_ij - E_ji for i < j, row-major order.
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,7 +86,7 @@ class SampleMatrix:
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=float)
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] < 1:
-            raise DimensionError(f"need a 2-d stack of row vectors, got shape {r.shape}")
+            raise DimensionError(f"need a non-empty 2-d stack of row vectors, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("sample entries must be finite")
         object.__setattr__(self, "rows", r)
@@ -129,23 +129,11 @@ class TestReport:
             raise ValueError("reject flag must equal (p_value < alpha)")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
-            "n_permutations": int(self.n_permutations),
-            "alpha": float(self.alpha),
-            "reject": bool(self.reject),
-            "seed": int(self.seed),
-        }
+        return asdict(self)
 
 
 def _as_rows(x, min_n: int = 1) -> np.ndarray:
-    rows = x.rows if isinstance(x, SampleMatrix) else np.asarray(x, dtype=float)
-    if rows.ndim != 2:
-        raise DimensionError(f"need a 2-d stack of row vectors, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("sample entries must be finite")
+    rows = (x if isinstance(x, SampleMatrix) else SampleMatrix(x)).rows
     if rows.shape[0] < min_n:
         raise ValueError(f"need at least {min_n} rows, got {rows.shape[0]}")
     return rows
@@ -210,11 +198,6 @@ def _count_exceedances(observed, chunks, stop: int | None = None) -> tuple[np.nd
         counts += np.count_nonzero(sims >= observed, axis=1)
         used += sims.shape[1]
     return counts, used
-
-
-def _count_columns(stats: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, int]:
-    """_count_exceedances on (components, 1 + B) statistics, observed in column 0, as one chunk."""
-    return _count_exceedances(stats[:, 0], [stats[:, 1:]], stop)
 
 
 def _chunk_sizes(total: int, cap: int):
@@ -420,7 +403,7 @@ def _paired_swap_stats(x_rows, y_rows, n_permutations, rng) -> np.ndarray:
     return _paired_energy_stats(x_rows, y_rows, signs)
 
 
-def _energy_core(x, y, n_permutations, seed, stop=None):
+def _energy_core(x, y, n_permutations, seed):
     """energy_two_sample_test's observed statistic, exceedance counts and draws scored."""
     x_rows = _as_rows(x)
     y_rows = _as_rows(y)
@@ -435,7 +418,7 @@ def _energy_core(x, y, n_permutations, seed, stop=None):
     observed = np.r_[np.ones(n), np.zeros(m)]
     labels = np.column_stack([observed, _relabel_columns(rng, n + m, n, n_permutations)])
     stats = _energy_stats(np.concatenate([x_rows, y_rows]), labels, n, m)
-    return (stats[0], *_count_columns(stats[None], stop))
+    return (stats[0], *_count_exceedances(stats[0], [stats[None, 1:]]))
 
 
 def energy_two_sample_test(
@@ -457,18 +440,35 @@ def energy_two_sample_test(
     return _report("energy_two_sample", observed, _p_value(counts[0], n_permutations), n_permutations, alpha, seed)
 
 
-def _exchangeability_core(x, n_permutations, seed, stop=None):
-    """test_exchangeability's observed statistic, exceedance counts and draws scored."""
+def _permuted_copy(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """rows with each row's coordinates in a fresh uniform order."""
+    n, d = rows.shape
+    order = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+    return np.take_along_axis(rows, order, axis=1)
+
+
+def _rotated_copy(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """rows with a fresh Haar rotation applied to each row."""
+    q = _haar_batch(rng, *rows.shape)
+    return np.einsum("nij,nj->ni", q, rows)
+
+
+def _paired_core(x, partner, batches, n_permutations, seed):
+    """A paired test's per-batch observed statistics, exceedance counts and draws scored.
+
+    Batch k pairs every row with its image in partner(rng, rows), rng
+    drawn from child 2k of SeedSequence(seed).spawn(2 batches), and
+    scores within-pair swaps drawn from child 2k + 1.
+    """
     rows = _as_rows(x, min_n=100)
+    if batches < 1:
+        raise ValueError(f"need at least one rotation batch, got {batches}")
     if n_permutations < 99:
         raise ValueError(f"need at least 99 permutations, got {n_permutations}")
-    ss = np.random.SeedSequence(seed)
-    data_rng, perm_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    n, d = rows.shape
-    order = data_rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-    shuffled = np.take_along_axis(rows, order, axis=1)
-    stats = _paired_swap_stats(rows, shuffled, n_permutations, perm_rng)
-    return (stats[0], *_count_columns(stats[None], stop))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * batches)]
+    pairs = zip(rngs[::2], rngs[1::2])
+    stats = np.stack([_paired_swap_stats(rows, partner(p, rows), n_permutations, s) for p, s in pairs])
+    return (stats[:, 0], *_count_exceedances(stats[:, 0], [stats[:, 1:]]))
 
 
 def test_exchangeability(
@@ -484,29 +484,8 @@ def test_exchangeability(
     labels within pairs; that restricted relabeling keeps the test exact
     despite the rows being shared between the samples.
     """
-    observed, counts, _ = _exchangeability_core(x, n_permutations, seed)
-    return _report("exchangeability", observed, _p_value(counts[0], n_permutations), n_permutations, alpha, seed)
-
-
-def _rotation_core(x, n_rotations, n_permutations, seed, stop=None):
-    """test_rotational_invariance's per-batch observed statistics, exceedance counts and draws scored."""
-    rows = _as_rows(x, min_n=100)
-    if n_rotations < 1:
-        raise ValueError(f"need at least one rotation batch, got {n_rotations}")
-    if n_permutations < 99:
-        raise ValueError(f"need at least 99 permutations, got {n_permutations}")
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(2 * n_rotations)
-    n, d = rows.shape
-    batches = []
-    for k in range(n_rotations):
-        rot_rng = np.random.default_rng(children[2 * k])
-        perm_rng = np.random.default_rng(children[2 * k + 1])
-        q = _haar_batch(rot_rng, n, d)
-        rotated = np.einsum("nij,nj->ni", q, rows)
-        batches.append(_paired_swap_stats(rows, rotated, n_permutations, perm_rng))
-    stats = np.stack(batches)
-    return (stats[:, 0], *_count_columns(stats, stop))
+    observed, counts, _ = _paired_core(x, _permuted_copy, 1, n_permutations, seed)
+    return _report("exchangeability", observed[0], _p_value(counts[0], n_permutations), n_permutations, alpha, seed)
 
 
 def test_rotational_invariance(
@@ -524,7 +503,7 @@ def test_rotational_invariance(
     n_rotations > 1 the batch p-values are Bonferroni-combined and the
     largest batch statistic is reported.
     """
-    observed, counts, _ = _rotation_core(x, n_rotations, n_permutations, seed)
+    observed, counts, _ = _paired_core(x, _rotated_copy, n_rotations, n_permutations, seed)
     p_value = min(1.0, n_rotations * _p_value(counts.min(), n_permutations))
     return _report("rotational_invariance", observed.max(), p_value, n_permutations, alpha, seed)
 
@@ -924,21 +903,21 @@ def _calibration_cases(n_permutations: int):
     """(name, draws B, Bonferroni components, case) for every calibrated test.
 
     case(data_rng, test_seed, stop) draws null data and returns the test
-    core's exceedance counts, curtailed at stop.
+    core's exceedance counts, curtailed at stop for the chunked cores.
     """
 
     def energy_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((150, 3))
         y = data_rng.standard_normal((150, 3))
-        return _energy_core(x, y, n_permutations, test_seed, stop)[1]
+        return _energy_core(x, y, n_permutations, test_seed)[1]
 
     def exchangeability_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((200, 6))
-        return _exchangeability_core(x, n_permutations, test_seed, stop)[1]
+        return _paired_core(x, _permuted_copy, 1, n_permutations, test_seed)[1]
 
     def rotation_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((200, 3))
-        return _rotation_core(x, 1, n_permutations, test_seed, stop)[1]
+        return _paired_core(x, _rotated_copy, 1, n_permutations, test_seed)[1]
 
     def independence_case(data_rng, test_seed, stop):
         x = data_rng.standard_normal((200, 4))
@@ -976,12 +955,12 @@ def calibration_suite(
     is independent of evaluation order.  A rate is flagged as in-band
     when it lies within [alpha/2, 2 alpha].
 
-    Only decisions leave the suite, so each test stops drawing once its
-    decision is fixed: its core is curtailed at _stop_count, and it
-    rejects exactly when its smallest count stays below that count.  A
-    curtailed run scores a prefix of the full run's draws with the same
-    statistics, so every decision, and the result, equals that of the
-    public test functions, which draw all B.
+    Only decisions leave the suite, so each chunked test stops drawing
+    once its decision is fixed: its core is curtailed at _stop_count, and
+    every test rejects exactly when its smallest count stays below that
+    count.  A curtailed run scores a prefix of the full run's draws with
+    the same statistics, so every decision, and the result, equals that
+    of the public test functions, which draw all B.
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions}")

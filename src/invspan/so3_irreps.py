@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .lie_core import DEFAULT_RANK_TOL, svd_row_basis
+from .lie_core import DEFAULT_RANK_TOL, _square_stack, svd_row_basis
 
 __all__ = [
     "IrrepGenerators",
@@ -220,14 +220,7 @@ def rep_matrix_batch(gens: IrrepGenerators, alphas, betas, gammas) -> np.ndarray
 def _generator_triple(gens) -> list[np.ndarray]:
     if isinstance(gens, IrrepGenerators):
         return list(gens.matrices)
-    mats = [np.asarray(g, dtype=float) for g in gens]
-    if not mats:
-        raise ValueError("no generators given")
-    d = mats[0].shape[0]
-    for g in mats:
-        if g.ndim != 2 or g.shape != (d, d):
-            raise DimensionError("generators must be square matrices of equal size")
-    return mats
+    return _square_stack(gens)
 
 
 def commutant_dimension(gens, tol_factor: float = DEFAULT_RANK_TOL) -> int:

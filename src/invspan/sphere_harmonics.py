@@ -30,7 +30,6 @@ from .errors import DimensionError
 from .so3_irreps import RotationSpec, build_generators, rep_matrix
 
 __all__ = [
-    "CoefficientArray",
     "PowerSpectrum",
     "RADIAL_LAWS",
     "SphereGrid",
@@ -41,12 +40,10 @@ __all__ = [
     "laplacian_eigen_check",
     "lm_index",
     "read_power_spectrum",
-    "rotate_coefficient_array",
+    "rotate_coefficient_rows",
     "rotate_coefficients",
     "sample_coefficient_arrays",
-    "sample_coefficients",
     "sample_degree_block",
-    "synthesize",
     "synthesize_batch",
     "write_power_spectrum",
     "ylm_matrix",
@@ -279,29 +276,6 @@ def write_power_spectrum(spectrum: PowerSpectrum, path) -> None:
             fh.write(f"{ell} {float(value)!r}\n")
 
 
-@dataclass(frozen=True)
-class CoefficientArray:
-    """Flat coefficient vector of length (lmax+1)^2 in lm_index order."""
-
-    lmax: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != ((self.lmax + 1) ** 2,):
-            raise DimensionError(
-                f"coefficient vector of shape {v.shape} does not match lmax {self.lmax}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "values", v)
-
-    def block(self, ell: int) -> np.ndarray:
-        if ell < 0 or ell > self.lmax:
-            raise DimensionError(f"degree {ell} outside 0..{self.lmax}")
-        return self.values[ell * ell : (ell + 1) ** 2]
-
-
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((n, dim))
     norms = np.linalg.norm(g, axis=1)
@@ -355,18 +329,6 @@ def sample_coefficient_arrays(spectrum: PowerSpectrum, radial_law: str, n: int, 
     return cols
 
 
-def sample_coefficients(spectrum: PowerSpectrum, radial_law: str, seed) -> CoefficientArray:
-    """One random coefficient array for the given spectrum and radial law."""
-    values = sample_coefficient_arrays(spectrum, radial_law, 1, seed)[0]
-    return CoefficientArray(lmax=spectrum.lmax, values=values)
-
-
-def synthesize(coeffs: CoefficientArray, grid: SphereGrid) -> np.ndarray:
-    """Field values sum_lm a_lm Y_lm at the grid points."""
-    basis = ylm_matrix(coeffs.lmax, grid.theta, grid.phi)
-    return basis.T @ coeffs.values
-
-
 def synthesize_batch(rows: np.ndarray, lmax: int, grid: SphereGrid) -> np.ndarray:
     """Fields for many stacked coefficient vectors, shape (n, npoints)."""
     rows = np.asarray(rows, dtype=float)
@@ -383,45 +345,42 @@ def grid_mean_square(values: np.ndarray, grid: SphereGrid) -> float:
 
 
 def rotate_coefficients(ell: int, rot: RotationSpec, block: np.ndarray) -> np.ndarray:
-    """Apply the weight-ell representation of a rotation to one block."""
+    """Rotate one degree-ell block, or each row of an (n, 2 ell + 1) stack of them."""
     block = np.asarray(block, dtype=float)
-    if block.shape != (2 * ell + 1,):
+    if block.ndim not in (1, 2) or block.shape[-1] != 2 * ell + 1:
         raise DimensionError(f"block of shape {block.shape} does not match degree {ell}")
-    return rep_matrix(build_generators(ell), rot) @ block
+    return block @ rep_matrix(build_generators(ell), rot).T
 
 
-def rotate_coefficient_array(coeffs: CoefficientArray, rot: RotationSpec) -> CoefficientArray:
-    """Rotate every degree block; degree zero is untouched."""
-    values = coeffs.values.copy()
-    for ell in range(1, coeffs.lmax + 1):
-        values[ell * ell : (ell + 1) ** 2] = rotate_coefficients(ell, rot, coeffs.block(ell))
-    return CoefficientArray(lmax=coeffs.lmax, values=values)
+def rotate_coefficient_rows(rows: np.ndarray, rot: RotationSpec) -> np.ndarray:
+    """Rotate every degree block of stacked coefficient rows; degree zero is untouched."""
+    rows = np.asarray(rows, dtype=float)
+    out = rows.copy()
+    for ell in range(1, _rows_lmax(rows) + 1):
+        block = slice(ell * ell, (ell + 1) ** 2)
+        out[:, block] = rotate_coefficients(ell, rot, rows[:, block])
+    return out
 
 
-def empirical_power_spectrum(samples) -> tuple[PowerSpectrum, list[np.ndarray]]:
-    """Estimated spectrum and per-degree second-moment matrices.
-
-    samples is a list of CoefficientArray or a 2-d stack of coefficient
-    rows.  C_l is estimated as the mean of a_lm^2 over samples and m; the
-    returned matrices hold the mean of a_lm a_lm' for the off-diagonal
-    decorrelation checks.
-    """
-    if isinstance(samples, np.ndarray):
-        rows = np.asarray(samples, dtype=float)
-        if rows.ndim != 2:
-            raise DimensionError("need a 2-d stack of coefficient rows")
-    else:
-        arrays = list(samples)
-        if not arrays:
-            raise ValueError("no samples given")
-        lmax = arrays[0].lmax
-        if any(a.lmax != lmax for a in arrays):
-            raise DimensionError("samples disagree on lmax")
-        rows = np.vstack([a.values for a in arrays])
+def _rows_lmax(rows: np.ndarray) -> int:
+    """lmax of a 2-d stack of coefficient rows, each of length (lmax+1)^2."""
+    if rows.ndim != 2:
+        raise DimensionError("need a 2-d stack of coefficient rows")
     side = math.isqrt(rows.shape[1])
     if side * side != rows.shape[1]:
         raise DimensionError(f"row length {rows.shape[1]} is not a perfect square")
-    lmax = side - 1
+    return side - 1
+
+
+def empirical_power_spectrum(rows: np.ndarray) -> tuple[PowerSpectrum, list[np.ndarray]]:
+    """Estimated spectrum and per-degree second-moment matrices of coefficient rows.
+
+    C_l is estimated as the mean of a_lm^2 over rows and m; the returned
+    matrices hold the mean of a_lm a_lm' for the off-diagonal
+    decorrelation checks.
+    """
+    rows = np.asarray(rows, dtype=float)
+    lmax = _rows_lmax(rows)
     n = rows.shape[0]
     c_hat = np.zeros(lmax + 1)
     moments = []

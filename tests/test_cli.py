@@ -287,6 +287,34 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert not os.path.exists(out_path)
 
 
+@pytest.mark.parametrize(
+    "argv, suffix",
+    [
+        (["simulate-field", "--lmax", "1", "--n", "5"], ".coefficients.csv"),
+        (["orbit-walk", "--ell", "1", "--n", "50"], ".states.csv"),
+    ],
+)
+def test_unwritable_report_leaves_no_table(capsys, tmp_path, argv, suffix):
+    # --out names an existing directory: exit 2, and no table beside it
+    out_path = str(tmp_path / "report")
+    os.mkdir(out_path)
+    assert cli.main(argv + ["--out", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {out_path}: ")
+    assert not os.path.exists(out_path + suffix)
+
+
+def test_unwritable_table_removes_its_report(capsys, tmp_path):
+    # the report names its table, so it goes when the table cannot be written
+    out_path = str(tmp_path / "walk.json")
+    os.mkdir(out_path + ".states.csv")
+    assert cli.main(["orbit-walk", "--ell", "1", "--n", "50", "--out", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out_path}.states.csv: ")
+    assert not os.path.exists(out_path)
+
+
 def _captured_call(capsys, argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()

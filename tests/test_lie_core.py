@@ -334,3 +334,28 @@ def test_permutation_inverse_and_call():
         assert inv(perm(i)) == i
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_generator_families_share_one_shape_check():
+    # so3_irreps and accumulate_span reject malformed families through the
+    # same helper, each with the exception type it raised on its own
+    from invspan.invariance_engine import accumulate_span
+    from invspan.so3_irreps import commutant_dimension
+
+    good = _coord_rotation(3, 0, 1)
+    cases = [
+        ([], ValueError),
+        ([np.zeros((3, 4))], DimensionError),
+        ([good, _coord_rotation(4, 0, 1)], DimensionError),
+        ([np.zeros(3)], DimensionError),
+    ]
+    for family, error in cases:
+        for check in (commutant_dimension, lambda f: accumulate_span(f, 3)):
+            with pytest.raises(ValueError) as excinfo:
+                check(family)
+            assert excinfo.type is error
+    with pytest.raises(DimensionError):
+        accumulate_span([good], 4)
+    # antisymmetry stays with flatten_antisym
+    with pytest.raises(ValueError, match="not exactly antisymmetric"):
+        accumulate_span([np.eye(3)], 3)

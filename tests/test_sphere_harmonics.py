@@ -10,7 +10,6 @@ from invspan.so3_irreps import RotationSpec, cartesian_rotation, random_rotation
 from invspan.sphere_harmonics import (
     MAX_LMAX,
     RADIAL_LAWS,
-    CoefficientArray,
     PowerSpectrum,
     empirical_power_spectrum,
     eval_ylm,
@@ -19,12 +18,10 @@ from invspan.sphere_harmonics import (
     laplacian_eigen_check,
     lm_index,
     read_power_spectrum,
-    rotate_coefficient_array,
+    rotate_coefficient_rows,
     rotate_coefficients,
     sample_coefficient_arrays,
-    sample_coefficients,
     sample_degree_block,
-    synthesize,
     synthesize_batch,
     write_power_spectrum,
     ylm_matrix,
@@ -169,9 +166,9 @@ def test_constant_law_block_norm_is_exact():
 
 def test_zero_power_gives_zero_coefficients():
     spectrum = PowerSpectrum(np.array([1.0, 0.0, 2.0]))
-    coeffs = sample_coefficients(spectrum, "chi", 3)
-    np.testing.assert_array_equal(coeffs.block(1), np.zeros(3))
-    assert np.any(coeffs.block(2) != 0.0)
+    [row] = sample_coefficient_arrays(spectrum, "chi", 1, 3)
+    np.testing.assert_array_equal(row[1:4], np.zeros(3))
+    assert np.any(row[4:9] != 0.0)
 
 
 def test_chi_law_marginals_match_power():
@@ -210,18 +207,18 @@ def test_sampling_is_deterministic():
 
 
 def test_synthesize_constant_field():
-    coeffs = CoefficientArray(lmax=2, values=np.zeros(9))
-    coeffs.values[0] = 3.0
+    rows = np.zeros((1, 9))
+    rows[0, 0] = 3.0
     grid = gauss_legendre_grid(2)
-    field = synthesize(coeffs, grid)
+    [field] = synthesize_batch(rows, 2, grid)
     np.testing.assert_allclose(field, np.full(grid.npoints, 3.0 / math.sqrt(4.0 * math.pi)), atol=1e-14)
 
 
 def test_synthesize_single_mode_is_cos_theta():
-    coeffs = CoefficientArray(lmax=1, values=np.zeros(4))
-    coeffs.values[lm_index(1, 0)] = 1.0
+    rows = np.zeros((1, 4))
+    rows[0, lm_index(1, 0)] = 1.0
     grid = gauss_legendre_grid(3)
-    field = synthesize(coeffs, grid)
+    [field] = synthesize_batch(rows, 1, grid)
     np.testing.assert_allclose(
         field, math.sqrt(3.0 / (4.0 * math.pi)) * np.cos(grid.theta), atol=1e-14
     )
@@ -256,18 +253,35 @@ def test_rotate_preserves_norm():
 def test_rotation_equivariance_of_synthesis():
     # rotating coefficients evaluates the original field at g^-1 x
     rng = np.random.default_rng(19)
-    values = rng.standard_normal(25)
-    coeffs = CoefficientArray(lmax=4, values=values)
+    rows = rng.standard_normal((3, 25))
     rot = random_rotation(rng)
-    rotated = rotate_coefficient_array(coeffs, rot)
+    rotated = rotate_coefficient_rows(rows, rot)
     points = rng.standard_normal((20, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     g = cartesian_rotation(rot)
     theta_x, phi_x = _sphere_angles(points)
     theta_b, phi_b = _sphere_angles(points @ g)
-    field_rot = ylm_matrix(4, theta_x, phi_x).T @ rotated.values
-    field_orig = ylm_matrix(4, theta_b, phi_b).T @ coeffs.values
+    field_rot = rotated @ ylm_matrix(4, theta_x, phi_x)
+    field_orig = rows @ ylm_matrix(4, theta_b, phi_b)
     np.testing.assert_allclose(field_rot, field_orig, atol=1e-8)
+
+
+def test_rotate_rows_acts_per_degree():
+    rng = np.random.default_rng(20)
+    rows = rng.standard_normal((6, 16))
+    before = rows.copy()
+    rot = random_rotation(rng)
+    rotated = rotate_coefficient_rows(rows, rot)
+    np.testing.assert_array_equal(rows, before)
+    np.testing.assert_array_equal(rotated[:, 0], rows[:, 0])
+    for ell in range(1, 4):
+        block = slice(ell * ell, (ell + 1) ** 2)
+        np.testing.assert_array_equal(rotated[:, block], rotate_coefficients(ell, rot, rows[:, block]))
+        # each row of the stack is the rotation of that row's block alone
+        for row, out in zip(rows[:, block], rotated[:, block]):
+            np.testing.assert_allclose(out, rotate_coefficients(ell, rot, row), rtol=0, atol=1e-13)
+    with pytest.raises(DimensionError):
+        rotate_coefficient_rows(np.zeros((2, 8)), rot)
 
 
 def test_rotate_rejects_wrong_block_length():
@@ -299,14 +313,6 @@ def test_empirical_spectrum_rejects_empty():
         empirical_power_spectrum([])
 
 
-def test_empirical_spectrum_accepts_coefficient_arrays():
-    rows = sample_coefficient_arrays(PowerSpectrum(np.ones(3)), "chi", 4, 9)
-    arrays = [CoefficientArray(lmax=2, values=r) for r in rows]
-    from_rows, _ = empirical_power_spectrum(rows)
-    from_arrays, _ = empirical_power_spectrum(arrays)
-    np.testing.assert_allclose(from_rows.values, from_arrays.values, atol=1e-15)
-
-
 def test_power_spectrum_file_round_trip(tmp_path):
     path = tmp_path / "spec.txt"
     spectrum = PowerSpectrum(np.array([1.0, 0.25, 0.125]))
@@ -333,10 +339,3 @@ def test_power_spectrum_file_errors(tmp_path):
 def test_lmax_cap_enforced():
     with pytest.raises(DimensionError):
         gauss_legendre_grid(MAX_LMAX + 1)
-
-
-def test_coefficient_array_validation():
-    with pytest.raises(DimensionError):
-        CoefficientArray(lmax=2, values=np.zeros(8))
-    with pytest.raises(ValueError):
-        CoefficientArray(lmax=0, values=np.array([math.inf]))
