@@ -222,9 +222,14 @@ def _run_spectrum_estimate(args: argparse.Namespace):
     return EXIT_OK, payload
 
 
-def _run_test_theorem2(args: argparse.Namespace):
+def _child_seeds(seed: int, count: int) -> list[int]:
+    """One integer seed from each of the first count children of SeedSequence(seed)."""
     import numpy as np
 
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _run_test_theorem2(args: argparse.Namespace):
     from .monte_carlo_stats import (
         test_exchangeability,
         test_radial_angular_independence,
@@ -232,8 +237,7 @@ def _run_test_theorem2(args: argparse.Namespace):
     )
     from .sphere_harmonics import sample_degree_block
 
-    ss = np.random.SeedSequence(args.seed)
-    seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(4)]
+    seeds = _child_seeds(args.seed, 4)
     block = sample_degree_block(args.ell, 1.0, args.radial, args.n, seeds[0])
     reports = {
         "exchangeability": test_exchangeability(block, args.permutations, seeds[1], args.alpha),
@@ -265,8 +269,7 @@ def _run_test_bernstein(args: argparse.Namespace):
     from .monte_carlo_stats import test_gaussianity_1d, test_rotational_invariance
     from .sphere_harmonics import sample_degree_block
 
-    ss = np.random.SeedSequence(args.seed)
-    seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(6)]
+    seeds = _child_seeds(args.seed, 6)
     checks = []
 
     chi_block = sample_degree_block(2, 1.0, "chi", args.n, seeds[0])
@@ -309,12 +312,9 @@ def _run_test_bernstein(args: argparse.Namespace):
 
 
 def _run_orbit_walk(args: argparse.Namespace):
-    import numpy as np
-
     from .monte_carlo_stats import orbit_walk_samples, test_uniform_on_sphere
 
-    ss = np.random.SeedSequence(args.seed)
-    seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(2)]
+    seeds = _child_seeds(args.seed, 2)
     states = orbit_walk_samples(args.ell, args.n, args.odd, seeds[0])
     tables = _tables(args, states, ".states.csv")
     if args.format == "csv":

@@ -27,16 +27,9 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "Permutation",
     "SubspaceBasis",
-    "bracket",
-    "conjugate_by_permutation",
     "flatten_antisym",
-    "hermitian_product",
-    "matrix_exponential",
     "numerical_rank",
-    "permutation_matrix",
-    "plane_rotation",
     "signed_index_map",
-    "so_basis",
     "so_dim",
     "svd_row_basis",
     "unflatten_antisym",
@@ -80,42 +73,11 @@ def _square_stack(matrices, n: int | None = None) -> list[np.ndarray]:
     return mats
 
 
-def so_basis(n: int) -> list[np.ndarray]:
-    """Canonical basis of so(n): E_ij - E_ji for i < j, row-major order.
-
-    Raises DimensionError for n < 2.
-    """
-    if n < 2:
-        raise DimensionError(f"so(n) basis needs n >= 2, got {n}")
-    rows, cols = upper_triangle_indices(n)
-    out = []
-    for i, j in zip(rows, cols):
-        b = np.zeros((n, n))
-        b[i, j] = 1.0
-        b[j, i] = -1.0
-        out.append(b)
-    return out
-
-
-def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Commutator [a, b] = ab - ba of two antisymmetric matrices.
-
-    For antisymmetric inputs ba equals (ab).T, so the result is computed
-    as m - m.T with a single product, which makes it exactly antisymmetric.
-    """
-    a = _check_antisym(a, "a")
-    b = _check_antisym(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    m = a @ b
-    return m - m.T
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Permutation of {0, ..., n-1} stored as the image tuple.
 
-    images[i] is where i is sent.  Composition is (p @ q)(i) = p(q(i)).
+    images[i] is where i is sent.
     """
 
     images: tuple[int, ...]
@@ -126,10 +88,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ValueError(f"invalid transposition ({i} {j}) on {n} points")
@@ -137,31 +95,9 @@ class Permutation:
         images[i], images[j] = j, i
         return cls(tuple(images))
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls(tuple(int(k) for k in rng.permutation(n)))
-
     @property
     def n(self) -> int:
         return len(self.images)
-
-    @property
-    def sign(self) -> int:
-        """+1 for even permutations, -1 for odd, from the cycle structure."""
-        seen = [False] * self.n
-        sign = 1
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = self.images[k]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -169,44 +105,13 @@ class Permutation:
             inv[image] = i
         return Permutation(tuple(inv))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionError("permutations act on different sets")
-        return Permutation(tuple(self.images[k] for k in other.images))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-
-def permutation_matrix(perm: Permutation) -> np.ndarray:
-    """Matrix e with e[perm(i), i] = 1, so that e @ x permutes coordinates."""
-    n = perm.n
-    mat = np.zeros((n, n))
-    mat[list(perm.images), range(n)] = 1.0
-    return mat
-
-
-def conjugate_by_permutation(perm: Permutation, a: np.ndarray) -> np.ndarray:
-    """Relabel indices of a by perm: result[perm(i), perm(j)] = a[i, j].
-
-    Equals e a e^-1 with e = permutation_matrix(perm), computed by exact
-    index gathering so antisymmetry survives bitwise.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[0] != perm.n:
-        raise DimensionError(f"permutation on {perm.n} points vs matrix of size {a.shape[0]}")
-    inv = perm.inverse().images
-    return a[np.ix_(inv, inv)].copy()
-
 
 @lru_cache(maxsize=1024)
 def signed_index_map(perm: Permutation) -> tuple[np.ndarray, np.ndarray]:
-    """conjugate_by_permutation on flattened coordinates, as a signed gather.
+    """Relabelling a -> e a e^-1 by perm on flattened coordinates, as a signed gather.
 
-    Returns (idx, sign) with flat(e a e^-1)[k] = sign[k] * flat(a)[idx[k]].
+    With e the permutation matrix, e[perm(i), i] = 1, it returns (idx, sign)
+    with flat(e a e^-1)[k] = sign[k] * flat(a)[idx[k]].
     Entry k of the result, the pair (i, j), comes from the pair
     (inv(i), inv(j)) of a; the sign is -1 where that pair lies below the
     diagonal.  Apply it to a (rank, n(n-1)/2) stack of flattened vectors at
@@ -226,48 +131,11 @@ def signed_index_map(perm: Permutation) -> tuple[np.ndarray, np.ndarray]:
     return idx, sign
 
 
-def matrix_exponential(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t a) for antisymmetric a; the result is special orthogonal.
-
-    Raises ValueError on non-finite input and checks the orthogonality
-    defect of the output against a 1e-10 tolerance.
-    """
-    from scipy.linalg import expm
-
-    a = _check_antisym(a, "a")
-    if not np.isfinite(t) or not np.all(np.isfinite(a)):
-        raise ValueError("non-finite input to matrix exponential")
-    q = expm(t * a)
-    defect = np.max(np.abs(q.T @ q - np.eye(a.shape[0])))
-    if defect > 1e-10:
-        raise ArithmeticError(f"exponential lost orthogonality, defect {defect:.3e}")
-    return q
-
-
-def hermitian_product(a: np.ndarray, b: np.ndarray):
-    """Trace form tr(a conj(b).T), the invariant product on so(n, C)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return np.sum(a * np.conj(b))
-
-
-def plane_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Generator u v^T - v u^T of the rotation in the plane spanned by u, v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise DimensionError("u and v must be vectors of the same length")
-    m = np.outer(u, v)
-    return m - m.T
-
-
 def flatten_antisym(a: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a, row-major, scaled by sqrt(2).
 
-    The scaling makes flat(a) . flat(b) equal hermitian_product(a, b)
-    for real antisymmetric a, b.
+    The scaling makes flat(a) . flat(b) equal the trace form
+    tr(a b^T) = sum(a * b) for real antisymmetric a, b.
     """
     a = _check_antisym(a, "a")
     rows, cols = upper_triangle_indices(a.shape[0])

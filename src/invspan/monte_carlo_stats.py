@@ -47,7 +47,6 @@ __all__ = [
     "calibration_suite",
     "dump_sample_matrix",
     "energy_two_sample_test",
-    "haar_rotation",
     "load_sample_matrix",
     "orbit_random_walk",
     "orbit_walk_samples",
@@ -220,7 +219,12 @@ def _chunk_sizes(total: int, cap: int):
 
 
 def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    """count independent Haar draws from SO(d), shape (count, d, d)."""
+    """count independent Haar draws from SO(d), shape (count, d, d).
+
+    Each Gaussian matrix is orthonormalized by QR.  Multiplying each column
+    by the sign of the matching diagonal entry of R makes the law Haar on
+    O(d); flipping the last column where the determinant is -1 lands in SO(d).
+    """
     g = rng.standard_normal((count, d, d))
     q, r = np.linalg.qr(g)
     diag = np.einsum("...ii->...i", r)
@@ -228,23 +232,6 @@ def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     q = q * signs[:, None, :]
     dets = np.linalg.det(q)
     q[dets < 0.0, :, -1] *= -1.0
-    return q
-
-
-def haar_rotation(d: int, seed) -> np.ndarray:
-    """One Haar-distributed d x d special orthogonal matrix.
-
-    A standard Gaussian matrix is orthonormalized by QR; multiplying each
-    column by the sign of the corresponding diagonal entry of R removes
-    the factorization ambiguity and makes the law Haar on O(d).  If the
-    determinant is -1 the last column is flipped, landing in SO(d).
-    """
-    if d < 2:
-        raise DimensionError(f"need dimension at least 2, got {d}")
-    q = _haar_batch(np.random.default_rng(seed), 1, d)[0]
-    defect = np.max(np.abs(q.T @ q - np.eye(d)))
-    if defect > 1e-10 or abs(np.linalg.det(q) - 1.0) > 1e-8:
-        raise ArithmeticError(f"orthonormalization defect {defect:.3e}")
     return q
 
 

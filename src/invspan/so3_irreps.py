@@ -28,11 +28,8 @@ __all__ = [
     "IrrepGenerators",
     "RotationSpec",
     "build_generators",
-    "cartesian_rotation",
     "commutant_dimension",
     "common_fixed_subspace_dim",
-    "euler_zyz_from_matrix",
-    "random_rotation",
     "rep_matrix",
     "rep_matrix_batch",
 ]
@@ -72,14 +69,6 @@ class RotationSpec:
 
     def angles(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
-
-
-def random_rotation(rng: np.random.Generator) -> RotationSpec:
-    """Haar-distributed rotation: uniform alpha, gamma and uniform cos(beta)."""
-    alpha = rng.uniform(0.0, _TWO_PI)
-    gamma = rng.uniform(0.0, _TWO_PI)
-    beta = math.acos(rng.uniform(-1.0, 1.0))
-    return RotationSpec(alpha, beta, gamma)
 
 
 @dataclass(eq=False)
@@ -252,37 +241,3 @@ def common_fixed_subspace_dim(gens, tol_factor: float = DEFAULT_RANK_TOL) -> int
     rank, _, _ = svd_row_basis(stacked, tol_factor)
     return mats[0].shape[0] - rank
 
-
-def _rot_z(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_y(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def cartesian_rotation(rot: RotationSpec) -> np.ndarray:
-    """The 3x3 point rotation R_z(alpha) R_y(beta) R_z(gamma)."""
-    return _rot_z(rot.alpha) @ _rot_y(rot.beta) @ _rot_z(rot.gamma)
-
-
-def euler_zyz_from_matrix(r: np.ndarray) -> RotationSpec:
-    """Euler angles of a 3x3 special orthogonal matrix (Z-Y-Z order)."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise DimensionError("need a 3x3 rotation matrix")
-    beta = math.acos(min(1.0, max(-1.0, r[2, 2])))
-    if math.sin(beta) > 1e-9:
-        alpha = math.atan2(r[1, 2], r[0, 2])
-        gamma = math.atan2(r[2, 1], -r[2, 0])
-    elif r[2, 2] > 0.0:
-        # beta ~ 0: only alpha + gamma is determined
-        alpha = math.atan2(r[1, 0], r[0, 0])
-        gamma = 0.0
-    else:
-        # beta ~ pi: only alpha - gamma is determined
-        alpha = math.atan2(-r[0, 1], r[1, 1])
-        gamma = 0.0
-    return RotationSpec(alpha, beta, gamma)

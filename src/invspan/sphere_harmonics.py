@@ -345,11 +345,16 @@ def grid_mean_square(values: np.ndarray, grid: SphereGrid) -> float:
 
 
 def rotate_coefficients(ell: int, rot: RotationSpec, block: np.ndarray) -> np.ndarray:
-    """Rotate one degree-ell block, or each row of an (n, 2 ell + 1) stack of them."""
+    """Rotate one degree-ell block, or each row of an (n, 2 ell + 1) stack of them.
+
+    Every row is reduced on its own, so a row rotates to the same bits
+    alone as inside a stack (a matrix product would use gemv for one and
+    gemm for the other).
+    """
     block = np.asarray(block, dtype=float)
     if block.ndim not in (1, 2) or block.shape[-1] != 2 * ell + 1:
         raise DimensionError(f"block of shape {block.shape} does not match degree {ell}")
-    return block @ rep_matrix(build_generators(ell), rot).T
+    return np.einsum("...j,ij->...i", block, rep_matrix(build_generators(ell), rot))
 
 
 def rotate_coefficient_rows(rows: np.ndarray, rot: RotationSpec) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Slow references for the span certificate, the so(n) splitting and the orbit walk.
+"""Slow references and test-only oracles for the library's fast paths.
 
-Every conjugation in the per-vector references goes one matrix at a time:
+For the span certificate, the so(n) splitting and the orbit walk, every
+conjugation in the per-vector references goes one matrix at a time:
 unflatten, relabel with conjugate_by_permutation, flatten again.  Each
 accumulation round of accumulate_span takes the SVD of the whole stacked
 round, not of a reduced factor, and every residual, character and
@@ -13,25 +14,126 @@ span's complement, must report the same rank, rounds and tol.  The orbit
 walk here applies every step to the state on its own;
 monte_carlo_stats.orbit_random_walk draws the same steps and must record
 the same states up to rounding.
+
+The oracles that the library does not need itself:
+
+- permutation_matrix and conjugate_by_permutation, matrix conjugation
+  e a e^-1 by index gathering; lie_core.signed_index_map must match it
+  bit for bit.
+- plane_rotation, the generator u v^T - v u^T; with u, v orthogonal to
+  the ones vector it is criterion 2's negative control.
+- random_rotation, cartesian_rotation and euler_zyz_from_matrix, scalar
+  Euler angles and 3 x 3 point rotations, for checking rep_matrix and
+  coefficient rotation against the point rotations they represent.
+- haar_rotation, one checked Haar draw from SO(d) through
+  monte_carlo_stats._haar_batch.
 """
 
 import math
 
 import numpy as np
 
+from invspan import monte_carlo_stats as mcs
+from invspan.errors import DimensionError
 from invspan.invariance_engine import BlockFormReport, DecompositionReport, SpanReport, ones_fixing_rotation
 from invspan.lie_core import (
     DEFAULT_RANK_TOL,
     Permutation,
     SubspaceBasis,
-    conjugate_by_permutation,
     flatten_antisym,
     numerical_rank,
     signed_index_map,
     so_dim,
     unflatten_antisym,
 )
-from invspan.so3_irreps import build_generators, rep_matrix_batch
+from invspan.so3_irreps import RotationSpec, build_generators, rep_matrix_batch
+
+
+def permutation_matrix(perm):
+    """Matrix e with e[perm(i), i] = 1, so that e @ x permutes coordinates."""
+    n = perm.n
+    mat = np.zeros((n, n))
+    mat[list(perm.images), range(n)] = 1.0
+    return mat
+
+
+def conjugate_by_permutation(perm, a):
+    """Relabel indices of a by perm: result[perm(i), perm(j)] = a[i, j].
+
+    Equals e a e^-1 with e = permutation_matrix(perm), computed by exact
+    index gathering so antisymmetry survives bitwise.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] != perm.n:
+        raise DimensionError(f"permutation on {perm.n} points vs matrix of size {a.shape[0]}")
+    inv = perm.inverse().images
+    return a[np.ix_(inv, inv)].copy()
+
+
+def plane_rotation(u, v):
+    """Generator u v^T - v u^T of the rotation in the plane spanned by u, v."""
+    m = np.outer(u, v)
+    return m - m.T
+
+
+def random_rotation(rng):
+    """Haar-distributed rotation: uniform alpha, gamma and uniform cos(beta)."""
+    alpha = rng.uniform(0.0, 2.0 * math.pi)
+    gamma = rng.uniform(0.0, 2.0 * math.pi)
+    beta = math.acos(rng.uniform(-1.0, 1.0))
+    return RotationSpec(alpha, beta, gamma)
+
+
+def _rot_z(t):
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rot_y(t):
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def cartesian_rotation(rot):
+    """The 3x3 point rotation R_z(alpha) R_y(beta) R_z(gamma)."""
+    return _rot_z(rot.alpha) @ _rot_y(rot.beta) @ _rot_z(rot.gamma)
+
+
+def euler_zyz_from_matrix(r):
+    """Euler angles of a 3x3 special orthogonal matrix (Z-Y-Z order)."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise DimensionError("need a 3x3 rotation matrix")
+    beta = math.acos(min(1.0, max(-1.0, r[2, 2])))
+    if math.sin(beta) > 1e-9:
+        alpha = math.atan2(r[1, 2], r[0, 2])
+        gamma = math.atan2(r[2, 1], -r[2, 0])
+    elif r[2, 2] > 0.0:
+        # beta ~ 0: only alpha + gamma is determined
+        alpha = math.atan2(r[1, 0], r[0, 0])
+        gamma = 0.0
+    else:
+        # beta ~ pi: only alpha - gamma is determined
+        alpha = math.atan2(-r[0, 1], r[1, 1])
+        gamma = 0.0
+    return RotationSpec(alpha, beta, gamma)
+
+
+def haar_rotation(d, seed):
+    """One Haar-distributed d x d special orthogonal matrix, checked.
+
+    Draws through monte_carlo_stats._haar_batch, the sampler the rotation
+    tests use, and checks that the result is special orthogonal.
+    """
+    if d < 2:
+        raise DimensionError(f"need dimension at least 2, got {d}")
+    q = mcs._haar_batch(np.random.default_rng(seed), 1, d)[0]
+    defect = np.max(np.abs(q.T @ q - np.eye(d)))
+    if defect > 1e-10 or abs(np.linalg.det(q) - 1.0) > 1e-8:
+        raise ArithmeticError(f"orthonormalization defect {defect:.3e}")
+    return q
 
 
 def conjugate_rows(vectors, perm):

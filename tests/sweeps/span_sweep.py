@@ -33,7 +33,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import reference_engine as ref  # noqa: E402
 from invspan.invariance_engine import accumulate_span  # noqa: E402
-from invspan.lie_core import plane_rotation  # noqa: E402
 from invspan.so3_irreps import build_generators  # noqa: E402
 
 FIELDS = ("span_dim", "generator_dim", "rounds", "full")
@@ -94,7 +93,7 @@ def cases(families, max_ell):
         yield f"ell={ell}", build_generators(ell).matrices, 2 * ell + 1
     u = np.array([1.0, -1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, -1.0, 0.0])
-    yield "criterion-2 control", [plane_rotation(u, v)], 4
+    yield "criterion-2 control", [ref.plane_rotation(u, v)], 4
     yield from random_families(families)
 
 

@@ -8,10 +8,11 @@ import math
 import time
 
 import numpy as np
+from reference_engine import plane_rotation
 
 from invspan import monte_carlo_stats as mcs
 from invspan.invariance_engine import accumulate_span, block_form_check, decompose_so_n, verify_span
-from invspan.lie_core import plane_rotation, so_dim
+from invspan.lie_core import so_dim
 from invspan.sphere_harmonics import (
     PowerSpectrum,
     empirical_power_spectrum,

@@ -13,7 +13,7 @@ from invspan.invariance_engine import (
     decompose_so_n,
     verify_span,
 )
-from invspan.lie_core import Permutation, flatten_antisym, plane_rotation, so_dim, unflatten_antisym
+from invspan.lie_core import Permutation, flatten_antisym, so_dim, unflatten_antisym
 from invspan.so3_irreps import build_generators
 
 
@@ -42,7 +42,7 @@ def _random_families():
         coeffs = rng.standard_normal((2, stabilizer.rank))
         yield f"stabilizer-only n={n}", list(unflatten_antisym(coeffs @ stabilizer.vectors, n)), n
         u = rng.standard_normal(n)
-        yield f"standard-only n={n}", [plane_rotation(u - u.mean(), np.ones(n))], n
+        yield f"standard-only n={n}", [ref.plane_rotation(u - u.mean(), np.ones(n))], n
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
@@ -54,7 +54,7 @@ def test_span_matches_reference_for_irreducible_generators(ell):
 def test_span_matches_reference_for_reducible_control():
     u = np.array([1.0, -1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, -1.0, 0.0])
-    report = _assert_same_span([plane_rotation(u, v)], 4)
+    report = _assert_same_span([ref.plane_rotation(u, v)], 4)
     assert report.span_dim == 3 and not report.full
 
 

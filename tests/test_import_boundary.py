@@ -2,10 +2,13 @@
 
 The CLI applies the INVSPAN_THREADS cap before numpy loads, so importing
 the package must load no numeric module.  scipy is imported only where it
-is used (test_gaussianity_1d and matrix_exponential), so the algebra and
-theorem-2 commands never pay its start-up time and memory.
+is used, inside test_gaussianity_1d's Kolmogorov-Smirnov helper, so the
+algebra, theorem-2 and orbit-walk commands never pay its start-up time and
+memory.  The source is also parsed, so a scipy import anywhere else fails
+even on a path no command exercises.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -62,12 +65,45 @@ codes = [
         ["verify-span", "--ell", "2"],
         ["decompose", "--n", "4"],
         ["test-theorem2", "--ell", "1", "--n", "200", "--permutations", "99"],
+        ["orbit-walk", "--ell", "1", "--n", "200"],
     )
 ]
 print(json.dumps([after_import, codes, loaded("scipy")]))
 """
     )
-    assert seen == [[[], True], [0, 0, 0], []]
+    assert seen == [[[], True], [0, 0, 0, 0], []]
+
+
+def _scipy_imports(tree: ast.AST):
+    """Enclosing function (None at module level) of every import of scipy or a scipy submodule."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_gaussianity_helper_imports_scipy():
+    package = Path(invspan.__file__).resolve().parent
+    found = {
+        path.name: _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "monte_carlo_stats.py": ["_ks_zero_mean_unit"]
+    }
 
 
 def test_bernstein_imports_scipy_on_use_and_matches_its_golden():
