@@ -89,6 +89,8 @@ class BlockFormReport:
     stabilizer_first_rowcol_max: float
     standard_complement_max: float
     cross_gram_max: float
+    standard_projector_residual: float
+    stabilizer_projector_residual: float
     tol: float
     passed: bool
 
@@ -290,29 +292,44 @@ def ones_fixing_rotation(n: int) -> np.ndarray:
 
 
 def block_form_check(n: int, tol: float = 1e-10) -> BlockFormReport:
-    """Conjugate both invariant parts by the ones-fixing rotation.
+    """Check both invariant parts in the rotated frame and against the projector.
 
-    In the rotated frame every stabilizer element must have zero first
-    row and column, every standard element must vanish outside the first
-    row and column, and the two families must stay orthogonal under the
-    trace form.  decompose_so_n builds both parts from the same rotation,
-    so the residuals measure rounding in that construction.
+    Conjugated by the ones-fixing rotation, every stabilizer element must
+    have zero first row and column, every standard element must vanish
+    outside the first row and column, and the two families must stay
+    orthogonal under the trace form.  decompose_so_n builds both parts
+    from the same rotation, so these residuals measure rounding in that
+    construction.  The projector P(A) = AJ + JA onto the standard part,
+    J = 11^T/n, needs no rotation: it must fix every standard element and
+    send every stabilizer element to 0.
     """
     _, standard, stabilizer = decompose_so_n(n)
+    std, stab = standard.matrices(), stabilizer.matrices()
     b = ones_fixing_rotation(n)
-    conj_std = b.T @ standard.matrices() @ b
-    conj_stab = b.T @ stabilizer.matrices() @ b
+    conj_std = b.T @ std @ b
+    conj_stab = b.T @ stab @ b
 
     stab_max = float(max(np.max(np.abs(conj_stab[:, 0, :])), np.max(np.abs(conj_stab[:, :, 0]))))
     std_max = float(np.max(np.abs(conj_std[:, 1:, 1:])))
     cross = float(np.max(np.abs(np.einsum("aij,bij->ab", conj_std, conj_stab))))
+    std_proj = float(np.max(np.abs(_standard_projection(std) - std)))
+    stab_proj = float(np.max(np.abs(_standard_projection(stab))))
 
-    passed = stab_max <= tol and std_max <= tol and cross <= tol
+    passed = all(r <= tol for r in (stab_max, std_max, cross, std_proj, stab_proj))
     return BlockFormReport(
         n=n,
         stabilizer_first_rowcol_max=stab_max,
         standard_complement_max=std_max,
         cross_gram_max=cross,
+        standard_projector_residual=std_proj,
+        stabilizer_projector_residual=stab_proj,
         tol=tol,
         passed=passed,
     )
+
+
+def _standard_projection(mats: np.ndarray) -> np.ndarray:
+    """AJ + JA = v1^T - 1v^T, v = A1/n, for each antisymmetric A of a (k, n, n) stack."""
+    k, n, _ = mats.shape
+    v = (mats.reshape(k * n, n) @ np.full(n, 1.0 / n)).reshape(k, n)
+    return v[:, :, None] - v[:, None, :]

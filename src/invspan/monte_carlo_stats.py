@@ -74,6 +74,8 @@ _ENERGY_PANEL = 2**17
 _SIMULATION_CHUNK = 2**18
 # draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
 _FIRST_CHUNK = 25
+# step-matrix entries per orbit-walk piece, in whole thin-groups (256 KiB in float64)
+_WALK_PIECE = 2**15
 
 
 @dataclass(frozen=True)
@@ -782,11 +784,18 @@ def orbit_random_walk(
     recorded every `thin` steps once `burn_in` steps have passed.  With
     steps=0 the output is the start vector alone.
 
-    The state advances one step at a time up to the first recorded state
-    and through the few steps at the end of each draw block that reach
-    none; in between, the `thin` steps leading to each recorded state are
-    multiplied together first, so the state advances by one matrix
-    product per recorded state.
+    Steps are drawn in blocks of 20000: the block's Euler angles, then its
+    permutations.  The block's step matrices are then built, conjugated
+    and multiplied in pieces of about _WALK_PIECE entries.  Pieces end only
+    at recorded states, so each holds whole groups of `thin` steps, and
+    never one step alone unless the block has one.  The state advances one
+    step at a time up to the first recorded state and through the few
+    steps at the end of each block that reach none; the block's first and
+    last pieces carry these.  In between, the `thin` steps leading to each
+    recorded state are multiplied together first, so the state advances
+    by one matrix product per recorded state.  With d = 2 ell + 1 the
+    working set is O(_WALK_PIECE + (burn_in + thin) d^2 + 20000 d) entries,
+    whatever `steps` is.
     """
     steps, burn_in, thin = (operator.index(k) for k in (steps, burn_in, thin))
     if steps < 0 or burn_in < 0 or thin < 1:
@@ -805,6 +814,11 @@ def orbit_random_walk(
         raise ValueError("start must be a unit vector within 1e-8")
     if steps == 0:
         return SampleMatrix(start[None, :].copy())
+    n_states = max(steps - burn_in, 0) // thin
+    if n_states == 0:
+        raise ValueError(
+            f"no states recorded: steps={steps} with burn_in={burn_in}, thin={thin}"
+        )
 
     rng = np.random.default_rng(seed)
     # the odd swap after each step is folded in as a swap of the step
@@ -812,36 +826,47 @@ def orbit_random_walk(
     rows = np.arange(d)
     if include_odd_permutation:
         rows[[0, 1]] = [1, 0]
+    # steps per piece: whole thin-groups, and at least two steps, since a
+    # one-row rep_matrix_batch goes through BLAS gemv and moves bits
+    span = thin * max(_WALK_PIECE // (d * d * thin), 1, 2 // thin)
+    out = np.empty((n_states, d))
     v = start.copy()
-    recorded = []
-    done = 0
+    k = done = 0
     block_size = 20000
     while done < steps:
         block = min(block_size, steps - done)
         alphas = rng.uniform(0.0, 2.0 * math.pi, block)
         betas = np.arccos(rng.uniform(-1.0, 1.0, block))
         gammas = rng.uniform(0.0, 2.0 * math.pi, block)
-        mats = rep_matrix_batch(gens, alphas, betas, gammas)
         perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
-        conj = mats[np.arange(block)[:, None, None], perms[:, rows, None], perms[:, None, :]]
-        # single steps up to the next recorded state, or to the block's end
+        # single steps up to the next recorded state, or to the block's end;
+        # whole thin-groups up to `grouped`, then single trailing steps
         lead = min(block, burn_in + thin * (max(done - burn_in, 0) // thin + 1) - done)
-        for t in range(lead):
-            v = conj[t] @ v
-        if done + lead > burn_in and (done + lead - burn_in) % thin == 0:
-            recorded.append(v)
-        groups = (block - lead) // thin
-        for product in _ordered_products(conj[lead : lead + groups * thin].reshape(groups, thin, d, d)):
-            v = product @ v
-            recorded.append(v)
-        for t in range(lead + groups * thin, block):
-            v = conj[t] @ v
+        grouped = lead + thin * ((block - lead) // thin)
+        # the first piece takes the lead steps and the last the trailing
+        # ones; a last piece of one step joins the one before it
+        ends = list(range(lead + span, grouped, span)) + [block]
+        if len(ends) > 1 and block - ends[-2] < 2:
+            del ends[-2]
+        lo = 0
+        for hi in ends:
+            p = perms[lo:hi]
+            mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
+            conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
+            for t in range(lo, min(hi, lead)):
+                v = conj[t - lo] @ v
+            if lo == 0 and done + lead > burn_in and (done + lead - burn_in) % thin == 0:
+                out[k] = v
+                k += 1
+            first, last = max(lo, lead) - lo, min(hi, grouped) - lo
+            for product in _ordered_products(conj[first:last].reshape(-1, thin, d, d)):
+                v = product @ v
+                out[k] = v
+                k += 1
+            for t in range(max(lo, grouped), hi):
+                v = conj[t - lo] @ v
+            lo = hi
         done += block
-    if not recorded:
-        raise ValueError(
-            f"no states recorded: steps={steps} with burn_in={burn_in}, thin={thin}"
-        )
-    out = np.array(recorded)
     drift = np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
     if drift > 1e-8:
         raise ArithmeticError(f"norm drift {drift:.3e} exceeds 1e-8")

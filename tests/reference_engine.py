@@ -254,13 +254,20 @@ def block_form(n, tol=1e-10):
     stab_max = max(max(np.max(np.abs(c[0, :])), np.max(np.abs(c[:, 0]))) for c in conj_stab)
     std_max = max(np.max(np.abs(c[1:, 1:])) for c in conj_std)
     cross = max(abs(float(np.sum(cs * ct))) for cs in conj_std for ct in conj_stab)
+    # the projector onto the standard part, A -> AJ + JA with J = 11^T/n
+    j = np.full((n, n), 1.0 / n)
+    std_proj = max(np.max(np.abs(a @ j + j @ a - a)) for a in map(unflatten_antisym, standard.vectors))
+    stab_proj = max(np.max(np.abs(a @ j + j @ a)) for a in map(unflatten_antisym, stabilizer.vectors))
+    residuals = (stab_max, std_max, cross, std_proj, stab_proj)
     return BlockFormReport(
         n=n,
         stabilizer_first_rowcol_max=float(stab_max),
         standard_complement_max=float(std_max),
         cross_gram_max=cross,
+        standard_projector_residual=float(std_proj),
+        stabilizer_projector_residual=float(stab_proj),
         tol=tol,
-        passed=stab_max <= tol and std_max <= tol and cross <= tol,
+        passed=all(r <= tol for r in residuals),
     )
 
 

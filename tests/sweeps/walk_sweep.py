@@ -4,9 +4,11 @@ Each case runs `orbit_walk_samples` and the one-step-at-a-time walk in
 tests/reference_engine.py on the same seed, then the uniformity test on
 both sets of recorded states with one test seed.  A case has moved when
 the two p-values or the two statistics differ in any bit.  The grid is
-ell x odd swap x seeds, with n recorded states per walk.
+ell x odd swap x seeds, with n recorded states per walk.  Large ells
+(say --ells 5,12) split each draw block into many pieces of a few dozen
+steps.
 
-    PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000]
+    PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000] [--ells 1,2,3]
 
 It prints every moved case and the largest state difference, and exits
 1 if any case moved.  pytest does not collect this file; the walk oracle
@@ -32,11 +34,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=20)
     parser.add_argument("--n", type=int, default=2000)
+    parser.add_argument("--ells", default="1,2,3", help="comma-separated weights")
     args = parser.parse_args()
+    ells = [int(ell) for ell in args.ells.split(",")]
     start = time.perf_counter()
     cases = moved = 0
     worst_state = worst_statistic = 0.0
-    for ell in (1, 2, 3):
+    for ell in ells:
         for odd in (False, True):
             for seed in range(args.seeds):
                 walk_seed = 1000 * ell + 100 * odd + seed

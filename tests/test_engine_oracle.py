@@ -162,7 +162,13 @@ def test_decompose_character_and_block_form_match_reference(n):
     fast_block = block_form_check(n)
     slow_block = ref.block_form(n)
     assert fast_block.passed and slow_block.passed
-    for field in ("stabilizer_first_rowcol_max", "standard_complement_max", "cross_gram_max"):
+    for field in (
+        "stabilizer_first_rowcol_max",
+        "standard_complement_max",
+        "cross_gram_max",
+        "standard_projector_residual",
+        "stabilizer_projector_residual",
+    ):
         assert getattr(fast_block, field) == pytest.approx(getattr(slow_block, field), abs=1e-12), field
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from invspan.invariance_engine import (
 from invspan.lie_core import (
     DEFAULT_RANK_TOL,
     Permutation,
+    SubspaceBasis,
     flatten_antisym,
     numerical_rank,
     so_dim,
@@ -191,6 +193,48 @@ def test_block_form_check_passes():
         assert report.stabilizer_first_rowcol_max <= 1e-10
         assert report.standard_complement_max <= 1e-10
         assert report.cross_gram_max <= 1e-10
+        assert report.standard_projector_residual <= 1e-10
+        assert report.stabilizer_projector_residual <= 1e-10
+
+
+def _swapped(n):
+    report, standard, stabilizer = decompose_so_n(n)
+    return report, stabilizer, standard
+
+
+def _mixed(n):
+    # rotate the first standard element into the first stabilizer element
+    report, standard, stabilizer = decompose_so_n(n)
+    std, stab = standard.vectors.copy(), stabilizer.vectors.copy()
+    std[0], stab[0] = (std[0] + stab[0]) / math.sqrt(2.0), (std[0] - stab[0]) / math.sqrt(2.0)
+    return report, replace(standard, vectors=std), replace(stabilizer, vectors=stab)
+
+
+def _identity_frame(n):
+    # the split that the identity would give in place of the ones-fixing
+    # rotation: E_0k - E_k0 and E_jk - E_kj (j, k >= 1)
+    basis = np.eye(so_dim(n))
+    standard = SubspaceBasis(n=n, vectors=basis[: n - 1], rank=n - 1, tol=0.0)
+    stabilizer = SubspaceBasis(n=n, vectors=basis[n - 1 :], rank=so_dim(n) - n + 1, tol=0.0)
+    return None, standard, stabilizer
+
+
+@pytest.mark.parametrize("split", [_swapped, _mixed, _identity_frame])
+def test_block_form_check_rejects_wrong_bases(split, monkeypatch):
+    import invspan.invariance_engine as ie
+
+    n = 6
+    monkeypatch.setattr(ie, "decompose_so_n", split)
+    if split is _identity_frame:
+        # rotating by the same wrong frame leaves the three old residuals at
+        # 0; only the projector, which needs no frame, sees the fault
+        monkeypatch.setattr(ie, "ones_fixing_rotation", lambda n: np.eye(n))
+        report = block_form_check(n)
+        assert max(report.stabilizer_first_rowcol_max, report.standard_complement_max, report.cross_gram_max) == 0.0
+    else:
+        report = block_form_check(n)
+    assert report.standard_projector_residual > 0.1 or report.stabilizer_projector_residual > 0.1
+    assert not report.passed
 
 
 def test_span_report_round_trip():

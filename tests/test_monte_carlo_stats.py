@@ -271,6 +271,19 @@ def test_energy_memory_stays_bounded():
     assert peak < 48 * 2**20
 
 
+def test_orbit_walk_memory_stays_bounded():
+    # one draw block's 20000 step matrices would take 95 MiB at ell = 12
+    # and 3.8 MiB at ell = 2 (float64); the walk builds them in pieces
+    for ell, odd, cap in ((12, True, 16), (2, False, 8)):
+        tracemalloc.start()
+        try:
+            mcs.orbit_walk_samples(ell, 2000, odd, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cap * 2**20, (ell, peak)
+
+
 class _TiedNoise:
     """Stands in for a Generator whose uniform draws tie often."""
 
@@ -1028,6 +1041,54 @@ def test_orbit_walk_matches_reference_across_a_draw_block():
     want = ref.orbit_random_walk(2, steps, True, seed=41, burn_in=burn_in, thin=thin)
     assert got.shape == want.shape == ((steps - burn_in) // thin, 5)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
+    # the default pieces, one piece per draw block, and one thin-group per
+    # piece give the same states bit for bit
+    d = 2 * ell + 1
+    pieces = []
+    rep_matrix_batch = mcs.rep_matrix_batch
+
+    def recording(gens, alphas, betas, gammas):
+        pieces.append(len(alphas))
+        return rep_matrix_batch(gens, alphas, betas, gammas)
+
+    monkeypatch.setattr(mcs, "rep_matrix_batch", recording)
+
+    def walk(budget, steps, burn_in, thin):
+        pieces.clear()
+        monkeypatch.setattr(mcs, "_WALK_PIECE", budget)
+        kwargs = dict(seed=100 * thin + burn_in, burn_in=burn_in, thin=thin)
+        rows = mcs.orbit_random_walk(ell, steps, odd, **kwargs).rows
+        # a one-step piece would take BLAS's matrix-vector path
+        assert min(pieces) >= 2
+        return rows
+
+    default = mcs._WALK_PIECE
+    for thin, burn_in, across_block in [(1, 0, True), (10, 7, True)] + [
+        (thin, burn_in, False) for thin, burn_in in itertools.product((1, 3, 10), (0, 7, 100))
+    ]:
+        # two default pieces and then some, ending thin - 1 steps into a
+        # group; or one 20000-step block and a few steps of the next
+        steps = 20000 + 3 * thin + 1 if across_block else burn_in + 2 * (default // (d * d)) + 4 * thin - 1
+        got = walk(default, steps, burn_in, thin)
+        assert len(pieces) >= 3
+        np.testing.assert_array_equal(got, walk(20000 * d * d * thin, steps, burn_in, thin))
+        assert len(pieces) == 1 + across_block
+        if thin >= 2:
+            np.testing.assert_array_equal(got, walk(d * d * thin, steps, burn_in, thin))
+            # one recorded state per piece, two in a block's first piece
+            assert len(pieces) >= (steps - burn_in) // thin - 1 - across_block
+
+    # two-step pieces at thin = 1 leave one step over, which joins the last piece
+    for burn_in in (0, 7):
+        steps = burn_in + 42
+        got = walk(2 * d * d, steps, burn_in, 1)
+        assert pieces[-1] == 3
+        np.testing.assert_array_equal(got, walk(default, steps, burn_in, 1))
 
 
 # ---------------------------------------------------------------------------
