@@ -406,15 +406,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     add("verify-span", "certify that conjugated generators span the full antisymmetric algebra", ell="required")
-    add("decompose", "split so(n) into the standard-part and stabilizer-part components").add_argument(
-        "--n", type=int, required=True, help="matrix side (>= 4)"
-    )
-    add("character", "transposition characters of the two components").add_argument(
-        "--n", type=int, required=True, help="matrix side (>= 4)"
-    )
-    add("block-check", "verify the basis change splitting the permutation action").add_argument(
-        "--n", type=int, required=True, help="matrix side (>= 4)"
-    )
+    for name, help_text in (
+        ("decompose", "split so(n) into the standard-part and stabilizer-part components"),
+        ("character", "transposition characters of the two components"),
+        ("block-check", "verify the basis change splitting the permutation action"),
+    ):
+        add(name, help_text).add_argument("--n", type=int, required=True, help="matrix side (>= 4)")
     add("simulate-field", "draw random harmonic coefficients and check the variance identity", lmax=True, n=1000, radial=True, spectrum=True)
     add("spectrum-estimate", "estimate the power spectrum from fresh coefficient draws", lmax=True, n=2000, radial=True, spectrum=True)
     add("test-theorem2", "exchangeability, rotation-invariance and radius/direction tests on one degree block", ell="required", n=1000, radial=True, alpha=True, permutations=True)

@@ -50,6 +50,10 @@ __all__ = [
     "verify_span",
 ]
 
+_SPLIT_TOL = 1e-11
+_CHARACTER_TOL = 1e-8
+_BLOCK_FORM_TOL = 1e-10
+
 
 @dataclass
 class SpanReport:
@@ -98,15 +102,7 @@ class BlockFormReport:
         return asdict(self)
 
 
-def _conjugate_flat(vectors: np.ndarray, perm: Permutation) -> np.ndarray:
-    """Relabel every flattened row of vectors by perm at once."""
-    idx, sign = signed_index_map(perm)
-    return vectors[..., idx] * sign
-
-
-def accumulate_span(
-    generators, n: int, tol_factor: float = DEFAULT_RANK_TOL
-) -> tuple[SpanReport, SubspaceBasis]:
+def accumulate_span(generators, n: int) -> tuple[SpanReport, SubspaceBasis]:
     """Close the span of antisymmetric generators under index relabeling.
 
     Starting from the given n x n antisymmetric matrices, the span is
@@ -134,7 +130,7 @@ def accumulate_span(
     other, and over the whole run at most (n-1) n(n-1)/2 rows are ever
     conjugated.
 
-    The threshold is tol_factor * sqrt(n).  sqrt(n) is the largest
+    The threshold is DEFAULT_RANK_TOL * sqrt(n).  sqrt(n) is the largest
     singular value of the stack [B; t_1 B; ...; t_{n-1} B] of n
     orthonormal blocks once B is stable (stack^T stack is then n times
     the projector onto B), and an upper bound on it before, since each
@@ -160,13 +156,13 @@ def accumulate_span(
     mats = _square_stack(generators, n)
 
     full_dim = so_dim(n)
-    transpositions = [Permutation.transposition(n, i, i + 1) for i in range(n - 1)]
-    basis = numerical_rank([flatten_antisym(g) for g in mats], tol_factor)
+    maps = [signed_index_map(Permutation.transposition(n, i, i + 1)) for i in range(n - 1)]
+    basis = numerical_rank([flatten_antisym(g) for g in mats])
     generator_dim = basis.rank
     if generator_dim == 0:
         raise DegenerateInputError("the generators span only the zero matrix")
 
-    threshold = tol_factor * math.sqrt(n)
+    threshold = DEFAULT_RANK_TOL * math.sqrt(n)
     span = frontier = basis.vectors
     complement = np.linalg.svd(span, full_matrices=True)[2][generator_dim:]
     rounds = 0
@@ -174,7 +170,7 @@ def accumulate_span(
         rounds += 1
         if not complement.shape[0]:
             break
-        images = np.vstack([_conjugate_flat(frontier, tau) for tau in transpositions]) @ complement.T
+        images = np.vstack([frontier[:, idx] * sign for idx, sign in maps]) @ complement.T
         if images.shape[0] > images.shape[1]:
             images = np.linalg.qr(images, mode="r")
         _, s, wt = np.linalg.svd(images, full_matrices=True)
@@ -195,7 +191,7 @@ def accumulate_span(
     return report, SubspaceBasis(n=n, vectors=span, rank=rank, tol=threshold)
 
 
-def verify_span(ell: int, tol_factor: float = DEFAULT_RANK_TOL) -> SpanReport:
+def verify_span(ell: int) -> SpanReport:
     """Certify that conjugates of the weight-ell generators span so(2 ell + 1).
 
     Checks the no-fixed-vector hypothesis first; a violation is recorded
@@ -209,9 +205,8 @@ def verify_span(ell: int, tol_factor: float = DEFAULT_RANK_TOL) -> SpanReport:
     rotation moves.  No claim is made about any other hypothesis.
     """
     gens = build_generators(ell)
-    n = gens.dimension
     hypothesis = common_fixed_subspace_dim(gens) == 0
-    report, _ = accumulate_span(gens.matrices, n, tol_factor)
+    report, _ = accumulate_span(gens.matrices, gens.dimension)
     report.hypothesis_satisfied = hypothesis
     return report
 
@@ -227,9 +222,11 @@ def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, Subspace
     plane rotations moving the ones direction: they span the standard
     part, a copy of the standard permutation representation.  The other
     (n-1)(n-2)/2 rows only involve columns orthogonal to ones, so they
-    annihilate it and span the stabilizer part.  Both bases are checked
-    to be invariant under all adjacent transpositions.  Returns
-    (report, standard, stabilizer).
+    annihilate it and span the stabilizer part.  The projector
+    A -> AJ + JA (J = 11^T/n) onto the standard part commutes with every
+    relabeling, so a standard basis that it fixes and a stabilizer basis
+    that it sends to 0 span invariant subspaces: _split_residual checks
+    that, and that b is orthogonal.  Returns (report, standard, stabilizer).
     """
     if n < 4:
         raise DimensionError(f"decomposition is defined for n >= 4, got {n}")
@@ -238,15 +235,9 @@ def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, Subspace
     pairs = bt[rows][:, rows] * bt[cols][:, cols] - bt[rows][:, cols] * bt[cols][:, rows]
     standard = SubspaceBasis(n=n, vectors=pairs[: n - 1], rank=n - 1, tol=0.0)
     stabilizer = SubspaceBasis(n=n, vectors=pairs[n - 1 :], rank=so_dim(n) - n + 1, tol=0.0)
-
-    for basis in (standard, stabilizer):
-        for i in range(n - 1):
-            tau = Permutation.transposition(n, i, i + 1)
-            res = basis.residual(_conjugate_flat(basis.vectors, tau))
-            if res > 1e-10:
-                raise InvarianceViolationError(
-                    f"subspace not stable under adjacent transposition, residual {res:.3e}"
-                )
+    res = _split_residual(bt.T, standard.vectors, stabilizer.vectors)
+    if res > _SPLIT_TOL:
+        raise InvarianceViolationError(f"so({n}) split is not invariant under relabeling, residual {res:.3e}")
 
     swap01 = Permutation.transposition(n, 0, 1)
     report = DecompositionReport(
@@ -259,16 +250,37 @@ def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, Subspace
     return report, standard, stabilizer
 
 
-def character_on_subspace(basis: SubspaceBasis, perm: Permutation, tol: float = 1e-8) -> float:
+def _split_residual(frame: np.ndarray, standard: np.ndarray, stabilizer: np.ndarray) -> float:
+    """Largest of max|frame frame^T - I|, |P x - x| over standard rows and |P x| over stabilizer rows.
+
+    In flattened coordinates the projector A -> AJ + JA is P = B^T B / n,
+    with B[i, k] = 1 and B[j, k] = -1 for pair k = (i, j), and
+    |P x| = |B x| / sqrt(n).  An orthogonal frame has orthonormal
+    second-compound rows.
+    """
+    n = frame.shape[0]
+    rows, cols = upper_triangle_indices(n)
+    points = np.arange(n)[:, None]
+    incidence = (points == rows).astype(float) - (points == cols)
+    std_off = standard - (standard @ incidence.T) @ incidence / n
+    return max(
+        float(np.max(np.abs(frame @ frame.T - np.eye(n)))),
+        float(np.max(np.linalg.norm(std_off, axis=1))),
+        float(np.max(np.linalg.norm(stabilizer @ incidence.T, axis=1))) / math.sqrt(n),
+    )
+
+
+def character_on_subspace(basis: SubspaceBasis, perm: Permutation) -> float:
     """Trace of the relabeling action restricted to an invariant subspace.
 
     Raises InvarianceViolationError when a conjugated basis vector does
-    not project back into the subspace within tol.
+    not project back into the subspace within 1e-8.
     """
     if perm.n != basis.n:
         raise DimensionError(f"permutation on {perm.n} points vs so({basis.n}) subspace")
-    images = _conjugate_flat(basis.vectors, perm)
-    if basis.residual(images) > tol:
+    idx, sign = signed_index_map(perm)
+    images = basis.vectors[:, idx] * sign
+    if basis.residual(images) > _CHARACTER_TOL:
         raise InvarianceViolationError("subspace is not invariant under the given permutation")
     return float(np.sum(basis.vectors * images))
 
@@ -291,7 +303,7 @@ def ones_fixing_rotation(n: int) -> np.ndarray:
     return h
 
 
-def block_form_check(n: int, tol: float = 1e-10) -> BlockFormReport:
+def block_form_check(n: int) -> BlockFormReport:
     """Check both invariant parts in the rotated frame and against the projector.
 
     Conjugated by the ones-fixing rotation, every stabilizer element must
@@ -315,7 +327,7 @@ def block_form_check(n: int, tol: float = 1e-10) -> BlockFormReport:
     std_proj = float(np.max(np.abs(_standard_projection(std) - std)))
     stab_proj = float(np.max(np.abs(_standard_projection(stab))))
 
-    passed = all(r <= tol for r in (stab_max, std_max, cross, std_proj, stab_proj))
+    passed = all(r <= _BLOCK_FORM_TOL for r in (stab_max, std_max, cross, std_proj, stab_proj))
     return BlockFormReport(
         n=n,
         stabilizer_first_rowcol_max=stab_max,
@@ -323,7 +335,7 @@ def block_form_check(n: int, tol: float = 1e-10) -> BlockFormReport:
         cross_gram_max=cross,
         standard_projector_residual=std_proj,
         stabilizer_projector_residual=stab_proj,
-        tol=tol,
+        tol=_BLOCK_FORM_TOL,
         passed=passed,
     )
 

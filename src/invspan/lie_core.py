@@ -202,11 +202,11 @@ class SubspaceBasis:
         return float(np.max(np.linalg.norm(off, axis=1), initial=0.0))
 
 
-def svd_row_basis(rows: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL):
+def svd_row_basis(rows: np.ndarray):
     """Rank and orthonormal row-space basis of a stacked-vector matrix.
 
     Returns (rank, threshold, basis) where basis holds the right singular
-    vectors with singular value > threshold = tol_factor * s_max.  Basis
+    vectors with singular value > threshold = DEFAULT_RANK_TOL * s_max.  Basis
     row signs are fixed (largest-magnitude entry positive) so repeated
     runs give identical output.
     """
@@ -217,26 +217,23 @@ def svd_row_basis(rows: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL):
         raise ValueError("non-finite entries in span vectors")
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    threshold = tol_factor * smax
+    threshold = DEFAULT_RANK_TOL * smax
     rank = int(np.sum(s > threshold))
-    basis = vt[:rank].copy()
-    for row in basis:
-        lead = row[np.argmax(np.abs(row))]
-        if lead < 0:
-            row *= -1.0
-    return rank, float(threshold), basis
+    basis = vt[:rank]
+    lead = basis[np.arange(rank), np.argmax(np.abs(basis), axis=1)]
+    return rank, float(threshold), basis * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
-def numerical_rank(vectors, tol_factor: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
+def numerical_rank(vectors) -> SubspaceBasis:
     """Numerical rank of a family of flattened so(n) elements.
 
     vectors is an iterable of flattened antisymmetric matrices (or a 2-d
     array of them stacked as rows).  Singular values above
-    tol_factor * s_max count toward the rank.
+    DEFAULT_RANK_TOL * s_max count toward the rank.
     """
     rows = np.atleast_2d(np.asarray(list(vectors) if not isinstance(vectors, np.ndarray) else vectors, dtype=float))
     if rows.size == 0:
         raise ValueError("empty list of vectors")
     n = _side_from_flat(rows.shape[1])
-    rank, threshold, basis = svd_row_basis(rows, tol_factor)
+    rank, threshold, basis = svd_row_basis(rows)
     return SubspaceBasis(n=n, vectors=basis, rank=rank, tol=threshold)

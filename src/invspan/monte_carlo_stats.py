@@ -785,8 +785,9 @@ def orbit_random_walk(
     steps=0 the output is the start vector alone.
 
     Steps are drawn in blocks of 20000: the block's Euler angles, then its
-    permutations.  The block's step matrices are then built, conjugated
-    and multiplied in pieces of about _WALK_PIECE entries.  Pieces end only
+    permutations, which each piece of about _WALK_PIECE entries draws in
+    turn (permuted draws row by row, so the stream is the block's).  The
+    pieces build, conjugate and multiply the step matrices.  They end only
     at recorded states, so each holds whole groups of `thin` steps, and
     never one step alone unless the block has one.  The state advances one
     step at a time up to the first recorded state and through the few
@@ -794,8 +795,8 @@ def orbit_random_walk(
     last pieces carry these.  In between, the `thin` steps leading to each
     recorded state are multiplied together first, so the state advances
     by one matrix product per recorded state.  With d = 2 ell + 1 the
-    working set is O(_WALK_PIECE + (burn_in + thin) d^2 + 20000 d) entries,
-    whatever `steps` is.
+    working set is O(_WALK_PIECE + (burn_in + thin) d^2) entries besides
+    the block's 3 x 20000 angles, whatever `steps` is.
     """
     steps, burn_in, thin = (operator.index(k) for k in (steps, burn_in, thin))
     if steps < 0 or burn_in < 0 or thin < 1:
@@ -838,7 +839,6 @@ def orbit_random_walk(
         alphas = rng.uniform(0.0, 2.0 * math.pi, block)
         betas = np.arccos(rng.uniform(-1.0, 1.0, block))
         gammas = rng.uniform(0.0, 2.0 * math.pi, block)
-        perms = rng.permuted(np.tile(np.arange(d), (block, 1)), axis=1)
         # single steps up to the next recorded state, or to the block's end;
         # whole thin-groups up to `grouped`, then single trailing steps
         lead = min(block, burn_in + thin * (max(done - burn_in, 0) // thin + 1) - done)
@@ -850,7 +850,7 @@ def orbit_random_walk(
             del ends[-2]
         lo = 0
         for hi in ends:
-            p = perms[lo:hi]
+            p = rng.permuted(np.tile(np.arange(d), (hi - lo, 1)), axis=1)
             mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
             for t in range(lo, min(hi, lead)):

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .lie_core import DEFAULT_RANK_TOL, _square_stack, svd_row_basis
+from .lie_core import _square_stack, svd_row_basis
 
 __all__ = [
     "IrrepGenerators",
@@ -61,8 +61,8 @@ class RotationSpec:
                 b = _TWO_PI - b
                 a += math.pi
                 g += math.pi
-            a %= _TWO_PI
-            g %= _TWO_PI
+            # x % 2 pi rounds to 2 pi itself for a tiny negative x; a second fold makes it 0
+            a, g = a % _TWO_PI % _TWO_PI, g % _TWO_PI % _TWO_PI
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", g)
@@ -207,12 +207,10 @@ def rep_matrix_batch(gens: IrrepGenerators, alphas, betas, gammas) -> np.ndarray
 
 
 def _generator_triple(gens) -> list[np.ndarray]:
-    if isinstance(gens, IrrepGenerators):
-        return list(gens.matrices)
-    return _square_stack(gens)
+    return _square_stack(gens.matrices if isinstance(gens, IrrepGenerators) else gens)
 
 
-def commutant_dimension(gens, tol_factor: float = DEFAULT_RANK_TOL) -> int:
+def commutant_dimension(gens) -> int:
     """Dimension of the space of matrices commuting with every generator.
 
     Equals 1 exactly when the generators act irreducibly with real
@@ -222,22 +220,17 @@ def commutant_dimension(gens, tol_factor: float = DEFAULT_RANK_TOL) -> int:
     mats = _generator_triple(gens)
     d = mats[0].shape[0]
     eye = np.eye(d)
-    blocks = [np.kron(eye, g.T) - np.kron(g, eye) for g in mats]
-    stacked = np.vstack(blocks)
-    rank, _, _ = svd_row_basis(stacked, tol_factor)
+    rank, _, _ = svd_row_basis(np.vstack([np.kron(eye, g.T) - np.kron(g, eye) for g in mats]))
     return d * d - rank
 
 
-def common_fixed_subspace_dim(gens, tol_factor: float = DEFAULT_RANK_TOL) -> int:
+def common_fixed_subspace_dim(gens) -> int:
     """Dimension of the joint kernel of the generators.
 
     Zero means no vector is fixed by every one-parameter rotation, which
     for connected groups rules out one dimensional invariant subspaces.
     """
     mats = _generator_triple(gens)
-    stacked = np.vstack(mats)
-    if np.max(np.abs(stacked)) == 0.0:
-        return mats[0].shape[0]
-    rank, _, _ = svd_row_basis(stacked, tol_factor)
+    rank, _, _ = svd_row_basis(np.vstack(mats))
     return mats[0].shape[0] - rank
 

@@ -27,6 +27,10 @@ The oracles that the library does not need itself:
   coefficient rotation against the point rotations they represent.
 - haar_rotation, one checked Haar draw from SO(d) through
   monte_carlo_stats._haar_batch.
+- compound_split, transposition_sweep and perturbed_frame: the so(n)
+  split's old self-check, which conjugated both parts by every adjacent
+  transposition, and the frames to run it on; decompose_so_n's
+  closed-form check must reject every frame this sweep rejects.
 """
 
 import math
@@ -146,16 +150,16 @@ def residual(basis, v):
     return float(np.linalg.norm(v - basis.vectors.T @ (basis.vectors @ v)))
 
 
-def accumulate_span(generators, n, tol_factor=DEFAULT_RANK_TOL):
+def accumulate_span(generators, n):
     full_dim = so_dim(n)
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(n - 1)]
-    basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators], tol_factor)
+    basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators])
     generator_dim = basis.rank
     rounds = 0
     while True:
         rounds += 1
         stack = [basis.vectors] + [conjugate_rows(basis.vectors, tau) for tau in transpositions]
-        grown = numerical_rank(np.vstack(stack), tol_factor)
+        grown = numerical_rank(np.vstack(stack))
         stable = grown.rank == basis.rank
         basis = grown
         if stable:
@@ -172,18 +176,18 @@ def accumulate_span(generators, n, tol_factor=DEFAULT_RANK_TOL):
     return report, basis
 
 
-def accumulate_span_projected(generators, n, tol_factor=DEFAULT_RANK_TOL):
+def accumulate_span_projected(generators, n):
     """Frontier accumulation with the images projected off the whole span.
 
     Each round conjugates the frontier by the n-1 adjacent transpositions,
     subtracts the projection onto the current span twice, reduces a tall
     stack to its R factor and keeps the right singular vectors above
-    tol_factor * sqrt(n) as the next frontier.
+    DEFAULT_RANK_TOL * sqrt(n) as the next frontier.
     """
     full_dim = so_dim(n)
     maps = [signed_index_map(Permutation.transposition(n, i, i + 1)) for i in range(n - 1)]
-    basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators], tol_factor)
-    threshold = tol_factor * math.sqrt(n)
+    basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators])
+    threshold = DEFAULT_RANK_TOL * math.sqrt(n)
     span = frontier = basis.vectors
     rounds = 0
     while frontier.shape[0]:
@@ -218,7 +222,7 @@ def character(basis, perm, tol=1e-8):
     return trace
 
 
-def decompose(n, tol_factor=DEFAULT_RANK_TOL):
+def decompose(n):
     """Standard and stabilizer parts from the kernel of A -> A . ones."""
     k = np.zeros((n, so_dim(n)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -226,7 +230,7 @@ def decompose(n, tol_factor=DEFAULT_RANK_TOL):
         k[i, col] += 1.0 / math.sqrt(2.0)
         k[j, col] -= 1.0 / math.sqrt(2.0)
     _, s, vt = np.linalg.svd(k, full_matrices=True)
-    threshold = tol_factor * s[0]
+    threshold = DEFAULT_RANK_TOL * s[0]
     rank = int(np.sum(s > threshold))
     standard = SubspaceBasis(n=n, vectors=vt[:rank].copy(), rank=rank, tol=float(threshold))
     stabilizer = SubspaceBasis(n=n, vectors=vt[rank:].copy(), rank=vt.shape[0] - rank, tol=float(threshold))
@@ -244,6 +248,64 @@ def decompose(n, tol_factor=DEFAULT_RANK_TOL):
         stabilizer_char_transposition=character(stabilizer, swap01),
     )
     return report, standard, stabilizer
+
+
+def compound_split(frame):
+    """The standard and stabilizer rows that decompose_so_n builds from frame, pair by pair.
+
+    Row (j, k), j < k, is the flattened (b_j b_k^T - b_k b_j^T) / sqrt(2) of
+    the columns b_j, b_k of frame; the n-1 rows with j = 0 come first.
+    """
+    n = frame.shape[0]
+    rows = np.array(
+        [flatten_antisym(plane_rotation(frame[:, j], frame[:, k])) for j in range(n) for k in range(j + 1, n)]
+    ) / math.sqrt(2.0)
+    return rows[: n - 1], rows[n - 1 :]
+
+
+def transposition_sweep(standard, stabilizer):
+    """Largest residual of either part's rows under the adjacent transpositions.
+
+    The self-check decompose_so_n made before its closed-form projector:
+    each part's rows are conjugated by each of the n-1 adjacent
+    transpositions and projected back onto the part; the largest distance
+    that is left over is returned.
+    """
+    n = (1 + math.isqrt(1 + 8 * standard.shape[1])) // 2
+    worst = 0.0
+    for vectors in (standard, stabilizer):
+        for i in range(n - 1):
+            idx, sign = signed_index_map(Permutation.transposition(n, i, i + 1))
+            images = vectors[:, idx] * sign
+            off = images - (images @ vectors.T) @ vectors
+            worst = max(worst, float(np.max(np.linalg.norm(off, axis=1))))
+    return worst
+
+
+FRAME_PERTURBATIONS = ("dense", "upper", "rotation", "complement")
+
+
+def perturbed_frame(n, kind, eps, rng):
+    """ones_fixing_rotation(n) moved by about eps in one of FRAME_PERTURBATIONS.
+
+    dense and upper add eps times a Gaussian matrix, in full or its upper
+    triangle; rotation multiplies by I + eps K, K antisymmetric, a
+    rotation to first order; complement mixes the columns orthogonal to
+    ones by I + eps G, so they stay orthogonal to ones but not to each
+    other.
+    """
+    b = ones_fixing_rotation(n)
+    g = rng.standard_normal((n, n))
+    if kind == "dense":
+        return b + eps * g
+    if kind == "upper":
+        return b + eps * np.triu(g)
+    if kind == "rotation":
+        return b @ (np.eye(n) + eps * (g - g.T))
+    if kind == "complement":
+        b[:, 1:] = b[:, 1:] @ (np.eye(n - 1) + eps * g[1:, 1:])
+        return b
+    raise ValueError(f"unknown perturbation {kind!r}")
 
 
 def block_form(n, tol=1e-10):

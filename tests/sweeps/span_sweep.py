@@ -15,7 +15,7 @@ standard-only, rank-deficient and stabilizer with a standard part at
 
 For every case the engine's own SVDs are recorded.  The sweep prints the
 smallest kept and the largest dropped singular value over all rounds
-against the threshold tol_factor * sqrt(n) (per round with --per-round),
+against the threshold DEFAULT_RANK_TOL * sqrt(n) (per round with --per-round),
 every mismatch, and exits 1 if there is one.  pytest does not collect this
 file; tests/test_engine_oracle.py covers the same comparison up to n = 12
 and ell = 12.

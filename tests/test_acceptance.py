@@ -78,7 +78,8 @@ def test_criterion_04_transposition_characters():
 def test_criterion_05_block_form():
     worst = 0.0
     for n in range(4, 11):
-        report = block_form_check(n, tol=1e-10)
+        report = block_form_check(n)
+        assert report.tol == 1e-10
         assert report.passed, f"block form failed at n={n}"
         worst = max(
             worst,

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import rational_rank
+import reference_engine as ref
 from reference_engine import plane_rotation
 
 from invspan.errors import DegenerateInputError, DimensionError, InvarianceViolationError
@@ -72,7 +73,7 @@ def test_accumulate_span_returns_orthonormal_basis():
 
 
 def test_accumulate_span_weight_twelve():
-    # so(25) is reached after 12 rounds; the threshold is tol_factor * sqrt(n)
+    # so(25) is reached after 12 rounds; the threshold is DEFAULT_RANK_TOL * sqrt(n)
     report, basis = accumulate_span(build_generators(12).matrices, 25)
     assert (report.span_dim, report.rounds, report.full) == (300, 12, True)
     assert report.tol == DEFAULT_RANK_TOL * math.sqrt(25)
@@ -135,6 +136,50 @@ def test_decompose_dimensions():
 def test_decompose_rejects_small_n():
     with pytest.raises(DimensionError):
         decompose_so_n(3)
+
+
+def test_decompose_passes_on_exact_frames():
+    for n in range(4, 33):
+        report, _, _ = decompose_so_n(n)
+        assert (report.standard_dim, report.stabilizer_dim) == (n - 1, so_dim(n) - n + 1)
+
+
+@pytest.mark.parametrize("kind", ref.FRAME_PERTURBATIONS)
+def test_decompose_rejects_what_the_transposition_sweep_rejects(kind, monkeypatch):
+    import invspan.invariance_engine as ie
+
+    rejected = 0
+    for n in range(4, 13):
+        for k, eps in enumerate((1e-11, 1e-10, 1e-9, 1e-8, 1e-6)):
+            frame = ref.perturbed_frame(n, kind, eps, np.random.default_rng([n, k]))
+            if ref.transposition_sweep(*ref.compound_split(frame)) <= 1e-10:
+                continue
+            rejected += 1
+            monkeypatch.setattr(ie, "ones_fixing_rotation", lambda n, frame=frame: frame)
+            with pytest.raises(InvarianceViolationError, match="residual"):
+                decompose_so_n(n)
+    assert rejected >= 9 * 3
+
+
+@pytest.mark.parametrize("wrong", [np.eye, lambda n: ones_fixing_rotation(n)[:, ::-1]], ids=["identity", "reversed"])
+def test_decompose_rejects_wrong_frames(wrong, monkeypatch):
+    import invspan.invariance_engine as ie
+
+    monkeypatch.setattr(ie, "ones_fixing_rotation", wrong)
+    for n in (4, 7):
+        with pytest.raises(InvarianceViolationError):
+            decompose_so_n(n)
+
+
+def test_split_residual_sees_swapped_parts():
+    import invspan.invariance_engine as ie
+
+    _, standard, stabilizer = decompose_so_n(6)
+    frame = ones_fixing_rotation(6)
+    assert ie._split_residual(frame, standard.vectors, stabilizer.vectors) <= 1e-14
+    # the transposition sweep passes the swapped split; the projector does not
+    assert ref.transposition_sweep(stabilizer.vectors, standard.vectors) <= 1e-14
+    assert ie._split_residual(frame, stabilizer.vectors, standard.vectors) > 0.5
 
 
 def test_stabilizer_part_annihilates_ones():

@@ -273,8 +273,9 @@ def test_energy_memory_stays_bounded():
 
 def test_orbit_walk_memory_stays_bounded():
     # one draw block's 20000 step matrices would take 95 MiB at ell = 12
-    # and 3.8 MiB at ell = 2 (float64); the walk builds them in pieces
-    for ell, odd, cap in ((12, True, 16), (2, False, 8)):
+    # and 3.8 MiB at ell = 2 (float64), and its permutations with the tile
+    # they permute 7.6 MiB at ell = 12 (int64); the walk builds both in pieces
+    for ell, odd, cap in ((12, True, 8), (2, False, 8)):
         tracemalloc.start()
         try:
             mcs.orbit_walk_samples(ell, 2000, odd, seed=12)

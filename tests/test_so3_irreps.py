@@ -1,6 +1,7 @@
 """Real irreducible rotation representations and their generators."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_rotation_spec_folds_angles():
     np.testing.assert_allclose(raw, direct, atol=1e-14)
     with pytest.raises(ValueError):
         RotationSpec(math.nan, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "angles", [(-1e-20, 0.0, 0.0), (0.0, 0.0, -5e-17), (-1e-300, 1.0, -1e-300), (0.0, -1e-20, 0.0)]
+)
+def test_rotation_spec_never_stores_two_pi(angles):
+    # x % 2pi rounds to 2pi itself for tiny negative x
+    rot = RotationSpec(*angles)
+    assert 0.0 <= rot.alpha < 2.0 * math.pi
+    assert 0.0 <= rot.gamma < 2.0 * math.pi
+    assert 0.0 <= rot.beta <= math.pi
+    raw = SimpleNamespace(alpha=angles[0], beta=angles[1], gamma=angles[2])
+    np.testing.assert_allclose(cartesian_rotation(rot), cartesian_rotation(raw), atol=1e-14)
 
 
 def test_euler_round_trip():

@@ -32,7 +32,13 @@ def _invspan_references(tree: ast.AST) -> set[tuple[str, str]]:
 
 
 def test_every_sweep_is_checked():
-    assert [p.name for p in SWEEPS] == ["curtail_sweep.py", "dcov_timing.py", "span_sweep.py", "walk_sweep.py"]
+    assert [p.name for p in SWEEPS] == [
+        "curtail_sweep.py",
+        "dcov_timing.py",
+        "span_sweep.py",
+        "split_sweep.py",
+        "walk_sweep.py",
+    ]
 
 
 @pytest.mark.parametrize("path", SWEEPS, ids=lambda p: p.name)
