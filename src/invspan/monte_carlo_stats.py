@@ -74,7 +74,7 @@ _ENERGY_PANEL = 2**17
 _SIMULATION_CHUNK = 2**18
 # draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
 _FIRST_CHUNK = 25
-# step-matrix entries per orbit-walk piece, in whole thin-groups (256 KiB in float64)
+# step-matrix entries per orbit-walk piece (256 KiB in float64)
 _WALK_PIECE = 2**15
 
 
@@ -787,16 +787,15 @@ def orbit_random_walk(
     Steps are drawn in blocks of 20000: the block's Euler angles, then its
     permutations, which each piece of about _WALK_PIECE entries draws in
     turn (permuted draws row by row, so the stream is the block's).  The
-    pieces build, conjugate and multiply the step matrices.  They end only
-    at recorded states, so each holds whole groups of `thin` steps, and
-    never one step alone unless the block has one.  The state advances one
-    step at a time up to the first recorded state and through the few
-    steps at the end of each block that reach none; the block's first and
-    last pieces carry these.  In between, the `thin` steps leading to each
-    recorded state are multiplied together first, so the state advances
-    by one matrix product per recorded state.  With d = 2 ell + 1 the
-    working set is O(_WALK_PIECE + (burn_in + thin) d^2) entries besides
-    the block's 3 x 20000 angles, whatever `steps` is.
+    pieces build, conjugate and multiply the step matrices, and hold at
+    least two steps unless the block has one.  The first `burn_in` steps
+    advance the state one at a time.  Every later step joins a pending
+    stack; each complete group of `thin` steps in it is multiplied
+    together, the state advances by that one product and is recorded, and
+    the fewer than `thin` steps left over carry into the next piece or
+    block.  With d = 2 ell + 1 the working set is O(_WALK_PIECE + thin d^2)
+    entries besides the block's 3 x 20000 angles, whatever `steps` and
+    `burn_in` are.
     """
     steps, burn_in, thin = (operator.index(k) for k in (steps, burn_in, thin))
     if steps < 0 or burn_in < 0 or thin < 1:
@@ -827,11 +826,12 @@ def orbit_random_walk(
     rows = np.arange(d)
     if include_odd_permutation:
         rows[[0, 1]] = [1, 0]
-    # steps per piece: whole thin-groups, and at least two steps, since a
-    # one-row rep_matrix_batch goes through BLAS gemv and moves bits
-    span = thin * max(_WALK_PIECE // (d * d * thin), 1, 2 // thin)
+    # steps per piece, at least two, since a one-row rep_matrix_batch goes
+    # through BLAS gemv and moves bits
+    span = max(_WALK_PIECE // (d * d), 2)
     out = np.empty((n_states, d))
     v = start.copy()
+    pending = np.empty((0, d, d))
     k = done = 0
     block_size = 20000
     while done < steps:
@@ -839,32 +839,25 @@ def orbit_random_walk(
         alphas = rng.uniform(0.0, 2.0 * math.pi, block)
         betas = np.arccos(rng.uniform(-1.0, 1.0, block))
         gammas = rng.uniform(0.0, 2.0 * math.pi, block)
-        # single steps up to the next recorded state, or to the block's end;
-        # whole thin-groups up to `grouped`, then single trailing steps
-        lead = min(block, burn_in + thin * (max(done - burn_in, 0) // thin + 1) - done)
-        grouped = lead + thin * ((block - lead) // thin)
-        # the first piece takes the lead steps and the last the trailing
-        # ones; a last piece of one step joins the one before it
-        ends = list(range(lead + span, grouped, span)) + [block]
-        if len(ends) > 1 and block - ends[-2] < 2:
-            del ends[-2]
+        # a last piece of one step joins the one before it
+        ends = list(range(span, block - 1, span)) + [block]
         lo = 0
         for hi in ends:
             p = rng.permuted(np.tile(np.arange(d), (hi - lo, 1)), axis=1)
             mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
-            for t in range(lo, min(hi, lead)):
-                v = conj[t - lo] @ v
-            if lo == 0 and done + lead > burn_in and (done + lead - burn_in) % thin == 0:
-                out[k] = v
-                k += 1
-            first, last = max(lo, lead) - lo, min(hi, grouped) - lo
-            for product in _ordered_products(conj[first:last].reshape(-1, thin, d, d)):
+            # burn-in steps one at a time, every later step into a group of
+            # thin; an unfinished group carries into the next piece
+            single = max(burn_in - done - lo, 0)
+            for step in conj[:single]:
+                v = step @ v
+            stack = np.concatenate([pending, conj[single:]]) if len(pending) else conj[single:]
+            grouped = thin * (len(stack) // thin)
+            for product in _ordered_products(stack[:grouped].reshape(-1, thin, d, d)):
                 v = product @ v
                 out[k] = v
                 k += 1
-            for t in range(max(lo, grouped), hi):
-                v = conj[t - lo] @ v
+            pending = stack[grouped:]
             lo = hi
         done += block
     drift = np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))

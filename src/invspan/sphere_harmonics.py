@@ -89,18 +89,6 @@ def _legendre_column(lmax: int, m: int, x: np.ndarray, diag: np.ndarray):
         yield cur
 
 
-def _legendre_normalized(lmax: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """L_lm(x) for 0 <= m <= l <= lmax, shape (lmax+1, lmax+1, npts).
-
-    x = cos(theta), s = sin(theta) >= 0.  Entry [l, m] is zero for m > l.
-    """
-    out = np.zeros((lmax + 1, lmax + 1, x.shape[0]))
-    for m, diag in enumerate(_legendre_diagonal(lmax, s)):
-        for ell, value in enumerate(_legendre_column(lmax, m, x, diag), m):
-            out[ell, m] = value
-    return out
-
-
 def _as_points(theta, phi):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -112,21 +100,25 @@ def _as_points(theta, phi):
 
 
 def ylm_matrix(lmax: int, theta, phi) -> np.ndarray:
-    """All harmonics up to lmax at the given points, shape ((lmax+1)^2, npts)."""
+    """All harmonics up to lmax at the given points, shape ((lmax+1)^2, npts).
+
+    Each order's Legendre column is written into the output as the
+    recursion yields it, so the working set is the output and a few rows.
+    """
     _check_lmax(lmax)
     theta, phi = _as_points(theta, phi)
     x = np.cos(theta)
-    s = np.sin(theta)
-    leg = _legendre_normalized(lmax, x, s)
-    out = np.zeros(((lmax + 1) ** 2, theta.shape[0]))
+    out = np.empty(((lmax + 1) ** 2, theta.shape[0]))
     rt2 = math.sqrt(2.0)
-    for ell in range(lmax + 1):
-        out[lm_index(ell, 0)] = leg[ell, 0]
-        for m in range(1, ell + 1):
-            cos_m = np.cos(m * phi)
-            sin_m = np.sin(m * phi)
-            out[lm_index(ell, m)] = rt2 * leg[ell, m] * cos_m
-            out[lm_index(ell, -m)] = rt2 * leg[ell, m] * sin_m
+    for m, diag in enumerate(_legendre_diagonal(lmax, np.sin(theta))):
+        cos_m = np.cos(m * phi)
+        sin_m = np.sin(m * phi)
+        for ell, value in enumerate(_legendre_column(lmax, m, x, diag), m):
+            if m == 0:
+                out[lm_index(ell, 0)] = value
+            else:
+                out[lm_index(ell, m)] = rt2 * value * cos_m
+                out[lm_index(ell, -m)] = rt2 * value * sin_m
     return out
 
 
@@ -156,8 +148,8 @@ def eval_ylm(ell: int, m: int, theta, phi):
     return float(vals[0]) if scalar else vals
 
 
-def laplacian_eigen_check(ell: int, h: float, n_theta: int = 7, n_phi: int = 9) -> float:
-    """Max |Delta Y_lm + l(l+1) Y_lm| over a fixed interior point set.
+def laplacian_eigen_check(ell: int, h: float) -> float:
+    """Max |Delta Y_lm + l(l+1) Y_lm| over a fixed 7 x 9 interior grid.
 
     Delta is the coordinate Laplace-Beltrami operator
     (1/sin t) d/dt (sin t dY/dt) + (1/sin^2 t) d^2 Y/dp^2, discretized
@@ -165,8 +157,8 @@ def laplacian_eigen_check(ell: int, h: float, n_theta: int = 7, n_phi: int = 9) 
     """
     if not (0.0 < h < 0.1):
         raise ValueError(f"step must lie in (0, 0.1), got {h}")
-    thetas = np.linspace(0.2, math.pi - 0.2, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    thetas = np.linspace(0.2, math.pi - 0.2, 7)
+    phis = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
     tt, pp = [a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij")]
     sin_t = np.sin(tt)
     sin_p = np.sin(tt + h / 2.0)
@@ -207,14 +199,14 @@ class SphereGrid:
         return self.theta.shape[0]
 
 
-def gauss_legendre_grid(lmax: int, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
-    """Gauss-Legendre x uniform-azimuth grid, exact through degree 2 lmax."""
+def gauss_legendre_grid(lmax: int) -> SphereGrid:
+    """Gauss-Legendre x uniform-azimuth grid, exact through degree 2 lmax.
+
+    lmax + 1 polar nodes and 2 lmax + 1 azimuths.
+    """
     _check_lmax(lmax)
-    if n_theta is None:
-        n_theta = lmax + 1
-    if n_phi is None:
-        n_phi = 2 * lmax + 1
-    x, w = leggauss(n_theta)
+    n_phi = 2 * lmax + 1
+    x, w = leggauss(lmax + 1)
     theta_nodes = np.arccos(x)
     phi_nodes = 2.0 * math.pi * np.arange(n_phi) / n_phi
     tt, pp = np.meshgrid(theta_nodes, phi_nodes, indexing="ij")

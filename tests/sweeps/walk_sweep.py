@@ -4,9 +4,11 @@ Each case runs `orbit_walk_samples` and the one-step-at-a-time walk in
 tests/reference_engine.py on the same seed, then the uniformity test on
 both sets of recorded states with one test seed.  A case has moved when
 the two p-values or the two statistics differ in any bit.  The grid is
-ell x odd swap x seeds, with n recorded states per walk.  Large ells
-(say --ells 5,12) split each draw block into many pieces of a few dozen
-steps.
+ell x odd swap x (burn_in, thin) x seeds, with n recorded states per
+walk.  (burn_in, thin) runs at (100, 10) and at (7, 3), whose groups
+start off the pieces' boundaries and so carry from one piece to the
+next.  Large ells (say --ells 5,12) split each draw block into many
+pieces of a few dozen steps.
 
     PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000] [--ells 1,2,3]
 
@@ -16,6 +18,7 @@ in tests/test_monte_carlo_stats.py covers the same walk at small sizes.
 """
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -27,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import reference_engine as ref  # noqa: E402
 from invspan import monte_carlo_stats as mcs  # noqa: E402
 
-BURN_IN, THIN = 100, 10
+SCHEDULES = ((100, 10), (7, 3))
 
 
 def main() -> int:
@@ -40,25 +43,23 @@ def main() -> int:
     start = time.perf_counter()
     cases = moved = 0
     worst_state = worst_statistic = 0.0
-    for ell in ells:
-        for odd in (False, True):
-            for seed in range(args.seeds):
-                walk_seed = 1000 * ell + 100 * odd + seed
-                states = mcs.orbit_walk_samples(ell, args.n, odd, walk_seed, BURN_IN, THIN).rows
-                reference = ref.orbit_random_walk(
-                    ell, BURN_IN + THIN * args.n, odd, seed=walk_seed, burn_in=BURN_IN, thin=THIN
-                )
-                got = mcs.test_uniform_on_sphere(states, walk_seed + 1)
-                want = mcs.test_uniform_on_sphere(reference, walk_seed + 1)
-                worst_state = max(worst_state, float(np.max(np.abs(states - reference))))
-                worst_statistic = max(worst_statistic, abs(got.statistic - want.statistic))
-                if got.p_value != want.p_value or got.statistic != want.statistic:
-                    moved += 1
-                    print(
-                        f"MOVED ell={ell} odd={odd} seed={walk_seed}: p {want.p_value} -> {got.p_value}, "
-                        f"statistic {want.statistic!r} -> {got.statistic!r}"
-                    )
-                cases += 1
+    for ell, odd, (burn_in, thin), seed in itertools.product(ells, (False, True), SCHEDULES, range(args.seeds)):
+        walk_seed = 1000 * ell + 100 * odd + seed
+        states = mcs.orbit_walk_samples(ell, args.n, odd, walk_seed, burn_in, thin).rows
+        reference = ref.orbit_random_walk(
+            ell, burn_in + thin * args.n, odd, seed=walk_seed, burn_in=burn_in, thin=thin
+        )
+        got = mcs.test_uniform_on_sphere(states, walk_seed + 1)
+        want = mcs.test_uniform_on_sphere(reference, walk_seed + 1)
+        worst_state = max(worst_state, float(np.max(np.abs(states - reference))))
+        worst_statistic = max(worst_statistic, abs(got.statistic - want.statistic))
+        if got.p_value != want.p_value or got.statistic != want.statistic:
+            moved += 1
+            print(
+                f"MOVED ell={ell} odd={odd} burn_in={burn_in} thin={thin} seed={walk_seed}: "
+                f"p {want.p_value} -> {got.p_value}, statistic {want.statistic!r} -> {got.statistic!r}"
+            )
+        cases += 1
     print(
         f"{cases} cases, {moved} moved, largest state difference {worst_state:.1e}, "
         f"largest statistic difference {worst_statistic:.1e}, {time.perf_counter() - start:.1f} s"

@@ -285,6 +285,18 @@ def test_orbit_walk_memory_stays_bounded():
         assert peak < cap * 2**20, (ell, peak)
 
 
+def test_orbit_walk_burn_in_keeps_memory_bounded():
+    # 5000 burn-in steps at ell = 12 take 24 MiB as step matrices (float64);
+    # the walk takes them one at a time from its pieces
+    tracemalloc.start()
+    try:
+        mcs.orbit_random_walk(12, 5300, True, burn_in=5000, thin=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 class _TiedNoise:
     """Stands in for a Generator whose uniform draws tie often."""
 
@@ -1047,8 +1059,9 @@ def test_orbit_walk_matches_reference_across_a_draw_block():
 @pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
-    # the default pieces, one piece per draw block, and one thin-group per
-    # piece give the same states bit for bit
+    # the default pieces, one piece per draw block, and pieces of thin, 2,
+    # 3 and 5 steps, which split the burn-in and the thin-groups, give the
+    # same states bit for bit
     d = 2 * ell + 1
     pieces = []
     rep_matrix_batch = mcs.rep_matrix_batch
@@ -1066,6 +1079,17 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
         rows = mcs.orbit_random_walk(ell, steps, odd, **kwargs).rows
         # a one-step piece would take BLAS's matrix-vector path
         assert min(pieces) >= 2
+        # each draw block is cut into pieces of `span` steps, and its last
+        # piece holds the 2 to span + 1 steps left
+        span = max(budget // (d * d), 2)
+        sizes = iter(pieces)
+        for first in range(0, steps, 20000):
+            held = [next(sizes)]
+            while sum(held) < min(20000, steps - first):
+                held.append(next(sizes))
+            assert sum(held) == min(20000, steps - first)
+            assert set(held[:-1]) <= {span} and held[-1] <= span + 1
+        assert next(sizes, None) is None
         return rows
 
     default = mcs._WALK_PIECE
@@ -1081,15 +1105,24 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
         assert len(pieces) == 1 + across_block
         if thin >= 2:
             np.testing.assert_array_equal(got, walk(d * d * thin, steps, burn_in, thin))
-            # one recorded state per piece, two in a block's first piece
-            assert len(pieces) >= (steps - burn_in) // thin - 1 - across_block
+        if across_block:
+            continue
+        # a dozen groups, ending thin - 1 steps into the next
+        steps = burn_in + 13 * thin - 1
+        want = walk(default, steps, burn_in, thin)
+        for budget in (2 * d * d, 3 * d * d, 5 * d * d):
+            np.testing.assert_array_equal(walk(budget, steps, burn_in, thin), want)
+            ends = np.cumsum(pieces)[:-1]
+            if budget % (thin * d * d):
+                # some piece ends inside a group, which carries into the next
+                assert np.any((ends > burn_in) & ((ends - burn_in) % thin != 0))
 
-    # two-step pieces at thin = 1 leave one step over, which joins the last piece
-    for burn_in in (0, 7):
-        steps = burn_in + 42
-        got = walk(2 * d * d, steps, burn_in, 1)
-        assert pieces[-1] == 3
-        np.testing.assert_array_equal(got, walk(default, steps, burn_in, 1))
+    # two-step pieces leave one step over on an odd step count, which joins
+    # the last piece
+    for thin, burn_in in itertools.product((1, 3), (0, 7)):
+        got = walk(2 * d * d, 41, burn_in, thin)
+        assert pieces == [2] * 19 + [3]
+        np.testing.assert_array_equal(got, walk(default, 41, burn_in, thin))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Real spherical harmonics, sampling, synthesis, and spectrum estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,31 @@ def test_eval_ylm_matches_its_former_recursion_bitwise():
             got = eval_ylm(ell, m, 0.7, 2.1)
             assert type(got) is float
             assert got == _eval_ylm_climb(ell, m, np.array([0.7]), np.array([2.1]))[0]
+
+
+def test_ylm_matrix_rows_match_eval_ylm_bitwise():
+    # both read the shared diagonal and column recursions, and scale by
+    # sqrt(2) and then by cos or sin(m phi) in the same order
+    rng = np.random.default_rng(4)
+    theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 30)])
+    phi = rng.uniform(0.0, 2.0 * math.pi, theta.shape[0])
+    basis = ylm_matrix(20, theta, phi)
+    for ell in range(21):
+        for m in range(-ell, ell + 1):
+            np.testing.assert_array_equal(basis[lm_index(ell, m)], eval_ylm(ell, m, theta, phi))
+
+
+def test_ylm_matrix_memory_is_its_output():
+    # at lmax 32 on its Gauss grid the output takes 17.8 MiB, and a
+    # (lmax+1, lmax+1, npts) Legendre table would take as much again
+    grid = gauss_legendre_grid(32)
+    tracemalloc.start()
+    try:
+        out = ylm_matrix(32, grid.theta, grid.phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * out.nbytes, (peak, out.nbytes)
 
 
 def test_eval_ylm_rejects_bad_order():
