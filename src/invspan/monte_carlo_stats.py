@@ -831,7 +831,7 @@ def orbit_random_walk(
     span = max(_WALK_PIECE // (d * d), 2)
     out = np.empty((n_states, d))
     v = start.copy()
-    pending = np.empty((0, d, d))
+    pending = []
     k = done = 0
     block_size = 20000
     while done < steps:
@@ -846,18 +846,21 @@ def orbit_random_walk(
             p = rng.permuted(np.tile(np.arange(d), (hi - lo, 1)), axis=1)
             mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
-            # burn-in steps one at a time, every later step into a group of
-            # thin; an unfinished group carries into the next piece
             single = max(burn_in - done - lo, 0)
             for step in conj[:single]:
                 v = step @ v
-            stack = np.concatenate([pending, conj[single:]]) if len(pending) else conj[single:]
-            grouped = thin * (len(stack) // thin)
-            for product in _ordered_products(stack[:grouped].reshape(-1, thin, d, d)):
-                v = product @ v
-                out[k] = v
-                k += 1
-            pending = stack[grouped:]
+            # later steps join the pending ones, kept as slices of their
+            # pieces, so an unfinished group is copied once, when it is whole
+            pending += [conj[single:]] if single < hi - lo else []
+            held = sum(map(len, pending))
+            if held >= thin:
+                stack = np.concatenate(pending) if len(pending) > 1 else pending[0]
+                grouped = thin * (held // thin)
+                for product in _ordered_products(stack[:grouped].reshape(-1, thin, d, d)):
+                    v = product @ v
+                    out[k] = v
+                    k += 1
+                pending = [stack[grouped:]] if grouped < held else []
             lo = hi
         done += block
     drift = np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
