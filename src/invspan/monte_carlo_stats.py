@@ -22,6 +22,14 @@ can stop once the decision is fixed (Besag & Clifford 1991, Biometrika
 78:301); only calibration, which exposes decisions alone, uses that, so
 every public report draws all B.
 
+The Gaussianity test takes the normal CDF from a numpy port of Cephes
+ndtr that is bit-equal to scipy.special.ndtr, so the module needs numpy
+alone.  Its bootstrap scores each replicate with a logistic approximation
+to the CDF, whose error is below _SCREEN_BOUND, and rescores exactly only
+the replicates whose approximate distance lies within _SCREEN_BOUND of the
+observed one.  Every other replicate falls on the same side of it either
+way, so every count is that of exact scoring.
+
 Every test consumes an integer seed and returns a TestReport that is
 bit-identical across runs with the same inputs.  Internally each logical
 unit of randomness derives its own stream from the seed, so results do
@@ -707,12 +715,88 @@ def test_uniform_on_sphere(
 # One-dimensional Gaussianity
 
 
-def _ks_zero_mean_unit(sorted_scaled: np.ndarray) -> np.ndarray:
-    """KS distances against N(0,1) for pre-sorted rows, shape (..., n)."""
-    from scipy.special import ndtr
+# Cephes ndtr (Moshier 1989), the algorithm scipy.special.ndtr runs, with
+# its coefficients and Horner order: erf's rational form T/U for |a| < 1,
+# 1 - erf up to sqrt(2), then erfc's P/Q form below 8 sqrt(2) and its R/S
+# form beyond, until a^2/2 passes _MAXLOG and erfc is taken as 0
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878019e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+# a replicate's screened KS distance is within 1.4145e-4 of its exact one,
+# so only replicates this close to the observed distance can fall on
+# either side of it
+_SCREEN_BOUND = 2e-4
 
-    n = sorted_scaled.shape[-1]
-    cdf = ndtr(sorted_scaled)
+
+def _polevl(x, coefs, monic=False):
+    """Cephes polevl, or p1evl when monic (a leading coefficient 1 left out of coefs)."""
+    ans = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x):
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a non-NaN float array, bit-equal to scipy.special.ndtr.
+
+    exp(-x^2) goes through math.exp, the C library exp Cephes calls: np.exp
+    may differ from it in the last bit.
+    """
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    mid = ~inner & (z < 1.0)
+    y[mid] = 0.5 * (1.0 - _erf(z[mid]))
+    tail = z >= 1.0
+    t = z[tail]
+    live = t * t <= _MAXLOG
+    t = t[live]
+    e = np.fromiter(map(math.exp, (-(t * t)).tolist()), float, t.size)
+    near = t < 8.0
+    p = np.where(near, _polevl(t, _ERFC_P), _polevl(t, _ERFC_R))
+    q = np.where(near, _polevl(t, _ERFC_Q, monic=True), _polevl(t, _ERFC_S, monic=True))
+    erfc = np.zeros(live.shape)
+    erfc[live] = e * p / q
+    y[tail] = 0.5 * erfc
+    upper = ~inner & (x > 0.0)
+    y[upper] = 1.0 - y[upper]
+    return y
+
+
+def _screen_ndtr(a: np.ndarray) -> np.ndarray:
+    """Logistic approximation to the standard normal CDF (Bowling et al. 2009).
+
+    1/(1 + exp(-a(1.5976 + 0.07056 a^2))) is within 1.4145e-4 of the CDF
+    everywhere, so KS distances taken from it are too.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a * (1.5976 + 0.07056 * a * a)))
+
+
+def _ks_distance(cdf: np.ndarray) -> np.ndarray:
+    """KS distances of pre-sorted rows, given a CDF at each row's values, shape (..., n)."""
+    n = cdf.shape[-1]
     steps = np.arange(1, n + 1) / n
     upper = np.max(steps - cdf, axis=-1)
     lower = np.max(cdf - (steps - 1.0 / n), axis=-1)
@@ -732,14 +816,20 @@ def _gaussianity_core(values, seed, n_bootstrap, stop=None):
         raise ValueError(f"need at least 99 bootstrap replicates, got {n_bootstrap}")
     n = v.size
     scale = math.sqrt(float(np.mean(v * v)))
-    observed = float(_ks_zero_mean_unit(np.sort(v / scale)))
+    observed = float(_ks_distance(_ndtr(np.sort(v / scale))))
     rng = np.random.default_rng(seed)
 
     def simulated():
+        # each replicate is scored from the screen, and again exactly when
+        # it lies within _SCREEN_BOUND of observed: every count is exact
         for k in _chunk_sizes(n_bootstrap, max(1, _SIMULATION_CHUNK // n)):
             z = rng.standard_normal((k, n))
             fitted = np.sqrt(np.mean(z * z, axis=1))
-            yield _ks_zero_mean_unit(np.sort(z / fitted[:, None], axis=1))[None]
+            rows = np.sort(z / fitted[:, None], axis=1)
+            sims = _ks_distance(_screen_ndtr(rows))
+            close = np.abs(sims - observed) <= _SCREEN_BOUND
+            sims[close] = _ks_distance(_ndtr(rows[close]))
+            yield sims[None]
 
     return (observed, *_count_exceedances(observed, simulated(), stop))
 

@@ -360,3 +360,30 @@ def orbit_random_walk(ell, steps, include_odd_permutation=False, start=None, see
             if done > burn_in and (done - burn_in) % thin == 0:
                 recorded.append(v.copy())
     return np.array(recorded)
+
+
+def gaussianity_bootstrap(values, seed, n_bootstrap, stop=None):
+    """Observed KS distance, exceedance count and draws scored, from scipy.special.ndtr.
+
+    A curtailed run scores whole chunks (monte_carlo_stats._FIRST_CHUNK
+    draws, doubling, at most _SIMULATION_CHUNK // n) and stops after the
+    chunk in which the count reaches stop.
+    """
+    from scipy.special import ndtr
+
+    v = np.asarray(values, dtype=float).ravel()
+    n = v.size
+    steps = np.arange(1, n + 1) / n
+
+    def ks(row):
+        cdf = ndtr(np.sort(row / math.sqrt(float(np.mean(row * row)))))
+        return max(float(np.max(steps - cdf)), float(np.max(cdf - (steps - 1.0 / n))))
+
+    observed = ks(v)
+    z = np.random.default_rng(seed).standard_normal((n_bootstrap, n))
+    exceeds = [ks(row) >= observed for row in z]
+    used, size = 0, mcs._FIRST_CHUNK
+    while used < n_bootstrap and (stop is None or sum(exceeds[:used]) < stop):
+        used = min(used + min(size, max(1, mcs._SIMULATION_CHUNK // n)), n_bootstrap)
+        size *= 2
+    return observed, sum(exceeds[:used]), used

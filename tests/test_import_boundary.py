@@ -1,11 +1,11 @@
 """Which numeric modules each entry point loads, checked in fresh processes.
 
 The CLI applies the INVSPAN_THREADS cap before numpy loads, so importing
-the package must load no numeric module.  scipy is imported only where it
-is used, inside test_gaussianity_1d's Kolmogorov-Smirnov helper, so the
-algebra, theorem-2 and orbit-walk commands never pay its start-up time and
-memory.  The source is also parsed, so a scipy import anywhere else fails
-even on a path no command exercises.
+the package must load no numeric module.  numpy is the package's only
+runtime dependency: no module imports scipy, which the tests keep as an
+oracle, so no command pays its start-up time and memory.  The source is
+parsed, so a scipy import fails even on a path no command exercises, and
+every command is run, each golden case in one fresh process.
 """
 
 import ast
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import invspan
+from invspan import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -95,29 +96,28 @@ def _scipy_imports(tree: ast.AST):
     return found
 
 
-def test_only_the_gaussianity_helper_imports_scipy():
+def test_the_package_source_imports_no_scipy():
     package = Path(invspan.__file__).resolve().parent
     found = {
         path.name: _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(package.glob("*.py"))
     }
-    assert {name: scopes for name, scopes in found.items() if scopes} == {
-        "monte_carlo_stats.py": ["_ks_zero_mean_unit"]
-    }
+    assert {name: scopes for name, scopes in found.items() if scopes} == {}
 
 
-def test_bernstein_imports_scipy_on_use_and_matches_its_golden():
-    argv = json.loads((GOLDEN / "cases.json").read_text())["test-bernstein"]
+def test_every_command_runs_without_scipy_and_bernstein_matches_its_golden():
+    cases = json.loads((GOLDEN / "cases.json").read_text())
     seen = _child(
         f"""
-before = loaded("scipy")
-code, text = run({argv!r})
-print(json.dumps([before, code, text, "scipy.special" in sys.modules]))
+runs = {{name: run(argv) for name, argv in {cases!r}.items()}}
+print(json.dumps([runs, loaded("scipy")]))
 """
     )
-    before, code, text, special_loaded = seen
+    runs, scipy_loaded = seen
+    assert {argv[0] for argv in cases.values()} == set(cli._HANDLERS)
+    assert scipy_loaded == []
+    code, text = runs["test-bernstein"]
     golden = (GOLDEN / "test-bernstein.json").read_text(encoding="utf-8")
-    assert before == []
     assert text == golden
     assert code == (0 if json.loads(golden)["all_as_expected"] else 1)
-    assert special_loaded
+    assert {name: code for name, (code, _) in runs.items() if code not in (0, 1)} == {}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import chisquare
 
 import reference_engine as ref
@@ -974,6 +975,63 @@ def test_gaussianity_input_validation():
         mcs.test_gaussianity_1d(np.zeros(50), 0)
     with pytest.raises(ValueError):
         mcs.test_gaussianity_1d(np.r_[np.ones(499), np.nan], 0)
+
+
+def test_ndtr_port_is_bit_equal_to_scipy():
+    rng = np.random.default_rng(90)
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * mcs._MAXLOG)]
+    edges = [e for b in edges for e in (b, np.nextafter(b, 0.0), np.nextafter(b, np.inf))]
+    far = [38.0, 38.5, 40.0, 1e3, 1e6, np.inf]
+    x = np.concatenate(
+        [
+            rng.standard_normal(200_000),
+            3.0 * rng.standard_normal(200_000),
+            np.linspace(-40.0, 40.0, 800_001),
+            edges,
+            np.negative(edges),
+            [0.0, -0.0],
+            far,
+            np.negative(far),
+        ]
+    )
+    np.testing.assert_array_equal(mcs._ndtr(x).view(np.int64), ndtr(x).view(np.int64))
+
+
+def test_screen_error_stays_below_its_bound():
+    # between grid points the error moves by at most the largest gap between
+    # the two derivatives times half the step; beyond +-40 both CDFs are
+    # within 1e-300 of 0 and 1
+    step = 1e-5
+    worst = gap = 0.0
+    for start in np.arange(-40.0, 40.0, 10.0):
+        x = start + step * np.arange(1_000_001)
+        s = mcs._screen_ndtr(x)
+        worst = max(worst, float(np.max(np.abs(s - ndtr(x)))))
+        slope = s * (1.0 - s) * (1.5976 + 3.0 * 0.07056 * x * x)
+        gap = max(gap, float(np.max(np.abs(slope - np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))))
+    assert worst < 1.4146e-4
+    assert worst + gap * step / 2.0 < mcs._SCREEN_BOUND
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 400),
+    b=st.sampled_from((99, 299)),
+    kind=st.sampled_from(("normal", "t3", "repeated")),
+    alpha=st.sampled_from((0.01, 0.05, 0.2)),
+)
+def test_gaussianity_core_matches_the_scipy_reference(seed, n, b, kind, alpha):
+    rng = np.random.default_rng(seed)
+    values = {
+        "normal": lambda: rng.standard_normal(n),
+        "t3": lambda: rng.standard_t(3, n),
+        "repeated": lambda: rng.integers(-3, 4, n) * rng.choice((0.5, 1.0)),
+    }[kind]()
+    for stop in (None, mcs._stop_count(alpha, b)):
+        observed, counts, used = mcs._gaussianity_core(values, seed, b, stop)
+        expected, count, expected_used = ref.gaussianity_bootstrap(values, seed, b, stop)
+        assert (observed, counts.tolist(), used) == (expected, [count], expected_used)
 
 
 # ---------------------------------------------------------------------------
