@@ -4,8 +4,9 @@ Each subcommand runs one verification or simulation pipeline and emits a
 JSON report (CSV for the raw-data outputs) that is byte-identical for
 identical arguments, seed and INVSPAN_THREADS: a different BLAS thread
 count can move a statistic's last bits.  Exit codes: 0 all checks passed, 1 a
-mathematical check failed, 2 usage error (also running out of memory), 3
-degenerate input.
+mathematical check failed (also an internal invariance or arithmetic check,
+which prints its message and no report), 2 usage error (also running out of
+memory), 3 degenerate input.
 
 The INVSPAN_THREADS environment variable caps the linear-algebra thread
 pools (0 means automatic).  It is read on every call and applied before
@@ -204,8 +205,7 @@ def _run_spectrum_estimate(args: argparse.Namespace):
     off_max = 0.0
     for m in moments:
         off = np.abs(m - np.diag(np.diag(m)))
-        if off.size:
-            off_max = max(off_max, float(off.max()))
+        off_max = max(off_max, float(off.max()))
     payload = {
         "command": "spectrum-estimate",
         "lmax": int(spectrum.lmax),
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
-    from .errors import DegenerateInputError, DimensionError
+    from .errors import DegenerateInputError, DimensionError, InvarianceViolationError
 
     handler = _HANDLERS[args.command]
     try:
@@ -464,6 +464,10 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (InvarianceViolationError, ArithmeticError) as exc:
+        # a failed internal check; InvarianceViolationError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (DimensionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,8 +12,10 @@ only the uniform distribution invariant.
 Every distance test (the unpaired and the paired energy tests and the
 distance covariance) reads its Euclidean distances from one generator of
 float64 upper-triangle row panels in Gram form, so no test stores an
-n x n matrix and no statistic's definition depends on the sample size.
-Distances between bitwise equal rows are exactly zero.
+n x n matrix.  Distances between bitwise equal rows are exactly zero.
+Distance covariance stores its centred distances, and scores its radii,
+in float32 above _FLOAT32_CUTOVER rows, so its last bits depend on the
+sample size; every other statistic is float64 at every size.
 
 Every test scores its simulated statistics through one exceedance
 counter and reports the p-value (1 + c)/(B + 1), c being the number of
@@ -361,9 +363,9 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     (tr K + 2 sum_{i<j} K_ij u_i u_j) / n^2.
 
     K is never stored: its upper-triangle row panels K[lo:hi, lo:] are
-    assembled from the 2 x 2 block panels of _distance_panels on the
-    pooled rows (x, y), about _ENERGY_PANEL entries of K each, and each
-    panel meets every column in one matrix product with signs[lo:].  The
+    formed in the D_xy block of each 2 x 2 block panel of _distance_panels
+    on the pooled rows (x, y), about _ENERGY_PANEL entries of K each, and
+    each panel meets every column in one matrix product with signs[lo:].  The
     diagonal 2|x_i - y_i| comes from x - y directly.  Pairs with x_i == y_i
     bitwise are left out (u_i = 0): their row and column of K vanish.
     """
@@ -375,10 +377,10 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     trace = 2.0 * float(np.linalg.norm(x_rows - y_rows, axis=1).sum())
     totals = np.zeros(signs.shape[1])
     if k > 1:
-        k_buf = np.empty(max((hi - lo) * (k - lo) for lo, hi in _panel_rows(k, _ENERGY_PANEL)))
         for lo, hi, gram in _distance_panels(np.concatenate([x_rows, y_rows]), 2, _ENERGY_PANEL):
             h, w = hi - lo, k - lo
-            panel = np.add(gram[:h, w:], gram[h:, :w], out=k_buf[: h * w].reshape(h, w))
+            panel = gram[:h, w:]
+            panel += gram[h:, :w]
             panel -= gram[:h, :w]
             panel -= gram[h:, w:]
             totals += np.einsum("ib,ib->b", signs[lo:hi], panel @ signs[lo:])
@@ -522,7 +524,9 @@ def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray
     Two passes over the _distance_panels blocks of about _DCOV_BUFFER
     entries: the first sums the rows of the distance matrix, the second
     centres and doubles each block in float64 (exact) and writes its
-    upper triangle into the rows, which alone are cast to dtype.  The
+    upper triangle into the rows, which alone are cast to dtype: row i's
+    pairs at offsets e <= n // 2 go down column i, the rest to row n - e - 1
+    at column i + e, one anti-diagonal (a flat slice with step 1 - n).  The
     returned w_i = sum_{j != i} A_ij sums those stored entries in float64.
     """
     n = directions.shape[0]
@@ -534,32 +538,19 @@ def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray
     grand = float(means.mean())
     half = n // 2
     offsets = np.zeros((half, n), dtype=dtype)
+    flat = offsets.reshape(-1)
     for lo, hi, block in _distance_panels(directions, 1, _DCOV_BUFFER):
         block -= means[lo:hi, None]
         block -= means[None, lo:]
         block += grand
         block *= 2
-        h, w = block.shape
-        # sheared[r, e] = block[r, r + e]: the pair (lo + r, lo + r + e),
-        # for every offset e < n - hi + 1, where no row runs out of the block
-        sheared = sliding_window_view(block.reshape(-1), n - hi + 1)[:: w + 1]
-        near = min(half, n - hi)
-        offsets[:near, lo:hi] = sheared[:, 1 : near + 1].T
-        if n - hi > half:
-            # offset e > n // 2 goes to row n - e - 1 at column lo + r + e;
-            # those rows, counted up from hi - 1, start n - 1 entries apart
-            rows = sliding_window_view(offsets.reshape(-1), h, writeable=True)[lo + n - 1 :: n - 1]
-            rows[hi - 1 : n - half - 1] = sheared[:, n - hi : half : -1].T
-        # the offsets beyond n - hi are the strict upper triangle of the
-        # block's last h columns, one diagonal at a time
-        corner = block[:, w - h :]
-        for q in range(1, h):
-            e = n - hi + q
-            line = np.diagonal(corner, q)
-            if e <= half:
-                offsets[e - 1, lo : lo + h - q] = line
-            else:
-                offsets[n - e - 1, lo + e : lo + e + h - q] = line
+        for r, i in enumerate(range(lo, hi)):
+            # pairs[e - 1] = 2 A[i, i + e]
+            pairs = block[r, r + 1 :]
+            offsets[: min(half, pairs.size), i] = pairs[:half]
+            if pairs.size > half:
+                # row n - half - 2 at column i + half + 1 down to row i at column n - 1
+                flat[(n - 1) * n + i - (half + 1) * (n - 1) : i * n : 1 - n] = pairs[half:]
     weights = offsets.sum(axis=0, dtype=np.float64)
     for c, row in enumerate(offsets, 1):
         weights[c:] += row[: n - c]
@@ -828,7 +819,8 @@ def _gaussianity_core(values, seed, n_bootstrap, stop=None):
             rows = np.sort(z / fitted[:, None], axis=1)
             sims = _ks_distance(_screen_ndtr(rows))
             close = np.abs(sims - observed) <= _SCREEN_BOUND
-            sims[close] = _ks_distance(_ndtr(rows[close]))
+            if close.any():
+                sims[close] = _ks_distance(_ndtr(rows[close]))
             yield sims[None]
 
     return (observed, *_count_exceedances(observed, simulated(), stop))

@@ -249,10 +249,13 @@ def read_power_spectrum(path) -> PowerSpectrum:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'ell value', got {raw!r}")
-            ell = int(parts[0])
+            try:
+                ell, value = int(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if ell in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate degree {ell}")
-            entries[ell] = float(parts[1])
+            entries[ell] = value
     if not entries:
         raise ValueError(f"{path}: no spectrum entries found")
     lmax = max(entries)
@@ -386,6 +389,4 @@ def empirical_power_spectrum(rows: np.ndarray) -> tuple[PowerSpectrum, list[np.n
         second = block.T @ block / n
         moments.append(second)
         c_hat[ell] = float(np.trace(second)) / (2 * ell + 1)
-    if np.any(c_hat < 0.0):
-        c_hat = np.maximum(c_hat, 0.0)
     return PowerSpectrum(c_hat), moments

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
-from invspan import cli
+from invspan import cli, invariance_engine, monte_carlo_stats
 from invspan.errors import DegenerateInputError
 from invspan.monte_carlo_stats import load_sample_matrix
 from invspan.sphere_harmonics import RADIAL_LAWS
@@ -240,6 +241,24 @@ def test_memory_error_maps_to_exit_2(capsys, monkeypatch):
     assert cli.main(["test-theorem2", "--ell", "1", "--n", "10000000"]) == 2
     err = capsys.readouterr().err
     assert "test-theorem2" in err and "--n 10000000" in err
+
+
+def test_failed_split_check_maps_to_exit_1(capsys):
+    # InvarianceViolationError is a ValueError, but a failed check is not a usage error
+    with mock.patch.object(invariance_engine, "_split_residual", return_value=1.0):
+        code = cli.main(["decompose", "--n", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: so(5) split is not invariant under relabeling")
+
+
+def test_arithmetic_check_maps_to_exit_1(capsys):
+    drift = ArithmeticError("norm drift 1.000e-03 exceeds 1e-8")
+    with mock.patch.object(monte_carlo_stats, "orbit_walk_samples", side_effect=drift):
+        code = cli.main(["orbit-walk", "--ell", "1", "--n", "100"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: norm drift 1.000e-03 exceeds 1e-8\n"
 
 
 def test_console_script_and_thread_cap():

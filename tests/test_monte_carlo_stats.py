@@ -755,6 +755,38 @@ def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shif
     assert np.all(np.abs(got - _offset_rows(centred)) <= 1e-9 * _offset_rows(scale))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 36, 37, 101])
+def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
+    # the dense matrix built from the same blocks by the same centring
+    # operations, gathered into the offset layout, equals _dcov_offsets bit
+    # for bit; one buffer gives many short panels, the other a first panel
+    # taller than n // 2
+    points = np.random.default_rng(n).standard_normal((n, 3))
+    if n > 4:
+        points[n // 2] = points[1]
+    for buffer in (2 * n, (n // 2 + 1) * n):
+        with mock.patch.object(mcs, "_DCOV_BUFFER", buffer):
+            got, _ = mcs._dcov_offsets(points, dtype)
+        heights = [hi - lo for lo, hi in mcs._panel_rows(n, buffer)]
+        assert len(heights) > 1 if n > 2 and buffer == 2 * n else max(heights) > n // 2
+        sums = np.zeros(n)
+        for lo, hi, block in mcs._distance_panels(points, 1, buffer):
+            sums[lo:hi] += block.sum(axis=1)
+            sums[lo:] += block.sum(axis=0)
+        means = sums / n
+        grand = float(means.mean())
+        dense = np.zeros((n, n))
+        for lo, hi, block in mcs._distance_panels(points, 1, buffer):
+            block -= means[lo:hi, None]
+            block -= means[None, lo:]
+            block += grand
+            dense[lo:hi, lo:] = block
+        upper = np.triu(dense, 1)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, _offset_rows(upper + upper.T).astype(dtype))
+
+
 def test_dcov_kernel_panel_shapes():
     # n // 2 offset rows of n entries; every unordered pair i < j is stored
     # exactly once, and only the second copy of the offset-n/2 pairs
@@ -1011,6 +1043,17 @@ def test_screen_error_stays_below_its_bound():
         gap = max(gap, float(np.max(np.abs(slope - np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))))
     assert worst < 1.4146e-4
     assert worst + gap * step / 2.0 < mcs._SCREEN_BOUND
+
+
+def test_gaussianity_bootstrap_skips_the_exact_cdf_when_no_replicate_is_close():
+    # a far-from-normal sample: every replicate's screened distance is far
+    # below the observed one, so only the observed distance needs _ndtr
+    values = np.random.default_rng(91).exponential(size=400)
+    expected = mcs._gaussianity_core(values, 92, 299)
+    with mock.patch.object(mcs, "_ndtr", wraps=mcs._ndtr) as exact:
+        got = mcs._gaussianity_core(values, 92, 299)
+    assert exact.call_count == 1
+    assert got[0] == expected[0] and got[1].tolist() == expected[1].tolist() == [0] and got[2] == expected[2]
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -1,6 +1,7 @@
 """Real spherical harmonics, sampling, synthesis, and spectrum estimation."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -361,6 +362,15 @@ def test_power_spectrum_file_errors(tmp_path):
     neg.write_text("0 -1.0\n")
     with pytest.raises(ValueError):
         read_power_spectrum(neg)
+    # an unparsable degree or value names its file and line
+    degree = tmp_path / "degree.txt"
+    degree.write_text("0 1.0\nx 0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(degree))}:2: invalid literal for int"):
+        read_power_spectrum(degree)
+    value = tmp_path / "value.txt"
+    value.write_text("# spectrum\n0 1.0\n1 y\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(value))}:3: could not convert string to float"):
+        read_power_spectrum(value)
 
 
 def test_lmax_cap_enforced():
