@@ -769,7 +769,10 @@ def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
         with mock.patch.object(mcs, "_DCOV_BUFFER", buffer):
             got, _ = mcs._dcov_offsets(points, dtype)
         heights = [hi - lo for lo, hi in mcs._panel_rows(n, buffer)]
-        assert len(heights) > 1 if n > 2 and buffer == 2 * n else max(heights) > n // 2
+        if buffer == 2 * n and n > 2:
+            assert len(heights) > 1
+        else:
+            assert max(heights) > n // 2
         sums = np.zeros(n)
         for lo, hi, block in mcs._distance_panels(points, 1, buffer):
             sums[lo:hi] += block.sum(axis=1)
