@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Each subcommand runs one verification or simulation pipeline and emits a
-JSON report (CSV for the raw-data outputs) that is byte-identical for
-identical arguments, seed and INVSPAN_THREADS: a different BLAS thread
-count can move a statistic's last bits.  Exit codes: 0 all checks passed, 1 a
-mathematical check failed (also an internal invariance or arithmetic check,
-which prints its message and no report), 2 usage error (also running out of
-memory), 3 degenerate input.
+JSON report that is byte-identical for identical arguments, seed and
+INVSPAN_THREADS: a different BLAS thread count can move a statistic's last
+bits.  One table, _COMMANDS, declares every subcommand's handler, help and
+options; main writes the command's name into its report.  Only the two
+raw-data commands take --format, whose csv writes just their table to --out.
+Exit codes: 0 all checks passed, 1 a mathematical check failed (also an
+internal invariance or arithmetic check, which prints its message and no
+report), 2 usage error (also running out of memory), 3 degenerate input.
 
 The INVSPAN_THREADS environment variable caps the linear-algebra thread
 pools (0 means automatic).  It is read on every call and applied before
@@ -30,6 +32,8 @@ import sys
 __all__ = ["main"]
 
 DEFAULT_SEED = 1729
+# the largest degree of the flat spectrum used without --spectrum or --lmax
+DEFAULT_LMAX = 4
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,12 +63,8 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(count))
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = _dump_json(payload)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -73,15 +73,14 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (exit_code, payload or None, *tables); see _tables
+# Handlers: each returns (exit_code, payload or None, *tables), see _tables; main adds "command"
 
 
 def _run_verify_span(args: argparse.Namespace):
     from .invariance_engine import verify_span
 
     report = verify_span(args.ell)
-    payload = {"command": "verify-span", "ell": int(args.ell)}
-    payload.update(report.to_dict())
+    payload = {"ell": int(args.ell), **report.to_dict()}
     # the report schema still names the span dimension w_dim
     payload["w_dim"] = payload.pop("span_dim")
     return (EXIT_OK if report.full else EXIT_CHECK_FAILED), payload
@@ -91,9 +90,7 @@ def _run_decompose(args: argparse.Namespace):
     from .invariance_engine import decompose_so_n
 
     report, _, _ = decompose_so_n(args.n)
-    payload = {"command": "decompose"}
-    payload.update(report.to_dict())
-    return EXIT_OK, payload
+    return EXIT_OK, report.to_dict()
 
 
 def _run_character(args: argparse.Namespace):
@@ -101,7 +98,6 @@ def _run_character(args: argparse.Namespace):
 
     report, _, _ = decompose_so_n(args.n)
     payload = {
-        "command": "character",
         "n": int(args.n),
         "v1": float(report.standard_char_transposition),
         "v2": float(report.stabilizer_char_transposition),
@@ -113,17 +109,15 @@ def _run_block_check(args: argparse.Namespace):
     from .invariance_engine import block_form_check
 
     report = block_form_check(args.n)
-    payload = {"command": "block-check"}
-    payload.update(report.to_dict())
-    return (EXIT_OK if report.passed else EXIT_CHECK_FAILED), payload
+    return (EXIT_OK if report.passed else EXIT_CHECK_FAILED), report.to_dict()
 
 
-def _resolve_spectrum(args: argparse.Namespace, default_lmax: int):
+def _resolve_spectrum(args: argparse.Namespace):
     from .sphere_harmonics import PowerSpectrum, read_power_spectrum
 
     if args.spectrum is not None:
         return read_power_spectrum(args.spectrum)
-    lmax = args.lmax if args.lmax is not None else default_lmax
+    lmax = args.lmax if args.lmax is not None else DEFAULT_LMAX
     return PowerSpectrum.constant(lmax, 1.0)
 
 
@@ -151,7 +145,7 @@ def _run_simulate_field(args: argparse.Namespace):
         synthesize_batch,
     )
 
-    spectrum = _resolve_spectrum(args, default_lmax=4)
+    spectrum = _resolve_spectrum(args)
     rows = sample_coefficient_arrays(spectrum, args.radial, args.n, args.seed)
     tables = _tables(args, SampleMatrix(rows), ".coefficients.csv")
     if args.format == "csv":
@@ -167,7 +161,6 @@ def _run_simulate_field(args: argparse.Namespace):
     stderr = float(per_sample.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
     within = bool(abs(mean_square - identity_value) <= 3.0 * stderr) if args.n > 1 else True
     payload = {
-        "command": "simulate-field",
         "lmax": int(spectrum.lmax),
         "n": int(args.n),
         "radial": args.radial,
@@ -190,7 +183,7 @@ def _run_spectrum_estimate(args: argparse.Namespace):
 
     from .sphere_harmonics import empirical_power_spectrum, sample_coefficient_arrays
 
-    spectrum = _resolve_spectrum(args, default_lmax=4)
+    spectrum = _resolve_spectrum(args)
     rows = sample_coefficient_arrays(spectrum, args.radial, args.n, args.seed)
     estimated, moments = empirical_power_spectrum(rows)
     stderrs = []
@@ -207,7 +200,6 @@ def _run_spectrum_estimate(args: argparse.Namespace):
         off = np.abs(m - np.diag(np.diag(m)))
         off_max = max(off_max, float(off.max()))
     payload = {
-        "command": "spectrum-estimate",
         "lmax": int(spectrum.lmax),
         "n": int(args.n),
         "radial": args.radial,
@@ -250,7 +242,6 @@ def _run_test_theorem2(args: argparse.Namespace):
     }
     all_passed = not any(r.reject for r in reports.values())
     payload = {
-        "command": "test-theorem2",
         "ell": int(args.ell),
         "n": int(args.n),
         "radial": args.radial,
@@ -299,7 +290,6 @@ def _run_test_bernstein(args: argparse.Namespace):
             }
         )
     payload = {
-        "command": "test-bernstein",
         "n": int(args.n),
         "d": int(args.d),
         "seed": int(args.seed),
@@ -321,7 +311,6 @@ def _run_orbit_walk(args: argparse.Namespace):
         return (EXIT_OK, None, *tables)
     rep = test_uniform_on_sphere(states, seeds[1], args.alpha)
     payload = {
-        "command": "orbit-walk",
         "ell": int(args.ell),
         "n": int(args.n),
         "include_odd_permutation": bool(args.odd),
@@ -338,25 +327,51 @@ def _run_calibrate(args: argparse.Namespace):
     from .monte_carlo_stats import calibration_suite
 
     result = calibration_suite(args.seed, args.n, args.alpha, args.permutations)
-    payload = {"command": "calibrate"}
-    payload.update(result)
-    return (EXIT_OK if result["all_within_band"] else EXIT_CHECK_FAILED), payload
+    return (EXIT_OK if result["all_within_band"] else EXIT_CHECK_FAILED), result
 
 
-_HANDLERS = {
-    "verify-span": _run_verify_span,
-    "decompose": _run_decompose,
-    "character": _run_character,
-    "block-check": _run_block_check,
-    "simulate-field": _run_simulate_field,
-    "spectrum-estimate": _run_spectrum_estimate,
-    "test-theorem2": _run_test_theorem2,
-    "test-bernstein": _run_test_bernstein,
-    "orbit-walk": _run_orbit_walk,
-    "calibrate": _run_calibrate,
+# ---------------------------------------------------------------------------
+# The command table: _build_parser, _HANDLERS and _validate all read it
+
+# each option's argparse keywords shared by every command that takes it
+_OPTIONS = {
+    "ell": {"type": int, "help": "weight of the irreducible rotation representation (>= 1)"},
+    "lmax": {"type": int, "help": "largest harmonic degree"},
+    "n": {"type": int, "help": "sample count"},
+    "d": {"type": int, "help": "vector dimension"},
+    "radial": {"choices": _RADIAL_CHOICES, "help": "radial law for coefficient draws"},
+    "spectrum": {"help": "power spectrum file ('ell value' lines)"},
+    "alpha": {"type": float, "help": "test level in (0, 1)"},
+    "permutations": {"type": int, "help": "permutation / replicate count (>= 99)"},
+    "odd": {"action": "store_true", "help": "interleave a fixed odd coordinate swap into the walk"},
+    "seed": {"type": int, "help": "master seed"},
+    "out": {"help": "write the report here instead of stdout"},
+    "format": {"choices": ("json", "csv"), "help": "report format (csv writes only the data table, to --out)"},
 }
 
-_CSV_COMMANDS = {"simulate-field", "orbit-walk"}
+_SEED_OUT = {"seed": DEFAULT_SEED, "out": None}
+# so(n) commands: --n is the matrix side, listed after --seed and --out in their help
+_SO_N = {**_SEED_OUT, "n": {"required": True, "help": "matrix side (>= 4)"}}
+
+# name -> (handler, help, options); each option maps to its default, or to a
+# dict of argparse keywords added to its _OPTIONS entry; the order is the help's
+_COMMANDS = {
+    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True}, **_SEED_OUT}),
+    "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _SO_N),
+    "character": (_run_character, "transposition characters of the two components", _SO_N),
+    "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _SO_N),
+    "simulate-field": (_run_simulate_field, "draw random harmonic coefficients and check the variance identity", {"lmax": None, "n": 1000, "radial": "chi", "spectrum": None, **_SEED_OUT, "format": "json"}),
+    "spectrum-estimate": (_run_spectrum_estimate, "estimate the power spectrum from fresh coefficient draws", {"lmax": None, "n": 2000, "radial": "chi", "spectrum": None, **_SEED_OUT}),
+    "test-theorem2": (_run_test_theorem2, "exchangeability, rotation-invariance and radius/direction tests on one degree block", {"ell": {"required": True}, "n": 1000, "radial": "chi", "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
+    "test-bernstein": (_run_test_bernstein, "Gaussian-characterization demonstrations", {"n": 2000, "d": 5, "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
+    "orbit-walk": (_run_orbit_walk, "random walk under conjugated rotations plus a uniformity test", {"ell": {"required": True}, "n": 2000, "alpha": 0.01, "odd": False, **_SEED_OUT, "format": "json"}),
+    "calibrate": (_run_calibrate, "null rejection rates for every test", {"n": {"default": 200, "help": "repetitions per test"}, "alpha": 0.05, "permutations": 199, **_SEED_OUT}),
+}
+
+_HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
+
+# the smallest value of each integer option, checked in this order
+_LOWER_BOUNDS = {"ell": 1, "lmax": 0, "n": 1, "d": 2}
 
 
 @functools.cache
@@ -377,70 +392,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def add(name, help_text, **needed):
+    for name, (_, help_text, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        # _validate reads these on every command; None where the command has no such option
-        cmd.set_defaults(ell=None, lmax=None, n=None, d=None, alpha=None, permutations=None)
-        if "ell" in needed:
-            cmd.add_argument("--ell", type=int, required=needed["ell"] == "required", help="weight of the irreducible rotation representation (>= 1)")
-        if "lmax" in needed:
-            cmd.add_argument("--lmax", type=int, default=None, help="largest harmonic degree")
-        if "n" in needed:
-            cmd.add_argument("--n", type=int, default=needed["n"], help="sample count")
-        if "d" in needed:
-            cmd.add_argument("--d", type=int, default=needed["d"], help="vector dimension")
-        if "radial" in needed:
-            cmd.add_argument("--radial", choices=_RADIAL_CHOICES, default="chi", help="radial law for coefficient draws")
-        if "spectrum" in needed:
-            cmd.add_argument("--spectrum", default=None, help="power spectrum file ('ell value' lines)")
-        if "alpha" in needed:
-            cmd.add_argument("--alpha", type=float, default=0.01, help="test level in (0, 1)")
-        if "permutations" in needed:
-            cmd.add_argument("--permutations", type=int, default=999, help="permutation / replicate count (>= 99)")
-        if "odd" in needed:
-            cmd.add_argument("--odd", action="store_true", help="interleave a fixed odd coordinate swap into the walk")
-        cmd.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-        cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json", help="report format (csv only for raw-data commands)")
-        return cmd
-
-    add("verify-span", "certify that conjugated generators span the full antisymmetric algebra", ell="required")
-    for name, help_text in (
-        ("decompose", "split so(n) into the standard-part and stabilizer-part components"),
-        ("character", "transposition characters of the two components"),
-        ("block-check", "verify the basis change splitting the permutation action"),
-    ):
-        add(name, help_text).add_argument("--n", type=int, required=True, help="matrix side (>= 4)")
-    add("simulate-field", "draw random harmonic coefficients and check the variance identity", lmax=True, n=1000, radial=True, spectrum=True)
-    add("spectrum-estimate", "estimate the power spectrum from fresh coefficient draws", lmax=True, n=2000, radial=True, spectrum=True)
-    add("test-theorem2", "exchangeability, rotation-invariance and radius/direction tests on one degree block", ell="required", n=1000, radial=True, alpha=True, permutations=True)
-    add("test-bernstein", "Gaussian-characterization demonstrations", n=2000, d=5, alpha=True, permutations=True)
-    add("orbit-walk", "random walk under conjugated rotations plus a uniformity test", ell="required", n=2000, alpha=True, odd=True)
-    add("calibrate", "null rejection rates for every test", n=200, alpha=True, permutations=True).set_defaults(alpha=0.05, permutations=199)
+        for option, spec in options.items():
+            extra = spec if isinstance(spec, dict) else {"default": spec}
+            cmd.add_argument(f"--{option}", **{**_OPTIONS[option], **extra})
     return parser
 
 
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.ell is not None and args.ell < 1:
-        parser.error(f"--ell must be >= 1, got {args.ell}")
-    if args.lmax is not None and args.lmax < 0:
-        parser.error(f"--lmax must be >= 0, got {args.lmax}")
-    if args.n is not None and args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
-    if args.d is not None and args.d < 2:
-        parser.error(f"--d must be >= 2, got {args.d}")
+    # a command lacks the options it does not take, hence getattr
+    for option, lowest in _LOWER_BOUNDS.items():
+        value = getattr(args, option, None)
+        if value is not None and value < lowest:
+            parser.error(f"--{option} must be >= {lowest}, got {value}")
     if args.command in ("decompose", "character", "block-check") and args.n < 4:
         parser.error(f"--n must be >= 4, got {args.n}")
-    if args.alpha is not None and not (0.0 < args.alpha < 1.0):
+    if getattr(args, "alpha", None) is not None and not (0.0 < args.alpha < 1.0):
         parser.error(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.permutations is not None and args.permutations < 99:
+    if getattr(args, "permutations", None) is not None and args.permutations < 99:
         parser.error(f"--permutations must be >= 99, got {args.permutations}")
-    if args.format == "csv":
-        if args.command not in _CSV_COMMANDS:
-            parser.error(f"--format csv is not available for {args.command}")
-        if args.out is None:
-            parser.error("--format csv requires --out")
+    if getattr(args, "format", None) == "csv" and args.out is None:
+        parser.error("--format csv requires --out")
+    if getattr(args, "lmax", None) is not None and getattr(args, "spectrum", None) is not None:
+        parser.error("--lmax and --spectrum are exclusive: the spectrum file sets its own lmax")
 
 
 def main(argv=None) -> int:
@@ -456,7 +431,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
-    from .errors import DegenerateInputError, DimensionError, InvarianceViolationError
+    from .errors import DegenerateInputError, InvarianceViolationError
 
     handler = _HANDLERS[args.command]
     try:
@@ -468,16 +443,16 @@ def main(argv=None) -> int:
         # a failed internal check; InvarianceViolationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (DimensionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        size = f" at --n {args.n}; try a smaller --n" if args.n is not None else ""
+        size = f" at --n {args.n}; try a smaller --n" if getattr(args, "n", None) is not None else ""
         print(f"error: {args.command} ran out of memory{size}", file=sys.stderr)
         return EXIT_USAGE
     if payload is not None:
         try:
-            _emit(payload, args.out)
+            _emit({"command": args.command, **payload}, args.out)
         except OSError as exc:
             print(f"error: cannot write report to {args.out or 'stdout'}: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -205,6 +205,48 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-span", "--ell", "1"],
+        ["decompose", "--n", "4"],
+        ["character", "--n", "4"],
+        ["block-check", "--n", "4"],
+        ["spectrum-estimate", "--lmax", "1", "--n", "5"],
+        ["test-theorem2", "--ell", "1", "--n", "20", "--permutations", "99"],
+        ["test-bernstein", "--n", "20", "--permutations", "99"],
+        ["calibrate", "--n", "1"],
+    ],
+)
+def test_format_only_where_a_table_exists(capsys, argv):
+    # a command that writes no data table has no --format option
+    assert cli.main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --format json\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate-field", "--lmax", "1", "--n", "5"], ["orbit-walk", "--ell", "1", "--n", "20"]],
+)
+def test_table_commands_accept_format_json(capsys, argv):
+    code, payload = run_json(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert payload["command"] == argv[0]
+
+
+@pytest.mark.parametrize("command", ["simulate-field", "spectrum-estimate"])
+def test_lmax_and_spectrum_are_exclusive(capsys, tmp_path, command):
+    # the file fixes lmax, so a --lmax beside it would be ignored
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("0 1.0\n1 0.5\n")
+    assert cli.main([command, "--spectrum", str(spec_path), "--lmax", "8", "--n", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--lmax" in captured.err and "--spectrum" in captured.err
+
+
 def test_help_exits_cleanly(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -241,6 +283,11 @@ def test_memory_error_maps_to_exit_2(capsys, monkeypatch):
     assert cli.main(["test-theorem2", "--ell", "1", "--n", "10000000"]) == 2
     err = capsys.readouterr().err
     assert "test-theorem2" in err and "--n 10000000" in err
+
+    # a command without --n names only itself
+    monkeypatch.setitem(cli._HANDLERS, "verify-span", raiser)
+    assert cli.main(["verify-span", "--ell", "1"]) == 2
+    assert capsys.readouterr().err == "error: verify-span ran out of memory\n"
 
 
 def test_failed_split_check_maps_to_exit_1(capsys):

@@ -371,6 +371,12 @@ def test_power_spectrum_file_errors(tmp_path):
     value.write_text("# spectrum\n0 1.0\n1 y\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(value))}:3: could not convert string to float"):
         read_power_spectrum(value)
+    # so does a negative or non-finite value
+    for text, lineno in (("0 1.0\n1 -0.5\n", 2), ("0 nan\n", 1), ("0 inf\n", 1)):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:{lineno}: power values must be finite and nonnegative"):
+            read_power_spectrum(bad)
 
 
 def test_lmax_cap_enforced():
