@@ -4,8 +4,9 @@ Each subcommand runs one verification or simulation pipeline and emits a
 JSON report that is byte-identical for identical arguments, seed and
 INVSPAN_THREADS: a different BLAS thread count can move a statistic's last
 bits.  One table, _COMMANDS, declares every subcommand's handler, help and
-options; main writes the command's name into its report.  Only the two
-raw-data commands take --format, whose csv writes just their table to --out.
+options; main writes the command's name into its report.  Only the commands
+that draw random numbers take --seed, and only the two raw-data commands
+take --format, whose csv writes just their table to --out.
 Exit codes: 0 all checks passed, 1 a mathematical check failed (also an
 internal invariance or arithmetic check, which prints its message and no
 report), 2 usage error (also running out of memory), 3 degenerate input.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -121,6 +123,12 @@ def _resolve_spectrum(args: argparse.Namespace):
     return PowerSpectrum.constant(lmax, 1.0)
 
 
+def _within_3se(estimate: float, target: float, per_sample) -> tuple[float, bool]:
+    """Standard error of per_sample's mean, and whether estimate is within 3 of them of target (one sample is)."""
+    se = float(per_sample.std(ddof=1) / math.sqrt(per_sample.size)) if per_sample.size > 1 else 0.0
+    return se, per_sample.size < 2 or bool(abs(estimate - target) <= 3.0 * se)
+
+
 def _tables(args: argparse.Namespace, samples, suffix: str) -> list:
     """The (path, samples) files to write: --out itself under --format csv, else --out + suffix.
 
@@ -132,8 +140,6 @@ def _tables(args: argparse.Namespace, samples, suffix: str) -> list:
 
 
 def _run_simulate_field(args: argparse.Namespace):
-    import math
-
     import numpy as np
 
     from .monte_carlo_stats import SampleMatrix
@@ -158,8 +164,7 @@ def _run_simulate_field(args: argparse.Namespace):
         sum((2 * ell + 1) * c for ell, c in enumerate(spectrum.values)) / (4.0 * math.pi)
     )
     mean_square = float(per_sample.mean())
-    stderr = float(per_sample.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
-    within = bool(abs(mean_square - identity_value) <= 3.0 * stderr) if args.n > 1 else True
+    stderr, within = _within_3se(mean_square, identity_value, per_sample)
     payload = {
         "lmax": int(spectrum.lmax),
         "n": int(args.n),
@@ -177,8 +182,6 @@ def _run_simulate_field(args: argparse.Namespace):
 
 
 def _run_spectrum_estimate(args: argparse.Namespace):
-    import math
-
     import numpy as np
 
     from .sphere_harmonics import empirical_power_spectrum, sample_coefficient_arrays
@@ -191,10 +194,9 @@ def _run_spectrum_estimate(args: argparse.Namespace):
     for ell in range(spectrum.lmax + 1):
         block = rows[:, ell * ell : (ell + 1) ** 2]
         per_sample = np.einsum("ij,ij->i", block, block) / (2 * ell + 1)
-        se = float(per_sample.std(ddof=1) / math.sqrt(args.n)) if args.n > 1 else 0.0
+        se, ok = _within_3se(float(estimated.values[ell]), float(spectrum.values[ell]), per_sample)
         stderrs.append(se)
-        ok = abs(float(estimated.values[ell]) - float(spectrum.values[ell])) <= 3.0 * se
-        within.append(bool(ok))
+        within.append(ok)
     off_max = 0.0
     for m in moments:
         off = np.abs(m - np.diag(np.diag(m)))
@@ -350,13 +352,13 @@ _OPTIONS = {
 }
 
 _SEED_OUT = {"seed": DEFAULT_SEED, "out": None}
-# so(n) commands: --n is the matrix side, listed after --seed and --out in their help
-_SO_N = {**_SEED_OUT, "n": {"required": True, "help": "matrix side (>= 4)"}}
+# so(n) commands: --n is the matrix side, listed after --out in their help
+_SO_N = {"out": None, "n": {"required": True, "help": "matrix side (>= 4)"}}
 
 # name -> (handler, help, options); each option maps to its default, or to a
 # dict of argparse keywords added to its _OPTIONS entry; the order is the help's
 _COMMANDS = {
-    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True}, **_SEED_OUT}),
+    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True}, "out": None}),
     "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _SO_N),
     "character": (_run_character, "transposition characters of the two components", _SO_N),
     "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _SO_N),

@@ -75,11 +75,10 @@ GAUSSIANITY_BOOTSTRAP = 299
 # above this many rows distance covariance stores its centred distances,
 # and the radii it scores against them, in float32
 _FLOAT32_CUTOVER = 2048
-# scratch entries per distance-covariance kernel pass, and per distance
-# block it centres (1 MiB in float64)
-_DCOV_BUFFER = 2**17
-# entries per energy-test triangle panel (a paired test's Gram block holds 4x)
-_ENERGY_PANEL = 2**17
+# scratch entries per distance panel (1 MiB in float64): an energy-test
+# triangle panel (a paired test's Gram block holds 4x), a distance block
+# that distance covariance centres, and one of its kernel passes
+_PANEL_BUDGET = 2**17
 # simulated entries per uniformity or Gaussianity chunk
 _SIMULATION_CHUNK = 2**18
 # draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
@@ -166,25 +165,24 @@ def _report(name, statistic, p_value, n_permutations, alpha, seed) -> TestReport
 # Exceedance counting
 
 
-def _p_value(count, draws: int) -> float:
-    """Monte Carlo p-value (1 + c)/(B + 1) of c exceedances among B draws."""
-    return (1.0 + int(count)) / (draws + 1.0)
+def _p_value(count, draws: int, components: int = 1) -> float:
+    """Bonferroni p-value min(1, k (1 + c)/(B + 1)) of k components whose smallest count among B draws is c."""
+    return min(1.0, components * ((1.0 + int(count)) / (draws + 1.0)))
 
 
 def _stop_count(alpha: float, draws: int, components: int = 1) -> int:
     """Smallest exceedance count at which a test no longer rejects.
 
     A test Bonferroni-combining k components rejects when
-    min(1, k * _p_value(c, B)) < alpha for its smallest count c; k = 1 is
-    the plain rule p < alpha, since p <= 1.  The rule is evaluated as the
-    reports evaluate it, not solved, so a float boundary such as
-    10/200 < 0.05 (False) falls the way the report falls.  It only turns
-    from True to False as c grows, so once every component's count reaches
-    the returned value the decision is fixed.  0 means the test can never
-    reject; B + 1 means it always rejects.
+    _p_value(c, B, k) < alpha for its smallest count c.  The rule is
+    evaluated as the reports evaluate it, not solved, so a float boundary
+    such as 10/200 < 0.05 (False) falls the way the report falls.  It only
+    turns from True to False as c grows, so once every component's count
+    reaches the returned value the decision is fixed.  0 means the test can
+    never reject; B + 1 means it always rejects.
     """
     return bisect.bisect_left(
-        range(draws + 1), True, key=lambda c: not min(1.0, components * _p_value(c, draws)) < alpha
+        range(draws + 1), True, key=lambda c: not _p_value(c, draws, components) < alpha
     )
 
 
@@ -346,7 +344,7 @@ def _energy_stats(pooled: np.ndarray, labels: np.ndarray, n: int, m: int) -> np.
         sizes = np.diff(starts, append=order.size)[:, None]
     weights = labels / n - (sizes - labels) / m
     totals = np.zeros(weights.shape[1])
-    for lo, hi, block in _distance_panels(pooled, 1, _ENERGY_PANEL):
+    for lo, hi, block in _distance_panels(pooled, 1, _PANEL_BUDGET):
         totals += np.einsum("ib,ib->b", weights[lo:hi], block @ weights[lo:])
     # adding 0.0 turns the -0.0 of all-zero weights into 0.0
     return -2.0 * totals + 0.0
@@ -364,7 +362,7 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
 
     K is never stored: its upper-triangle row panels K[lo:hi, lo:] are
     formed in the D_xy block of each 2 x 2 block panel of _distance_panels
-    on the pooled rows (x, y), about _ENERGY_PANEL entries of K each, and
+    on the pooled rows (x, y), about _PANEL_BUDGET entries of K each, and
     each panel meets every column in one matrix product with signs[lo:].  The
     diagonal 2|x_i - y_i| comes from x - y directly.  Pairs with x_i == y_i
     bitwise are left out (u_i = 0): their row and column of K vanish.
@@ -377,7 +375,7 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     trace = 2.0 * float(np.linalg.norm(x_rows - y_rows, axis=1).sum())
     totals = np.zeros(signs.shape[1])
     if k > 1:
-        for lo, hi, gram in _distance_panels(np.concatenate([x_rows, y_rows]), 2, _ENERGY_PANEL):
+        for lo, hi, gram in _distance_panels(np.concatenate([x_rows, y_rows]), 2, _PANEL_BUDGET):
             h, w = hi - lo, k - lo
             panel = gram[:h, w:]
             panel += gram[h:, :w]
@@ -439,11 +437,14 @@ def energy_two_sample_test(
     return _report("energy_two_sample", observed, _p_value(counts[0], n_permutations), n_permutations, alpha, seed)
 
 
+def _permutations(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count uniform permutations of range(n) as rows, the draws of count rng.permutation(n) calls in turn."""
+    return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+
+
 def _permuted_copy(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     """rows with each row's coordinates in a fresh uniform order."""
-    n, d = rows.shape
-    order = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
-    return np.take_along_axis(rows, order, axis=1)
+    return np.take_along_axis(rows, _permutations(rng, *rows.shape), axis=1)
 
 
 def _rotated_copy(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
@@ -503,7 +504,7 @@ def test_rotational_invariance(
     largest batch statistic is reported.
     """
     observed, counts, _ = _paired_core(x, _rotated_copy, n_rotations, n_permutations, seed)
-    p_value = min(1.0, n_rotations * _p_value(counts.min(), n_permutations))
+    p_value = _p_value(counts.min(), n_permutations, n_rotations)
     return _report("rotational_invariance", observed.max(), p_value, n_permutations, alpha, seed)
 
 
@@ -521,7 +522,7 @@ def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray
     would appear twice; the second copy, columns n / 2 and up of the last
     row, is zero.
 
-    Two passes over the _distance_panels blocks of about _DCOV_BUFFER
+    Two passes over the _distance_panels blocks of about _PANEL_BUDGET
     entries: the first sums the rows of the distance matrix, the second
     centres and doubles each block in float64 (exact) and writes its
     upper triangle into the rows, which alone are cast to dtype: row i's
@@ -531,7 +532,7 @@ def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray
     """
     n = directions.shape[0]
     sums = np.zeros(n)
-    for lo, hi, block in _distance_panels(directions, 1, _DCOV_BUFFER):
+    for lo, hi, block in _distance_panels(directions, 1, _PANEL_BUDGET):
         sums[lo:hi] += block.sum(axis=1)
         sums[lo:] += block.sum(axis=0)
     means = sums / n
@@ -539,7 +540,7 @@ def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray
     half = n // 2
     offsets = np.zeros((half, n), dtype=dtype)
     flat = offsets.reshape(-1)
-    for lo, hi, block in _distance_panels(directions, 1, _DCOV_BUFFER):
+    for lo, hi, block in _distance_panels(directions, 1, _PANEL_BUDGET):
         block -= means[lo:hi, None]
         block -= means[None, lo:]
         block += grand
@@ -603,8 +604,8 @@ def _independence_core(x, n_permutations, seed, stop=None):
 
     # enough permutations per pass that a panel is about 4 offsets tall:
     # each panel then serves several permutations while in cache
-    per_pass = max(1, _DCOV_BUFFER // (4 * n))
-    height = max(1, _DCOV_BUFFER // (per_pass * n))
+    per_pass = max(1, _PANEL_BUDGET // (4 * n))
+    height = max(1, _PANEL_BUDGET // (per_pass * n))
     dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
     offsets, weights = _dcov_offsets(directions, dtype)
     r_cast = radii.astype(dtype)
@@ -614,7 +615,7 @@ def _independence_core(x, n_permutations, seed, stop=None):
         # a permuted statistic moves in its last bits with the number of
         # rows scored together, so every run follows this one schedule
         for k in _chunk_sizes(n_permutations, per_pass):
-            shuffled = r_cast[np.stack([rng.permutation(n) for _ in range(k)])]
+            shuffled = r_cast[_permutations(rng, k, n)]
             yield _dcov_stats(shuffled, offsets, weights, height)[None] / (n * n)
 
     return (observed, *_count_exceedances(observed, permuted(), stop))
@@ -634,7 +635,7 @@ def test_radial_angular_independence(
     independence.  The centred direction distances are stored once per
     pair, by cyclic offset (n // 2 rows of n), and the observed and the
     permuted statistics go through one kernel, which scores a few radius
-    rows at a time against a few offsets at a time in about _DCOV_BUFFER
+    rows at a time against a few offsets at a time in about _PANEL_BUDGET
     scratch entries, reading each offset's radius partners as one
     contiguous run.
     """
@@ -699,7 +700,8 @@ def test_uniform_on_sphere(
     """
     _, counts, _ = _uniformity_core(x, seed, n_simulations)
     smaller = _p_value(counts.min(), n_simulations)
-    return _report("uniform_on_sphere", smaller, min(1.0, 2.0 * smaller), n_simulations, alpha, seed)
+    p_value = _p_value(counts.min(), n_simulations, 2)
+    return _report("uniform_on_sphere", smaller, p_value, n_simulations, alpha, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +927,7 @@ def orbit_random_walk(
         ends = list(range(span, block - 1, span)) + [block]
         lo = 0
         for hi in ends:
-            p = rng.permuted(np.tile(np.arange(d), (hi - lo, 1)), axis=1)
+            p = _permutations(rng, hi - lo, d)
             mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
             single = max(burn_in - done - lo, 0)
@@ -974,15 +976,7 @@ def orbit_walk_samples(
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     steps = burn_in + thin * n_samples
-    return orbit_random_walk(
-        ell,
-        steps,
-        include_odd_permutation=include_odd_permutation,
-        start=None,
-        seed=seed,
-        burn_in=burn_in,
-        thin=thin,
-    )
+    return orbit_random_walk(ell, steps, include_odd_permutation, seed=seed, burn_in=burn_in, thin=thin)
 
 
 # ---------------------------------------------------------------------------

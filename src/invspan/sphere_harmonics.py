@@ -253,6 +253,8 @@ def read_power_spectrum(path) -> PowerSpectrum:
                 ell, value = int(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not 0 <= ell <= MAX_LMAX:
+                raise ValueError(f"{path}:{lineno}: degree must lie in 0..{MAX_LMAX}, got {ell}")
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{path}:{lineno}: power values must be finite and nonnegative, got {parts[1]}")
             if ell in entries:

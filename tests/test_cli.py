@@ -1,5 +1,6 @@
 """Command line dispatcher: wire formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -234,6 +235,65 @@ def test_table_commands_accept_format_json(capsys, argv):
     code, payload = run_json(capsys, argv + ["--format", "json"])
     assert code == 0
     assert payload["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-span", "--ell", "1"], ["decompose", "--n", "4"], ["character", "--n", "4"], ["block-check", "--n", "4"]],
+)
+def test_deterministic_commands_take_no_seed(capsys, argv):
+    # these commands draw no random numbers, so a seed would change nothing
+    assert cli.main(argv + ["--seed", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --seed 99\n")
+    assert cli.main([argv[0], "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+_SMALL_RUNS = {
+    "verify-span": ["--ell", "1"],
+    "decompose": ["--n", "4"],
+    "character": ["--n", "4"],
+    "block-check": ["--n", "4"],
+    "simulate-field": ["--lmax", "1", "--n", "5"],
+    "spectrum-estimate": ["--lmax", "1", "--n", "5"],
+    "test-theorem2": ["--ell", "1", "--n", "100", "--permutations", "99"],
+    "test-bernstein": ["--n", "100", "--d", "3", "--permutations", "99"],
+    "orbit-walk": ["--ell", "1", "--n", "20"],
+    "calibrate": ["--n", "1", "--permutations", "99"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_declared_option_is_read(command):
+    # an option the handler never reads is parsed and ignored; --out and
+    # --format are read by main and _tables
+    args = _ReadRecorder()
+    object.__setattr__(args, "_read", set())
+    cli._build_parser().parse_args([command, *_SMALL_RUNS[command]], namespace=args)
+    object.__setattr__(args, "_read", set())
+    cli._HANDLERS[command](args)
+    declared = set(cli._COMMANDS[command][2]) - {"out", "format"}
+    assert declared - object.__getattribute__(args, "_read") == set()
+
+
+def test_one_sample_is_within_3se(capsys):
+    # one sample has no standard error, and both commands apply one rule to it
+    _, field = run_json(capsys, ["simulate-field", "--lmax", "2", "--n", "1"])
+    _, spectrum = run_json(capsys, ["spectrum-estimate", "--lmax", "2", "--n", "1"])
+    assert (field["standard_error"], field["within_3se"]) == (0.0, True)
+    assert spectrum["standard_errors"] == [0.0] * 3
+    assert spectrum["within_3se"] == [True] * 3 and spectrum["all_within_3se"] is True
 
 
 @pytest.mark.parametrize("command", ["simulate-field", "spectrum-estimate"])

@@ -59,13 +59,13 @@ def _row_panels(directions, panel_elements, dtype):
     """
     n = directions.shape[0]
     sums = np.zeros(n)
-    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._DCOV_BUFFER):
+    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._PANEL_BUDGET):
         sums[lo:hi] += block.sum(axis=1)
         sums[lo:] += block.sum(axis=0)
     means = sums / n
     grand = float(means.mean())
     panels = []
-    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._DCOV_BUFFER):
+    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._PANEL_BUDGET):
         block -= means[lo:hi, None]
         block -= means[None, lo:]
         block += grand
@@ -251,7 +251,7 @@ def test_energy_kernel_matches_dense_v_statistic(n, m, d, columns, panel_element
     labels = np.zeros((n + m, columns))
     for column in labels.T:
         column[rng.permutation(n + m)[:n]] = 1.0
-    with mock.patch.object(mcs, "_ENERGY_PANEL", panel_elements):
+    with mock.patch.object(mcs, "_PANEL_BUDGET", panel_elements):
         got = mcs._energy_stats(pooled, labels, n, m)
     exact, scale = _energy_dense(pooled, labels, n, m)
     assert got.shape == (columns,)
@@ -450,7 +450,7 @@ def _paired_case(n, d, columns, seed, ties, pair_ties, shift=0.0):
 def test_paired_kernel_matches_dense_v_statistic(n, d, columns, panel_elements, seed, ties, pair_ties, shift):
     # a shift far from the origin tests the Gram form's cancellation
     x, y, signs, _ = _paired_case(n, d, columns, seed, ties, pair_ties, shift)
-    with mock.patch.object(mcs, "_ENERGY_PANEL", panel_elements):
+    with mock.patch.object(mcs, "_PANEL_BUDGET", panel_elements):
         got = mcs._paired_energy_stats(x, y, signs)
     exact, scale = _paired_dense(x, y, signs)
     assert got.shape == (columns,)
@@ -473,7 +473,7 @@ def test_paired_kernel_ties_across_pairs_are_exact():
         x = np.where(orient[:, None] > 0, p, q)
         y = np.where(orient[:, None] > 0, q, p)
         signs = rng.choice([-1.0, 1.0], size=(n, 6))
-        with mock.patch.object(mcs, "_ENERGY_PANEL", 2**9):
+        with mock.patch.object(mcs, "_PANEL_BUDGET", 2**9):
             got = mcs._paired_energy_stats(x, y, signs)
         expected = 2.0 * np.linalg.norm(p - q) * (orient @ signs) ** 2 / n**2
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15 * np.linalg.norm(p - q))
@@ -484,7 +484,7 @@ def test_paired_kernel_flipping_a_tied_pair_changes_no_bit():
     assert tied.any() and not tied.all()
     flipped = signs.copy()
     flipped[tied] *= -1.0
-    with mock.patch.object(mcs, "_ENERGY_PANEL", 2**10):
+    with mock.patch.object(mcs, "_PANEL_BUDGET", 2**10):
         np.testing.assert_array_equal(
             mcs._paired_energy_stats(x, y, signs), mcs._paired_energy_stats(x, y, flipped)
         )
@@ -529,7 +529,7 @@ def test_exchangeability_permutations_follow_the_draw_stream():
     n, b, seed = 120, 99, 27
     rows = np.random.default_rng(28).standard_normal((n, 3))
     rows[:, 0] *= 1.3
-    with mock.patch.object(mcs, "_ENERGY_PANEL", 2**9):
+    with mock.patch.object(mcs, "_PANEL_BUDGET", 2**9):
         report = mcs.test_exchangeability(rows, b, seed)
     assert len(list(mcs._panel_rows(n, 2**9))) > 10
     data_rng, perm_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
@@ -741,14 +741,14 @@ def _centred_dense(points):
 @example(n=33, d=4, block_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
 def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shift):
     # the offset rows of the double-centred matrix, in the layout
-    # _dcov_stats reads, written from distance blocks of _DCOV_BUFFER
+    # _dcov_stats reads, written from distance blocks of _PANEL_BUDGET
     # entries without a dense matrix
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
     if ties:
         points = np.round(2.0 * points) / 2.0
     points += shift
-    with mock.patch.object(mcs, "_DCOV_BUFFER", block_elements):
+    with mock.patch.object(mcs, "_PANEL_BUDGET", block_elements):
         got, _ = mcs._dcov_offsets(points, np.float64)
     centred, scale = _centred_dense(points)
     assert got.shape == (n // 2, n) and got.dtype == np.float64
@@ -766,7 +766,7 @@ def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
     if n > 4:
         points[n // 2] = points[1]
     for buffer in (2 * n, (n // 2 + 1) * n):
-        with mock.patch.object(mcs, "_DCOV_BUFFER", buffer):
+        with mock.patch.object(mcs, "_PANEL_BUDGET", buffer):
             got, _ = mcs._dcov_offsets(points, dtype)
         heights = [hi - lo for lo, hi in mcs._panel_rows(n, buffer)]
         if buffer == 2 * n and n > 2:
@@ -886,7 +886,7 @@ def test_independence_permutations_follow_the_draw_stream(monkeypatch):
     # a small scratch budget splits the 99 permutations into several
     # passes, the last one short; the count must still equal one naive
     # statistic per rng.permutation draw, in order
-    monkeypatch.setattr(mcs, "_DCOV_BUFFER", 2**12)
+    monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
     calls = _record_kernel_calls(monkeypatch)
     rng = np.random.default_rng(18)
     rows = rng.standard_normal((120, 3))
@@ -903,6 +903,28 @@ def test_independence_permutations_follow_the_draw_stream(monkeypatch):
         shuffled = directions * radii[draws.permutation(120)][:, None]
         count += _dcov_statistic_naive(shuffled) >= observed
     assert report.p_value == (1.0 + count) / 100.0
+
+
+@pytest.mark.parametrize(("n", "k"), [(200, 163), (3000, 10), (7, 5)])
+def test_permutation_batches_are_the_permutation_draws(n, k):
+    # one rng.permuted call over k tiled ranges draws what k rng.permutation(n)
+    # calls draw, and leaves the stream where they leave it
+    batched, single = np.random.default_rng(n), np.random.default_rng(n)
+    np.testing.assert_array_equal(mcs._permutations(batched, k, n), np.stack([single.permutation(n) for _ in range(k)]))
+    assert batched.random() == single.random()
+
+
+def test_independence_batches_are_the_permutation_draws(monkeypatch):
+    # the radius rows scored after the observed one, over several passes,
+    # are the radii under one rng.permutation(n) draw each, in order
+    monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
+    calls = _record_kernel_calls(monkeypatch)
+    rows = np.random.default_rng(30).standard_normal((120, 3))
+    mcs.test_radial_angular_independence(rows, 99, 31)
+    assert len(calls) > 3
+    draws = np.random.default_rng(31)
+    expected = np.linalg.norm(rows, axis=1)[np.stack([draws.permutation(120) for _ in range(99)])]
+    np.testing.assert_array_equal(np.concatenate([r for r, _ in calls[1:]]), expected)
 
 
 @pytest.mark.parametrize("n", [120, 2100])

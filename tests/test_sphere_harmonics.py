@@ -377,6 +377,13 @@ def test_power_spectrum_file_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:{lineno}: power values must be finite and nonnegative"):
             read_power_spectrum(bad)
+    # and a degree below 0 or above MAX_LMAX
+    too_high = "".join(f"{ell} 1.0\n" for ell in range(MAX_LMAX + 2))
+    for text, lineno, ell in (("0 1.0\n1 0.5\n-1 0.5\n", 3, -1), (too_high, MAX_LMAX + 2, MAX_LMAX + 1)):
+        bad = tmp_path / "degree_range.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:{lineno}: degree must lie in 0..{MAX_LMAX}, got {ell}$"):
+            read_power_spectrum(bad)
 
 
 def test_lmax_cap_enforced():
