@@ -42,10 +42,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-# equal to sphere_harmonics.RADIAL_LAWS (checked in tests/test_cli.py);
-# importing that module here would load numpy while the parser is built,
-# before the thread cap applies and for every command
+# equal to sphere_harmonics.RADIAL_LAWS and MAX_LMAX (checked in
+# tests/test_cli.py); importing that module here would load numpy while the
+# parser is built, before the thread cap applies and for every command
 _RADIAL_CHOICES = ("chi", "lognormal", "constant")
+_MAX_LMAX = 64
 
 
 def _apply_thread_cap() -> None:
@@ -408,8 +409,12 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         value = getattr(args, option, None)
         if value is not None and value < lowest:
             parser.error(f"--{option} must be >= {lowest}, got {value}")
-    if args.command in ("decompose", "character", "block-check") and args.n < 4:
-        parser.error(f"--n must be >= 4, got {args.n}")
+    if getattr(args, "lmax", None) is not None and args.lmax > _MAX_LMAX:
+        parser.error(f"--lmax must be <= {_MAX_LMAX}, got {args.lmax}")
+    # so(n) needs n >= 4, and the Monte Carlo tests 100 rows or values
+    lowest_n = {"decompose": 4, "character": 4, "block-check": 4, "test-theorem2": 100, "test-bernstein": 100}
+    if args.command in lowest_n and args.n < lowest_n[args.command]:
+        parser.error(f"--n must be >= {lowest_n[args.command]}, got {args.n}")
     if getattr(args, "alpha", None) is not None and not (0.0 < args.alpha < 1.0):
         parser.error(f"--alpha must lie in (0, 1), got {args.alpha}")
     if getattr(args, "permutations", None) is not None and args.permutations < 99:

@@ -75,12 +75,11 @@ GAUSSIANITY_BOOTSTRAP = 299
 # above this many rows distance covariance stores its centred distances,
 # and the radii it scores against them, in float32
 _FLOAT32_CUTOVER = 2048
-# scratch entries per distance panel (1 MiB in float64): an energy-test
+# scratch entries per kernel buffer (1 MiB in float64): an energy-test
 # triangle panel (a paired test's Gram block holds 4x), a distance block
-# that distance covariance centres, and one of its kernel passes
+# that distance covariance centres, one of its kernel passes, a row block
+# of the paired tests' swap draws, and a uniformity or Gaussianity chunk
 _PANEL_BUDGET = 2**17
-# simulated entries per uniformity or Gaussianity chunk
-_SIMULATION_CHUNK = 2**18
 # draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
 _FIRST_CHUNK = 25
 # step-matrix entries per orbit-walk piece (256 KiB in float64)
@@ -390,13 +389,17 @@ def _paired_swap_stats(x_rows, y_rows, n_permutations, rng) -> np.ndarray:
 
     Column 0 of the sign matrix is the observed orientation (all ones);
     each further column swaps pair i where rng.integers(0, 2) drew 0.
-    The int32 draw is the default int64 stream at half the memory.
+    The int32 draw is the default int64 stream at half the memory, taken
+    in row blocks of about _PANEL_BUDGET entries.
     """
-    keep = rng.integers(0, 2, size=(x_rows.shape[0], n_permutations), dtype=np.int32)
-    signs = np.ones((x_rows.shape[0], n_permutations + 1))
-    np.multiply(keep, 2.0, out=signs[:, 1:])
-    del keep
-    signs[:, 1:] -= 1.0
+    n = x_rows.shape[0]
+    signs = np.ones((n, n_permutations + 1))
+    rows = max(1, _PANEL_BUDGET // n_permutations)
+    for lo in range(0, n, rows):
+        # the draws run row by row, so row blocks take the stream in order
+        block = signs[lo:lo + rows, 1:]
+        np.multiply(rng.integers(0, 2, size=block.shape, dtype=np.int32), 2.0, out=block)
+        block -= 1.0
     return _paired_energy_stats(x_rows, y_rows, signs)
 
 
@@ -674,8 +677,10 @@ def _uniformity_core(x, seed, n_simulations, stop=None):
     rng = np.random.default_rng(seed)
 
     def simulated():
-        for k in _chunk_sizes(n_simulations, max(1, _SIMULATION_CHUNK // (n * d))):
-            g = rng.standard_normal((k, n, d))
+        sizes = list(_chunk_sizes(n_simulations, max(1, _PANEL_BUDGET // (n * d))))
+        buffer = np.empty((max(sizes), n, d))
+        for k in sizes:
+            g = rng.standard_normal(out=buffer[:k])
             g /= np.sqrt(np.einsum("cni,cni->cn", g, g))[:, :, None]
             yield np.stack(_uniformity_stats(g))
 
@@ -695,8 +700,8 @@ def test_uniform_on_sphere(
     n_simulations draws of exactly uniform samples of the same shape and
     Bonferroni-combined; the reported statistic is the smaller of the two
     component Monte Carlo p-values (smaller means less uniform).  The
-    simulations are drawn and scored in chunks of at most about 2**18
-    entries.
+    simulations are drawn and scored in chunks of at most about
+    _PANEL_BUDGET (2**17) entries, each drawn into one reused buffer.
     """
     _, counts, _ = _uniformity_core(x, seed, n_simulations)
     smaller = _p_value(counts.min(), n_simulations)
@@ -815,10 +820,12 @@ def _gaussianity_core(values, seed, n_bootstrap, stop=None):
     def simulated():
         # each replicate is scored from the screen, and again exactly when
         # it lies within _SCREEN_BOUND of observed: every count is exact
-        for k in _chunk_sizes(n_bootstrap, max(1, _SIMULATION_CHUNK // n)):
-            z = rng.standard_normal((k, n))
-            fitted = np.sqrt(np.mean(z * z, axis=1))
-            rows = np.sort(z / fitted[:, None], axis=1)
+        sizes = list(_chunk_sizes(n_bootstrap, max(1, _PANEL_BUDGET // n)))
+        buffer = np.empty((max(sizes), n))
+        for k in sizes:
+            rows = rng.standard_normal(out=buffer[:k])
+            rows /= np.sqrt(np.mean(rows * rows, axis=1))[:, None]
+            rows.sort(axis=1)
             sims = _ks_distance(_screen_ndtr(rows))
             close = np.abs(sims - observed) <= _SCREEN_BOUND
             if close.any():
@@ -840,7 +847,8 @@ def test_gaussianity_1d(
     the null distribution of the KS distance is simulated by a parametric
     bootstrap that refits the scale on every replicate (exact here, by
     scale equivariance of the statistic).  The replicates are drawn and
-    scored in chunks of at most about 2**18 entries.
+    scored in chunks of at most about _PANEL_BUDGET (2**17) entries, each
+    drawn into one reused buffer and scaled and sorted in place.
     """
     observed, counts, _ = _gaussianity_core(values, seed, n_bootstrap)
     return _report("gaussianity_1d", observed, _p_value(counts[0], n_bootstrap), n_bootstrap, alpha, seed)

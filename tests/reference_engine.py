@@ -366,7 +366,7 @@ def gaussianity_bootstrap(values, seed, n_bootstrap, stop=None):
     """Observed KS distance, exceedance count and draws scored, from scipy.special.ndtr.
 
     A curtailed run scores whole chunks (monte_carlo_stats._FIRST_CHUNK
-    draws, doubling, at most _SIMULATION_CHUNK // n) and stops after the
+    draws, doubling, at most _PANEL_BUDGET // n) and stops after the
     chunk in which the count reaches stop.
     """
     from scipy.special import ndtr
@@ -384,6 +384,6 @@ def gaussianity_bootstrap(values, seed, n_bootstrap, stop=None):
     exceeds = [ks(row) >= observed for row in z]
     used, size = 0, mcs._FIRST_CHUNK
     while used < n_bootstrap and (stop is None or sum(exceeds[:used]) < stop):
-        used = min(used + min(size, max(1, mcs._SIMULATION_CHUNK // n)), n_bootstrap)
+        used = min(used + min(size, max(1, mcs._PANEL_BUDGET // n)), n_bootstrap)
         size *= 2
     return observed, sum(exceeds[:used]), used

@@ -16,7 +16,7 @@ import pytest
 from invspan import cli, invariance_engine, monte_carlo_stats
 from invspan.errors import DegenerateInputError
 from invspan.monte_carlo_stats import load_sample_matrix
-from invspan.sphere_harmonics import RADIAL_LAWS
+from invspan.sphere_harmonics import MAX_LMAX, RADIAL_LAWS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEMA = json.loads(
@@ -316,6 +316,28 @@ def test_help_exits_cleanly(capsys):
 def test_radial_choices_are_the_library_laws():
     # the parser keeps its own copy so that building it loads no numeric module
     assert cli._RADIAL_CHOICES == RADIAL_LAWS
+
+
+def test_lmax_ceiling_is_the_library_ceiling():
+    # a copy for the same reason as _RADIAL_CHOICES
+    assert cli._MAX_LMAX == MAX_LMAX
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate-field", "--lmax", "65"], "--lmax must be <= 64, got 65"),
+        (["spectrum-estimate", "--lmax", "65"], "--lmax must be <= 64, got 65"),
+        (["test-theorem2", "--ell", "1", "--n", "3"], "--n must be >= 100, got 3"),
+        (["test-bernstein", "--n", "3"], "--n must be >= 100, got 3"),
+    ],
+)
+def test_out_of_range_options_are_usage_errors(capsys, argv, message):
+    # refused by the parser, before any pipeline runs, with the option named
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_missing_spectrum_file_is_usage_error(capsys):

@@ -298,6 +298,28 @@ def test_orbit_walk_burn_in_keeps_memory_bounded():
     assert peak < 8 * 2**20, peak
 
 
+@pytest.mark.parametrize("kind, cap_mib", [("uniformity", 1.6), ("gaussianity", 4.5)])
+def test_simulated_nulls_stay_within_their_buffer(kind, cap_mib):
+    # at n = 2000 one chunk of about _PANEL_BUDGET entries is 1 MiB
+    # (float64); drawing each chunk into one reused buffer keeps a single
+    # chunk alive, where a fresh draw per chunk held two at twice the size
+    rng = np.random.default_rng(64)
+    if kind == "uniformity":
+        x = rng.standard_normal((2000, 5))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        run = lambda: mcs.test_uniform_on_sphere(x, 65, n_simulations=499)  # noqa: E731
+    else:
+        v = rng.standard_normal(2000)
+        run = lambda: mcs.test_gaussianity_1d(v, 66, n_bootstrap=299)  # noqa: E731
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2**20, peak
+
+
 class _TiedNoise:
     """Stands in for a Generator whose uniform draws tie often."""
 
@@ -521,6 +543,23 @@ def test_paired_swap_int32_draw_reproduces_the_int64_stream(shape):
     np.testing.assert_array_equal(
         mcs._paired_swap_stats(x, y, k, np.random.default_rng(32)), mcs._paired_energy_stats(x, y, signs)
     )
+
+
+def test_paired_swap_row_blocks_reproduce_one_whole_draw():
+    # 203 columns make each row block an odd number of int32 draws, so
+    # every block but the last ends halfway through a 64-bit output
+    n, k = 3001, 203
+    rows = mcs._PANEL_BUDGET // k
+    assert rows < n and rows * k % 2 == 1
+    captured = []
+    with mock.patch.object(mcs, "_paired_energy_stats", lambda x, y, signs: captured.append(signs.copy())):
+        rng = np.random.default_rng(33)
+        mcs._paired_swap_stats(np.zeros((n, 1)), np.zeros((n, 1)), k, rng)
+    whole = np.random.default_rng(33)
+    expected = np.ones((n, k + 1))
+    expected[:, 1:] = 2.0 * whole.integers(0, 2, (n, k)) - 1.0
+    np.testing.assert_array_equal(captured[0], expected)
+    np.testing.assert_array_equal(rng.random(8), whole.random(8))
 
 
 def test_exchangeability_permutations_follow_the_draw_stream():
@@ -1373,7 +1412,7 @@ def _simulated_chunks(monkeypatch, first, cap_entries, run):
     with monkeypatch.context() as m:
         m.setattr(mcs, "_count_exceedances", capturing)
         m.setattr(mcs, "_FIRST_CHUNK", first)
-        m.setattr(mcs, "_SIMULATION_CHUNK", cap_entries)
+        m.setattr(mcs, "_PANEL_BUDGET", cap_entries)
         run()
     return captured
 
