@@ -301,8 +301,8 @@ def test_orbit_walk_burn_in_keeps_memory_bounded():
 @pytest.mark.parametrize("kind, cap_mib", [("uniformity", 1.6), ("gaussianity", 4.5)])
 def test_simulated_nulls_stay_within_their_buffer(kind, cap_mib):
     # at n = 2000 one chunk of about _PANEL_BUDGET entries is 1 MiB
-    # (float64); drawing each chunk into one reused buffer keeps a single
-    # chunk alive, where a fresh draw per chunk held two at twice the size
+    # (float64); each test draws into one buffer of that size, and only
+    # its scoring temporaries may come on top
     rng = np.random.default_rng(64)
     if kind == "uniformity":
         x = rng.standard_normal((2000, 5))
