@@ -4,9 +4,11 @@ Each subcommand runs one verification or simulation pipeline and emits a
 JSON report that is byte-identical for identical arguments, seed and
 INVSPAN_THREADS: a different BLAS thread count can move a statistic's last
 bits.  One table, _COMMANDS, declares every subcommand's handler, help and
-options; main writes the command's name into its report.  Only the commands
-that draw random numbers take --seed, and only the two raw-data commands
-take --format, whose csv writes just their table to --out.
+options, with each integer option's (lowest, highest) range, which _validate
+checks before any handler runs; main writes the command's name into its
+report.  Only the commands that draw random numbers take --seed, and only
+the two raw-data commands take --format, whose csv writes just their table
+to --out.
 Exit codes: 0 all checks passed, 1 a mathematical check failed (also an
 internal invariance or arithmetic check, which prints its message and no
 report), 2 usage error (also running out of memory), 3 degenerate input.
@@ -198,10 +200,7 @@ def _run_spectrum_estimate(args: argparse.Namespace):
         se, ok = _within_3se(float(estimated.values[ell]), float(spectrum.values[ell]), per_sample)
         stderrs.append(se)
         within.append(ok)
-    off_max = 0.0
-    for m in moments:
-        off = np.abs(m - np.diag(np.diag(m)))
-        off_max = max(off_max, float(off.max()))
+    off_max = max(float(np.abs(m - np.diag(np.diag(m))).max()) for m in moments)
     payload = {
         "lmax": int(spectrum.lmax),
         "n": int(args.n),
@@ -279,19 +278,11 @@ def _run_test_bernstein(args: argparse.Namespace):
     rep = test_rotational_invariance(expo, 1, args.permutations, seeds[5], args.alpha)
     checks.append(("centered_exponential_not_invariant", True, rep))
 
-    entries = []
-    all_ok = True
-    for name, expected, rep in checks:
-        ok = rep.reject == expected
-        all_ok = all_ok and ok
-        entries.append(
-            {
-                "name": name,
-                "expected_reject": bool(expected),
-                "as_expected": bool(ok),
-                "report": rep.to_dict(),
-            }
-        )
+    entries = [
+        {"name": name, "expected_reject": expected, "as_expected": rep.reject == expected, "report": rep.to_dict()}
+        for name, expected, rep in checks
+    ]
+    all_ok = all(entry["as_expected"] for entry in entries)
     payload = {
         "n": int(args.n),
         "d": int(args.d),
@@ -336,16 +327,17 @@ def _run_calibrate(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 # The command table: _build_parser, _HANDLERS and _validate all read it
 
-# each option's argparse keywords shared by every command that takes it
+# each option's argparse keywords shared by every command that takes it; an
+# integer option's "range" is its (lowest, highest) value, None for no ceiling
 _OPTIONS = {
-    "ell": {"type": int, "help": "weight of the irreducible rotation representation (>= 1)"},
-    "lmax": {"type": int, "help": "largest harmonic degree"},
-    "n": {"type": int, "help": "sample count"},
-    "d": {"type": int, "help": "vector dimension"},
+    "ell": {"type": int, "range": (1, None), "help": "weight of the irreducible rotation representation"},
+    "lmax": {"type": int, "range": (0, _MAX_LMAX), "help": "largest harmonic degree"},
+    "n": {"type": int, "range": (1, None), "help": "sample count"},
+    "d": {"type": int, "range": (2, None), "help": "vector dimension"},
     "radial": {"choices": _RADIAL_CHOICES, "help": "radial law for coefficient draws"},
     "spectrum": {"help": "power spectrum file ('ell value' lines)"},
     "alpha": {"type": float, "help": "test level in (0, 1)"},
-    "permutations": {"type": int, "help": "permutation / replicate count (>= 99)"},
+    "permutations": {"type": int, "range": (99, None), "help": "permutation / replicate count"},
     "odd": {"action": "store_true", "help": "interleave a fixed odd coordinate swap into the walk"},
     "seed": {"type": int, "help": "master seed"},
     "out": {"help": "write the report here instead of stdout"},
@@ -353,28 +345,39 @@ _OPTIONS = {
 }
 
 _SEED_OUT = {"seed": DEFAULT_SEED, "out": None}
-# so(n) commands: --n is the matrix side, listed after --out in their help
-_SO_N = {"out": None, "n": {"required": True, "help": "matrix side (>= 4)"}}
+# the Monte Carlo tests need 100 rows or values
+_MC_N = (100, None)
+
+
+def _so_n(highest: int) -> dict:
+    # --n is the matrix side, >= 4 for so(n), listed after --out in the help
+    return {"out": None, "n": {"required": True, "range": (4, highest), "help": "matrix side"}}
+
 
 # name -> (handler, help, options); each option maps to its default, or to a
-# dict of argparse keywords added to its _OPTIONS entry; the order is the help's
+# dict that updates its _OPTIONS entry; the order is the help's.  A size
+# ceiling is the largest size whose fitted peak RSS stays within 2 GiB (the
+# models are in tests/test_invariance_engine.py)
 _COMMANDS = {
-    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True}, "out": None}),
-    "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _SO_N),
-    "character": (_run_character, "transposition characters of the two components", _SO_N),
-    "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _SO_N),
+    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True, "range": (1, 41)}, "out": None}),
+    "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _so_n(125)),
+    "character": (_run_character, "transposition characters of the two components", _so_n(125)),
+    "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _so_n(99)),
     "simulate-field": (_run_simulate_field, "draw random harmonic coefficients and check the variance identity", {"lmax": None, "n": 1000, "radial": "chi", "spectrum": None, **_SEED_OUT, "format": "json"}),
     "spectrum-estimate": (_run_spectrum_estimate, "estimate the power spectrum from fresh coefficient draws", {"lmax": None, "n": 2000, "radial": "chi", "spectrum": None, **_SEED_OUT}),
-    "test-theorem2": (_run_test_theorem2, "exchangeability, rotation-invariance and radius/direction tests on one degree block", {"ell": {"required": True}, "n": 1000, "radial": "chi", "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
-    "test-bernstein": (_run_test_bernstein, "Gaussian-characterization demonstrations", {"n": 2000, "d": 5, "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
+    "test-theorem2": (_run_test_theorem2, "exchangeability, rotation-invariance and radius/direction tests on one degree block", {"ell": {"required": True}, "n": {"default": 1000, "range": _MC_N}, "radial": "chi", "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
+    "test-bernstein": (_run_test_bernstein, "Gaussian-characterization demonstrations", {"n": {"default": 2000, "range": _MC_N}, "d": 5, "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
     "orbit-walk": (_run_orbit_walk, "random walk under conjugated rotations plus a uniformity test", {"ell": {"required": True}, "n": 2000, "alpha": 0.01, "odd": False, **_SEED_OUT, "format": "json"}),
     "calibrate": (_run_calibrate, "null rejection rates for every test", {"n": {"default": 200, "help": "repetitions per test"}, "alpha": 0.05, "permutations": 199, **_SEED_OUT}),
 }
 
 _HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
-# the smallest value of each integer option, checked in this order
-_LOWER_BOUNDS = {"ell": 1, "lmax": 0, "n": 1, "d": 2}
+
+def _option_spec(command: str, option: str) -> dict:
+    """option's argparse keywords and range in command: its _OPTIONS entry updated by the command's."""
+    given = _COMMANDS[command][2][option]
+    return {**_OPTIONS[option], **(given if isinstance(given, dict) else {"default": given})}
 
 
 @functools.cache
@@ -397,28 +400,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.required = True
     for name, (_, help_text, options) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        for option, spec in options.items():
-            extra = spec if isinstance(spec, dict) else {"default": spec}
-            cmd.add_argument(f"--{option}", **{**_OPTIONS[option], **extra})
+        for option in options:
+            keywords = _option_spec(name, option)
+            lowest, highest = keywords.pop("range", (None, None))
+            if lowest is not None:
+                keywords["help"] += f" (>= {lowest})" if highest is None else f" ({lowest} to {highest})"
+            cmd.add_argument(f"--{option}", **keywords)
     return parser
 
 
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    # a command lacks the options it does not take, hence getattr
-    for option, lowest in _LOWER_BOUNDS.items():
-        value = getattr(args, option, None)
-        if value is not None and value < lowest:
+    # every ranged option the command declares, in its help's order
+    for option in _COMMANDS[args.command][2]:
+        lowest, highest = _option_spec(args.command, option).get("range", (None, None))
+        value = getattr(args, option)
+        if lowest is not None and value is not None and value < lowest:
             parser.error(f"--{option} must be >= {lowest}, got {value}")
-    if getattr(args, "lmax", None) is not None and args.lmax > _MAX_LMAX:
-        parser.error(f"--lmax must be <= {_MAX_LMAX}, got {args.lmax}")
-    # so(n) needs n >= 4, and the Monte Carlo tests 100 rows or values
-    lowest_n = {"decompose": 4, "character": 4, "block-check": 4, "test-theorem2": 100, "test-bernstein": 100}
-    if args.command in lowest_n and args.n < lowest_n[args.command]:
-        parser.error(f"--n must be >= {lowest_n[args.command]}, got {args.n}")
+        if highest is not None and value is not None and value > highest:
+            parser.error(f"--{option} must be <= {highest}, got {value}")
     if getattr(args, "alpha", None) is not None and not (0.0 < args.alpha < 1.0):
         parser.error(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if getattr(args, "permutations", None) is not None and args.permutations < 99:
-        parser.error(f"--permutations must be >= 99, got {args.permutations}")
     if getattr(args, "format", None) == "csv" and args.out is None:
         parser.error("--format csv requires --out")
     if getattr(args, "lmax", None) is not None and getattr(args, "spectrum", None) is not None:

@@ -78,7 +78,8 @@ _FLOAT32_CUTOVER = 2048
 # scratch entries per kernel buffer (1 MiB in float64): an energy-test
 # triangle panel (a paired test's Gram block holds 4x), a distance block
 # that distance covariance centres, one of its kernel passes, a row block
-# of the paired tests' swap draws, and a uniformity or Gaussianity chunk
+# of the paired tests' swap draws or of the rotation test's Haar partners,
+# and a uniformity or Gaussianity chunk
 _PANEL_BUDGET = 2**17
 # draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
 _FIRST_CHUNK = 25
@@ -146,6 +147,12 @@ def _as_rows(x, min_n: int = 1) -> np.ndarray:
     if rows.shape[0] < min_n:
         raise ValueError(f"need at least {min_n} rows, got {rows.shape[0]}")
     return rows
+
+
+def _check_draws(count: int, what: str) -> None:
+    """Every test scores at least 99 simulated draws, so that its p-value can reach 0.01."""
+    if count < 99:
+        raise ValueError(f"need at least 99 {what}, got {count}")
 
 
 def _report(name, statistic, p_value, n_permutations, alpha, seed) -> TestReport:
@@ -411,8 +418,7 @@ def _energy_core(x, y, n_permutations, seed):
         raise DimensionError(
             f"dimension mismatch: {x_rows.shape[1]} vs {y_rows.shape[1]}"
         )
-    if n_permutations < 99:
-        raise ValueError(f"need at least 99 permutations, got {n_permutations}")
+    _check_draws(n_permutations, "permutations")
     rng = np.random.default_rng(seed)
     n, m = x_rows.shape[0], y_rows.shape[0]
     observed = np.r_[np.ones(n), np.zeros(m)]
@@ -451,9 +457,14 @@ def _permuted_copy(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
 
 
 def _rotated_copy(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """rows with a fresh Haar rotation applied to each row."""
-    q = _haar_batch(rng, *rows.shape)
-    return np.einsum("nij,nj->ni", q, rows)
+    """rows with a fresh Haar rotation applied to each row, drawn in row blocks of about _PANEL_BUDGET entries."""
+    out = np.empty_like(rows)
+    step = max(1, _PANEL_BUDGET // rows.shape[1] ** 2)
+    for lo in range(0, rows.shape[0], step):
+        # the draws run matrix by matrix, so row blocks take the stream in order
+        block = rows[lo:lo + step]
+        out[lo:lo + step] = np.einsum("nij,nj->ni", _haar_batch(rng, *block.shape), block)
+    return out
 
 
 def _paired_core(x, partner, batches, n_permutations, seed):
@@ -466,8 +477,7 @@ def _paired_core(x, partner, batches, n_permutations, seed):
     rows = _as_rows(x, min_n=100)
     if batches < 1:
         raise ValueError(f"need at least one rotation batch, got {batches}")
-    if n_permutations < 99:
-        raise ValueError(f"need at least 99 permutations, got {n_permutations}")
+    _check_draws(n_permutations, "permutations")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * batches)]
     pairs = zip(rngs[::2], rngs[1::2])
     stats = np.stack([_paired_swap_stats(rows, partner(p, rows), n_permutations, s) for p, s in pairs])
@@ -596,8 +606,7 @@ def _dcov_stats(radius_rows: np.ndarray, offsets: np.ndarray, weights: np.ndarra
 def _independence_core(x, n_permutations, seed, stop=None):
     """test_radial_angular_independence's observed statistic, exceedance counts and draws scored."""
     rows = _as_rows(x, min_n=100)
-    if n_permutations < 99:
-        raise ValueError(f"need at least 99 permutations, got {n_permutations}")
+    _check_draws(n_permutations, "permutations")
     radii = np.linalg.norm(rows, axis=1)
     if np.any(radii < 1e-12):
         raise DegenerateInputError("zero-norm rows have no direction")
@@ -670,8 +679,7 @@ def _uniformity_core(x, seed, n_simulations, stop=None):
     norms = np.linalg.norm(rows, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ValueError("rows must be unit vectors within 1e-8")
-    if n_simulations < 99:
-        raise ValueError(f"need at least 99 simulations, got {n_simulations}")
+    _check_draws(n_simulations, "simulations")
     n, d = rows.shape
     observed = np.concatenate(_uniformity_stats(rows[None]))
     rng = np.random.default_rng(seed)
@@ -803,15 +811,10 @@ def _ks_distance(cdf: np.ndarray) -> np.ndarray:
 
 def _gaussianity_core(values, seed, n_bootstrap, stop=None):
     """test_gaussianity_1d's observed KS distance, exceedance counts and draws scored."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 100:
-        raise ValueError(f"need at least 100 values, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
+    v = _as_rows(np.reshape(values, (-1, 1)), min_n=100)[:, 0]
     if float(np.var(v)) < 1e-300:
         raise DegenerateInputError("constant sample has zero variance")
-    if n_bootstrap < 99:
-        raise ValueError(f"need at least 99 bootstrap replicates, got {n_bootstrap}")
+    _check_draws(n_bootstrap, "bootstrap replicates")
     n = v.size
     scale = math.sqrt(float(np.mean(v * v)))
     observed = float(_ks_distance(_ndtr(np.sort(v / scale))))

@@ -127,10 +127,8 @@ def eval_ylm(ell: int, m: int, theta, phi):
 
     Accepts scalars or matching 1-d arrays; returns the same shape.
     """
-    if ell < 0 or ell > MAX_LMAX:
-        raise DimensionError(f"degree must lie in 0..{MAX_LMAX}, got {ell}")
-    if abs(m) > ell:
-        raise DimensionError(f"|m| = {abs(m)} exceeds ell = {ell}")
+    _check_lmax(ell)
+    lm_index(ell, m)
     scalar = np.isscalar(theta) and np.isscalar(phi)
     theta, phi = _as_points(theta, phi)
     am = abs(m)
@@ -163,18 +161,14 @@ def laplacian_eigen_check(ell: int, h: float) -> float:
     sin_t = np.sin(tt)
     sin_p = np.sin(tt + h / 2.0)
     sin_m = np.sin(tt - h / 2.0)
-    worst = 0.0
-    for m in range(-ell, ell + 1):
-        y0 = eval_ylm(ell, m, tt, pp)
-        y_tp = eval_ylm(ell, m, tt + h, pp)
-        y_tm = eval_ylm(ell, m, tt - h, pp)
-        y_pp = eval_ylm(ell, m, tt, pp + h)
-        y_pm = eval_ylm(ell, m, tt, pp - h)
-        theta_part = (sin_p * (y_tp - y0) - sin_m * (y0 - y_tm)) / (h * h * sin_t)
-        phi_part = (y_pp - 2.0 * y0 + y_pm) / (h * h * sin_t * sin_t)
-        residual = np.max(np.abs(theta_part + phi_part + ell * (ell + 1) * y0))
-        worst = max(worst, float(residual))
-    return worst
+    # the degree-ell rows of ylm_matrix, one row per order m
+    y0, y_tp, y_tm, y_pp, y_pm = (
+        ylm_matrix(ell, t, p)[ell * ell :]
+        for t, p in ((tt, pp), (tt + h, pp), (tt - h, pp), (tt, pp + h), (tt, pp - h))
+    )
+    theta_part = (sin_p * (y_tp - y0) - sin_m * (y0 - y_tm)) / (h * h * sin_t)
+    phi_part = (y_pp - 2.0 * y0 + y_pm) / (h * h * sin_t * sin_t)
+    return float(np.max(np.abs(theta_part + phi_part + ell * (ell + 1) * y0)))
 
 
 @dataclass(frozen=True)
@@ -317,8 +311,6 @@ def sample_degree_block(ell: int, c: float, radial_law: str, n: int, seed) -> np
 
 def sample_coefficient_arrays(spectrum: PowerSpectrum, radial_law: str, n: int, seed) -> np.ndarray:
     """n coefficient vectors stacked as rows, shape (n, (lmax+1)^2)."""
-    if radial_law not in RADIAL_LAWS:
-        raise ValueError(f"unknown radial law {radial_law!r}; expected one of {RADIAL_LAWS}")
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
@@ -331,7 +323,7 @@ def sample_coefficient_arrays(spectrum: PowerSpectrum, radial_law: str, n: int, 
 def synthesize_batch(rows: np.ndarray, lmax: int, grid: SphereGrid) -> np.ndarray:
     """Fields for many stacked coefficient vectors, shape (n, npoints)."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != (lmax + 1) ** 2:
+    if _rows_lmax(rows) != lmax:
         raise DimensionError(f"rows of shape {rows.shape} do not match lmax {lmax}")
     basis = ylm_matrix(lmax, grid.theta, grid.phi)
     return rows @ basis

@@ -340,6 +340,51 @@ def test_out_of_range_options_are_usage_errors(capsys, argv, message):
     assert captured.err.endswith(f"error: {message}\n")
 
 
+_RANGED = [
+    (command, option)
+    for command, (_, _, options) in cli._COMMANDS.items()
+    for option in options
+    if "range" in cli._option_spec(command, option)
+]
+
+
+def _with_option(command, option, value):
+    """The command's small run with --option set to value."""
+    argv = [command, *_SMALL_RUNS[command]]
+    flag = f"--{option}"
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(value)
+    else:
+        argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command, option", _RANGED)
+def test_every_range_refuses_its_neighbours(capsys, monkeypatch, command, option):
+    # one case per ranged option of the table: lowest - 1 and highest + 1
+    # exit 2 before the handler runs, and both ends pass _validate
+    lowest, highest = cli._option_spec(command, option)["range"]
+    monkeypatch.setitem(cli._HANDLERS, command, lambda args: pytest.fail("the handler ran"))
+    refused = [(lowest - 1, f"--{option} must be >= {lowest}, got {lowest - 1}")]
+    if highest is not None:
+        refused.append((highest + 1, f"--{option} must be <= {highest}, got {highest + 1}"))
+    for value, message in refused:
+        assert cli.main(_with_option(command, option, value)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+    parser = cli._build_parser()
+    for value in (lowest, highest if highest is not None else lowest + 1):
+        cli._validate(parser.parse_args(_with_option(command, option, value)), parser)
+
+
+def test_every_size_option_has_a_range():
+    # a command's integer size options are all refused out of range
+    sized = {"ell", "lmax", "n", "d", "permutations"}
+    declared = {(c, o) for c, (_, _, options) in cli._COMMANDS.items() for o in options if o in sized}
+    assert declared == set(_RANGED)
+
+
 def test_missing_spectrum_file_is_usage_error(capsys):
     code = cli.main(["spectrum-estimate", "--spectrum", "/nonexistent/spec.txt"])
     assert code == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import rational_rank
 import reference_engine as ref
 from reference_engine import plane_rotation
 
+from invspan import cli
 from invspan.errors import DegenerateInputError, DimensionError, InvarianceViolationError
 from invspan.invariance_engine import (
     accumulate_span,
@@ -288,3 +290,38 @@ def test_span_report_round_trip():
     assert d["full"] is True
     assert d["span_dim"] == 3
     assert set(d) >= {"n", "generator_dim", "span_dim", "full", "rounds", "tol"}
+
+
+# ---------------------------------------------------------------------------
+# Memory models behind the CLI ceilings
+
+# command -> (size option, function, c, m(size)): peak RSS above the
+# interpreter, fitted in fresh processes with one BLAS thread, is at most
+# c x 8 m^2 bytes (CHANGES.md); tracemalloc sees numpy's buffers but not
+# LAPACK's workspace, so it reads below the fit
+_MEMORY_MODELS = {
+    "verify-span": ("ell", verify_span, 22.4, lambda ell: ell * (2 * ell + 1)),
+    "decompose": ("n", decompose_so_n, 4.4, lambda n: n * (n - 1) // 2),
+    "character": ("n", decompose_so_n, 4.4, lambda n: n * (n - 1) // 2),
+    "block-check": ("n", block_form_check, 11.2, lambda n: n * (n - 1) // 2),
+}
+
+
+@pytest.mark.parametrize("command, size", [("verify-span", 12), ("decompose", 32), ("block-check", 32)])
+def test_algebra_peaks_stay_within_their_models(command, size):
+    _, run, c, m = _MEMORY_MODELS[command]
+    tracemalloc.start()
+    try:
+        run(size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= c * 8 * m(size) ** 2, peak / (8 * m(size) ** 2)
+
+
+@pytest.mark.parametrize("command", list(_MEMORY_MODELS))
+def test_cli_ceiling_is_the_largest_size_within_2_gib(command):
+    option, _, c, m = _MEMORY_MODELS[command]
+    _, highest = cli._option_spec(command, option)["range"]
+    fits = lambda size: c * 8 * m(size) ** 2 <= 2**31
+    assert fits(highest) and not fits(highest + 1)

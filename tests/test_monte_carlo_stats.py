@@ -562,6 +562,32 @@ def test_paired_swap_row_blocks_reproduce_one_whole_draw():
     np.testing.assert_array_equal(rng.random(8), whole.random(8))
 
 
+@pytest.mark.parametrize("n, d", [(1, 3), (100, 5), (3001, 9), (1000, 50), (130, 400)])
+def test_rotated_copy_row_blocks_reproduce_one_whole_draw(n, d):
+    # the Haar partners come in blocks of _PANEL_BUDGET // d^2 rows (one
+    # row when d^2 exceeds it); they and the stream after them equal one draw
+    rows = np.random.default_rng(34).standard_normal((n, d))
+    rng = np.random.default_rng(35)
+    got = mcs._rotated_copy(rng, rows)
+    whole = np.random.default_rng(35)
+    expected = np.einsum("nij,nj->ni", mcs._haar_batch(whole, n, d), rows)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(rng.random(8), whole.random(8))
+
+
+def test_rotated_copy_memory_stays_within_a_panel():
+    # the whole (1000, 50, 50) Haar stack alone is 19 MiB, and QR and its
+    # sign fix hold four such arrays; numpy reports its buffers to tracemalloc
+    rows = np.random.default_rng(36).standard_normal((1000, 50))
+    tracemalloc.start()
+    try:
+        mcs._rotated_copy(np.random.default_rng(37), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_exchangeability_permutations_follow_the_draw_stream():
     # a small panel budget splits K into many panels; the p-value must
     # still equal the naive count over the same rng.integers swap columns
