@@ -323,5 +323,5 @@ def test_algebra_peaks_stay_within_their_models(command, size):
 def test_cli_ceiling_is_the_largest_size_within_2_gib(command):
     option, _, c, m = _MEMORY_MODELS[command]
     _, highest = cli._option_spec(command, option)["range"]
-    fits = lambda size: c * 8 * m(size) ** 2 <= 2**31
-    assert fits(highest) and not fits(highest + 1)
+    at_ceiling, above = (c * 8 * m(size) ** 2 for size in (highest, highest + 1))
+    assert at_ceiling <= 2**31 < above
