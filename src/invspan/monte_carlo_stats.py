@@ -10,12 +10,16 @@ that the group those matrices generate acts transitively enough to leave
 only the uniform distribution invariant.
 
 Every distance test (the unpaired and the paired energy tests and the
-distance covariance) reads its Euclidean distances from one generator of
-float64 upper-triangle row panels in Gram form, so no test stores an
-n x n matrix.  Distances between bitwise equal rows are exactly zero.
-Distance covariance stores its centred distances, and scores its radii,
-in float32 above _FLOAT32_CUTOVER rows, so its last bits depend on the
-sample size; every other statistic is float64 at every size.
+distance covariance) streams its Euclidean distances in float64 panels,
+all products of the same Gram factors of the mean-centred rows, so no
+test stores an n x n matrix.  The energy tests read upper-triangle row
+panels, which meet all their permutation columns in one product each;
+distance covariance reads panels of cyclic offsets, in which each pair's
+radius partner lies in one contiguous run.  Distances between bitwise
+equal rows are exactly zero.  Distance covariance holds its radii, and
+scores its centred distances, in float32 above _FLOAT32_CUTOVER rows, so
+its last bits depend on the sample size; every other statistic is
+float64 at every size.
 
 Every test scores its simulated statistics through one exceedance
 counter and reports the p-value (1 + c)/(B + 1), c being the number of
@@ -72,15 +76,17 @@ DEFAULT_ALPHA = 0.01
 UNIFORMITY_SIMULATIONS = 499
 GAUSSIANITY_BOOTSTRAP = 299
 
-# above this many rows distance covariance stores its centred distances,
-# and the radii it scores against them, in float32
+# above this many rows distance covariance scores its centred distances,
+# and the radii it holds, in float32
 _FLOAT32_CUTOVER = 2048
 # scratch entries per kernel buffer (1 MiB in float64): an energy-test
-# triangle panel (a paired test's Gram block holds 4x), a distance block
-# that distance covariance centres, one of its kernel passes, a row block
+# triangle panel (a paired test's Gram block holds 4x), a cyclic-offset
+# distance panel of distance covariance and its minima, a row block
 # of the paired tests' swap draws or of the rotation test's Haar partners,
 # and a uniformity or Gaussianity chunk
 _PANEL_BUDGET = 2**17
+# rows per Gram product of a cyclic-offset distance panel
+_GRAM_ROWS = 128
 # draws in the first chunk of a chunked test; each further chunk doubles, up to the test's cap
 _FIRST_CHUNK = 25
 # step-matrix entries per orbit-walk piece (256 KiB in float64)
@@ -291,6 +297,20 @@ def _panel_rows(n: int, panel_elements: int):
         lo = hi
 
 
+def _gram_factors(rows: np.ndarray):
+    """Tie classes of rows, and Gram factors whose products are their squared distances.
+
+    With a, b two rows less the mean row, [-2a, |a|^2, 1] . [b, 1, |b|^2]
+    = |a - b|^2: row i of left and row j of right give the squared
+    distance of rows i and j.
+    """
+    classes = _tie_classes(rows)
+    centred = rows - rows.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    ones = np.ones(rows.shape[0])
+    return classes, np.column_stack([-2.0 * centred, sq, ones]), np.column_stack([centred, ones, sq])
+
+
 def _distance_panels(pooled: np.ndarray, parts: int, panel_elements: int):
     """Float64 Euclidean distances of pooled rows in upper-triangle row panels.
 
@@ -299,18 +319,12 @@ def _distance_panels(pooled: np.ndarray, parts: int, panel_elements: int):
     block holds the distances from rows lo..hi-1 to rows lo..k-1 of every
     pair of samples: a parts x parts grid of h x w blocks (h = hi - lo,
     w = k - lo) whose entries on and below the diagonal are zero.  Each
-    block is one Gram product of augmented rows of the mean-centred pooled
-    rows ([-2a, |a|^2, 1] . [b, 1, |b|^2]), clamped at zero and square
+    block is one product of the _gram_factors, clamped at zero and square
     rooted; distances between bitwise equal rows are exactly zero.  block
     is a reused buffer, valid until the next one is yielded.
     """
     k = pooled.shape[0] // parts
-    classes = _tie_classes(pooled)
-    pooled = pooled - pooled.mean(axis=0)
-    sq = np.einsum("ij,ij->i", pooled, pooled)
-    ones = np.ones(pooled.shape[0])
-    left = np.column_stack([-2.0 * pooled, sq, ones])
-    right = np.column_stack([pooled, ones, sq])
+    classes, left, right = _gram_factors(pooled)
     offsets = k * np.arange(parts)[:, None]
     bounds = list(_panel_rows(k, panel_elements))
     buf = np.empty(parts * parts * max((hi - lo) * (k - lo) for lo, hi in bounds))
@@ -525,81 +539,134 @@ def test_rotational_invariance(
 # Distance covariance: radius vs direction
 
 
-def _dcov_offsets(directions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic-offset rows of the double-centred distance matrix A, and its off-diagonal row sums.
+def _offset_distances(rows: np.ndarray, panel_elements: int):
+    """Float64 Euclidean distances of rows by cyclic offset, in panels of about panel_elements entries.
 
-    Row c - 1 of the (n // 2, n) array holds 2 A[i, (i + c) % n] at column
-    i, for c = 1..n // 2: diagonal c of A followed by diagonal n - c, so
-    every pair i < j is stored once, at offset j - i or n - (j - i),
-    whichever is at most n // 2.  For even n the pairs at offset n / 2
-    would appear twice; the second copy, columns n / 2 and up of the last
-    row, is zero.
-
-    Two passes over the _distance_panels blocks of about _PANEL_BUDGET
-    entries: the first sums the rows of the distance matrix, the second
-    centres and doubles each block in float64 (exact) and writes its
-    upper triangle into the rows, which alone are cast to dtype: row i's
-    pairs at offsets e <= n // 2 go down column i, the rest to row n - e - 1
-    at column i + e, one anti-diagonal (a flat slice with step 1 - n).  The
-    returned w_i = sum_{j != i} A_ij sums those stored entries in float64.
+    Yields (c, panel) with panel[t, i] = |u_i - u_{(i + c + t) % n}|, the
+    offsets c + t running through 1..n // 2 in order: diagonals e and n - e
+    of the distance matrix for each offset e, so every pair i < j is met
+    once, at offset j - i or n - (j - i), whichever is at most n // 2.
+    For even n the pairs at offset n / 2 would be met twice; the second
+    copy (columns n / 2 and up of that offset) is zero.  The distances of
+    _GRAM_ROWS rows to their h partners each are the band of one product
+    of the _gram_factors, clamped at zero and square rooted; distances
+    between bitwise equal rows are exactly zero.  panel is a reused
+    buffer, valid until the next one is yielded.
     """
-    n = directions.shape[0]
-    sums = np.zeros(n)
-    for lo, hi, block in _distance_panels(directions, 1, _PANEL_BUDGET):
-        sums[lo:hi] += block.sum(axis=1)
-        sums[lo:] += block.sum(axis=0)
-    means = sums / n
-    grand = float(means.mean())
+    n = rows.shape[0]
     half = n // 2
-    offsets = np.zeros((half, n), dtype=dtype)
-    flat = offsets.reshape(-1)
-    for lo, hi, block in _distance_panels(directions, 1, _PANEL_BUDGET):
-        block -= means[lo:hi, None]
-        block -= means[None, lo:]
-        block += grand
-        block *= 2
-        for r, i in enumerate(range(lo, hi)):
-            # pairs[e - 1] = 2 A[i, i + e]
-            pairs = block[r, r + 1 :]
-            offsets[: min(half, pairs.size), i] = pairs[:half]
-            if pairs.size > half:
-                # row n - half - 2 at column i + half + 1 down to row i at column n - 1
-                flat[(n - 1) * n + i - (half + 1) * (n - 1) : i * n : 1 - n] = pairs[half:]
-    weights = offsets.sum(axis=0, dtype=np.float64)
-    for c, row in enumerate(offsets, 1):
-        weights[c:] += row[: n - c]
-        weights[:c] += row[n - c :]
-    return offsets, weights / 2
+    classes, left, right = _gram_factors(rows)
+    # partners wrap around: right row n + j is row j
+    right = np.concatenate([right, right[:half]])
+    if classes is not None:
+        same_class = sliding_window_view(np.concatenate([classes, classes]), n)
+    height = max(1, min(half, panel_elements // n))
+    buf = np.empty(height * n)
+    gram = np.empty(_GRAM_ROWS * (_GRAM_ROWS + height))
+    for c in range(1, half + 1, height):
+        h = min(height, half + 1 - c)
+        panel = buf[: h * n].reshape(h, n)
+        for lo in range(0, n, _GRAM_ROWS):
+            m = min(_GRAM_ROWS, n - lo)
+            w = m + h - 1
+            # rows lo..lo+m-1 against partners lo+c..lo+c+w-1; a row
+            # stride of w + 1 reads the band entry (r, r + t) at (r, t)
+            np.matmul(left[lo : lo + m], right[lo + c : lo + c + w].T, out=gram[: m * w].reshape(m, w))
+            panel[:, lo : lo + m] = gram[: m * (w + 1)].reshape(m, w + 1)[:, :h].T
+        np.maximum(panel, 0.0, out=panel)
+        np.sqrt(panel, out=panel)
+        if classes is not None:
+            panel[classes == same_class[c : c + h]] = 0.0
+        if n % 2 == 0 and c + h - 1 == half:
+            panel[-1, half:] = 0.0
+        yield c, panel
 
 
-def _dcov_stats(radius_rows: np.ndarray, offsets: np.ndarray, weights: np.ndarray, height: int) -> np.ndarray:
-    """sum_ij |r_i - r_j| * A_ij for each row r of radius_rows.
+def _add_pair_sums(sums: np.ndarray, c: int, panel: np.ndarray) -> None:
+    """Add each entry of an offset panel (_offset_distances' layout) to the sums of both rows of its pair."""
+    n = sums.size
+    sums += panel.sum(axis=0, dtype=np.float64)
+    for e, row in enumerate(panel, c):
+        # row[i] pairs i with (i + e) % n
+        sums[e:] += row[: n - e]
+        sums[:e] += row[n - e :]
 
-    A is given as its cyclic-offset rows D (_dcov_offsets), D[c - 1, i] =
-    2 A[i, (i + c) % n], and its off-diagonal row sums w.  With
-    |a - b| = a + b - 2 min(a, b) each sum is
-    2 x.w - 2 sum_{c, i} D[c - 1, i] min(x_i, x_{(i + c) % n}), where
-    x = r - m with m the row's lower median.  m is a radius the row takes,
-    so the two terms stay small and constant radii score exactly zero.
-    With xx = [x, x], the partners x_{(i + c) % n} of offset c are the
-    contiguous run xx[c : c + n], so for each panel of `height` offsets
-    one `np.minimum` of two contiguous operands fills a scratch buffer
-    with the minima of all rows at once, and a single matrix-vector
-    product against the panel reduces them.
+
+def _offset_means(rows: np.ndarray) -> np.ndarray:
+    """Row means of the distance matrix of rows, from one pass over _offset_distances."""
+    sums = np.zeros(rows.shape[0])
+    for c, panel in _offset_distances(rows, _PANEL_BUDGET):
+        _add_pair_sums(sums, c, panel)
+    return sums / rows.shape[0]
+
+
+def _centred_panels(panels, means: np.ndarray, dtype):
+    """The offset panels of a symmetric D, turned into those of 2A, A the double-centred D.
+
+    panels yields _offset_distances' (c, panel) and means holds the row
+    means of D.  Each panel is centred and doubled in float64, in place,
+    then cast to dtype; the second copy of the offset-n/2 pairs of an even
+    n stays zero.
     """
-    k, n = radius_rows.shape
-    mid = (n - 1) // 2
-    x = radius_rows - np.partition(radius_rows, mid, axis=1)[:, mid : mid + 1]
-    # partners[:, c, i] = x[:, (i + c) % n]
-    partners = sliding_window_view(np.concatenate([x, x], axis=1), n, axis=1)
-    buf = np.empty(k * min(height, offsets.shape[0]) * n, dtype=x.dtype)
-    totals = x.astype(np.float64) @ weights
-    for c0 in range(0, offsets.shape[0], height):
-        panel = offsets[c0 : c0 + height]
+    n = means.size
+    grand = float(means.mean())
+    # partner_means[e, i] = means[(i + e) % n]
+    partner_means = sliding_window_view(np.concatenate([means, means]), n)
+    for c, panel in panels:
         h = panel.shape[0]
-        mins = buf[: k * h * n].reshape(k, h, n)
-        np.minimum(x[:, None, :], partners[:, c0 + 1 : c0 + 1 + h], out=mins)
-        totals -= mins.reshape(k, h * n) @ panel.ravel()
+        panel -= means
+        panel -= partner_means[c : c + h]
+        panel += grand
+        panel *= 2
+        if n % 2 == 0 and c + h - 1 == n // 2:
+            panel[-1, n // 2 :] = 0.0
+        yield c, panel.astype(dtype, copy=False)
+
+
+def _dcov_stats(panels, rows: np.ndarray, sizes) -> np.ndarray:
+    """sum_ij |r_i - r_j| A_ij for each row r of rows, scoring each panel of A as it comes.
+
+    panels yields (c, P) with P[t, i] = 2 A[i, (i + c + t) % n], in the
+    dtype of rows, for every offset c + t of 1..n // 2 (_centred_panels).
+    With |a - b| = a + b - 2 min(a, b) each sum is
+    2 x.w - 2 sum P[t, i] min(x_i, x_{(i + c + t) % n}), where
+    w_i = sum_{j != i} A_ij is summed from the panels in float64 and
+    x = r - m, m the row's lower median; rows is shifted in place.  m is a
+    radius the row takes, so the terms stay small and constant radii score
+    exactly zero.
+
+    The rows are scored in consecutive blocks of `sizes` rows.  With
+    xx = [x, x] the partners of offset e are the contiguous run
+    xx[e : e + n], so against each panel one `np.minimum` of two
+    contiguous operands fills about _PANEL_BUDGET scratch entries with
+    the minima of a whole block over a few offsets, and one matrix-vector
+    product reduces them.  A row's sum depends in its last bits on the
+    block it is scored in, and on nothing else.
+    """
+    k, n = rows.shape
+    mid = (n - 1) // 2
+    bounds = np.cumsum([0, *sizes])
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    for lo, hi in blocks:
+        rows[lo:hi] -= np.partition(rows[lo:hi], mid, axis=1)[:, mid : mid + 1]
+    buf = np.empty(max(_PANEL_BUDGET, max(sizes) * n), dtype=rows.dtype)
+    weights = np.zeros(n)
+    totals = np.zeros(k)
+    for c, panel in panels:
+        _add_pair_sums(weights, c, panel)
+        h = panel.shape[0]
+        for lo, hi in blocks:
+            x = rows[lo:hi]
+            # partners[:, e, i] = x[:, (i + e) % n]
+            partners = sliding_window_view(np.concatenate([x, x], axis=1), n, axis=1)
+            step = max(1, _PANEL_BUDGET // x.size)
+            for t in range(0, h, step):
+                s = min(step, h - t)
+                mins = buf[: x.size * s].reshape(hi - lo, s, n)
+                np.minimum(x[:, None, :], partners[:, c + t : c + t + s], out=mins)
+                totals[lo:hi] -= mins.reshape(hi - lo, s * n) @ panel[t : t + s].ravel()
+    for lo, hi in blocks:
+        totals[lo:hi] += rows[lo:hi].astype(np.float64) @ (weights / 2)
     return 2.0 * totals
 
 
@@ -614,23 +681,36 @@ def _independence_core(x, n_permutations, seed, stop=None):
     n = rows.shape[0]
     rng = np.random.default_rng(seed)
 
-    # enough permutations per pass that a panel is about 4 offsets tall:
-    # each panel then serves several permutations while in cache
-    per_pass = max(1, _PANEL_BUDGET // (4 * n))
-    height = max(1, _PANEL_BUDGET // (per_pass * n))
+    means = _offset_means(directions)
     dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
-    offsets, weights = _dcov_offsets(directions, dtype)
     r_cast = radii.astype(dtype)
-    observed = _dcov_stats(r_cast[None, :], offsets, weights, height)[0] / (n * n)
 
-    def permuted():
-        # a permuted statistic moves in its last bits with the number of
-        # rows scored together, so every run follows this one schedule
-        for k in _chunk_sizes(n_permutations, per_pass):
-            shuffled = r_cast[_permutations(rng, k, n)]
-            yield _dcov_stats(shuffled, offsets, weights, height)[None] / (n * n)
+    def score(sizes, observed=False):
+        """The statistics of the observed radii, if asked, then of sum(sizes) permuted ones, in one pass.
 
-    return (observed, *_count_exceedances(observed, permuted(), stop))
+        The observed row is a block of its own and each chunk of
+        permutations one block, so every run scores each row alike.
+        """
+        first = int(observed)
+        radius_rows = np.empty((first + sum(sizes), n), dtype=dtype)
+        radius_rows[:first] = r_cast
+        at = first
+        for k in sizes:
+            # drawn a chunk at a time: the stream of one whole draw
+            np.take(r_cast, _permutations(rng, k, n), out=radius_rows[at : at + k])
+            at += k
+        panels = _centred_panels(_offset_distances(directions, _PANEL_BUDGET), means, dtype)
+        return _dcov_stats(panels, radius_rows, [1] * first + sizes) / (n * n)
+
+    # enough permutations per chunk that a block's minima span a few offsets
+    chunks = list(_chunk_sizes(n_permutations, max(1, _PANEL_BUDGET // (4 * n))))
+    if stop is None:
+        # a public run scores every row in one pass
+        stats = score(chunks, observed=True)
+        return (stats[0], *_count_exceedances(stats[0], [stats[None, 1:]]))
+    # a curtailed run passes over the distances again for each chunk it pulls
+    observed = score([], observed=True)[0]
+    return (observed, *_count_exceedances(observed, (score([k])[None] for k in chunks), stop))
 
 
 def test_radial_angular_independence(
@@ -644,12 +724,14 @@ def test_radial_angular_independence(
     The statistic is the squared sample distance covariance (V-statistic)
     between the radius and the direction; the permutation null shuffles
     the radial column against fixed directions, which is exact under
-    independence.  The centred direction distances are stored once per
-    pair, by cyclic offset (n // 2 rows of n), and the observed and the
-    permuted statistics go through one kernel, which scores a few radius
-    rows at a time against a few offsets at a time in about _PANEL_BUDGET
-    scratch entries, reading each offset's radius partners as one
-    contiguous run.
+    independence.  No centred distance is stored: one pass sums the rows
+    of the direction distance matrix, and a second streams its pairs
+    again by cyclic offset, in panels of about _PANEL_BUDGET entries.  One
+    kernel centres each panel as it comes and scores the observed radii
+    and all B permuted ones against it, a block of radius rows against a
+    few offsets at a time, reading each offset's radius partners as one
+    contiguous run.  So memory is O(n (B + 1)) for the radius rows plus a
+    few panels.
     """
     observed, counts, _ = _independence_core(x, n_permutations, seed)
     return _report(

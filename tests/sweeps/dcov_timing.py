@@ -3,9 +3,11 @@
 For each n it draws n standard normal rows in R^9 and times
 `_independence_core` (set-up, observed statistic and B permuted
 statistics, no report) with B = 199, taking the best of a few repeats.
-The sizes straddle the float32 cutover (2048 rows), so both storage
-dtypes are timed.  BLAS is pinned to one thread the way the CLI pins it
-for INVSPAN_THREADS=1, before numpy loads.
+One more run under tracemalloc gives the peak of the memory Python
+allocates, printed beside the time; it is not timed, since tracing slows
+every allocation.  The sizes straddle the float32 cutover (2048 rows), so
+both dtypes are timed.  BLAS is pinned to one thread the way the CLI pins
+it for INVSPAN_THREADS=1, before numpy loads.
 
     PYTHONPATH=src python tests/sweeps/dcov_timing.py [--repeats 3] [--sizes 200 3000]
 
@@ -16,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -38,6 +41,16 @@ def best_time(rows, repeats: int) -> float:
     return best
 
 
+def traced_peak(rows) -> int:
+    """Peak bytes Python allocates during one run."""
+    tracemalloc.start()
+    try:
+        mcs._independence_core(rows, PERMUTATIONS, 7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -47,7 +60,9 @@ def main() -> int:
     for n in args.sizes:
         rows = np.random.default_rng(n).standard_normal((n, DIMENSION))
         dtype = "float64" if n <= mcs._FLOAT32_CUTOVER else "float32"
-        print(f"n = {n:5d} ({dtype}): {best_time(rows, args.repeats):.3f} s", flush=True)
+        seconds = best_time(rows, args.repeats)
+        peak = traced_peak(rows) / 2**20
+        print(f"n = {n:5d} ({dtype}): {seconds:.3f} s, tracemalloc peak {peak:.1f} MiB", flush=True)
     return 0
 
 

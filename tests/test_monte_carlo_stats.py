@@ -52,10 +52,11 @@ def _row_panels(directions, panel_elements, dtype):
     """Doubled upper-triangle row panels (lo, 2 A[lo:hi, lo:] above the diagonal) of the double-centred A.
 
     The layout the distance covariance kept before its cyclic-offset
-    rows, kept with _row_panel_weights and _row_panel_stats as the oracle
-    of _dcov_offsets and _dcov_stats: the same two passes over the
-    _distance_panels blocks, each centred block cut into panels of at most
-    panel_elements entries (or one row), each panel cast to dtype.
+    panels, kept with _row_panel_weights and _row_panel_stats as the oracle
+    of _offset_distances, _centred_panels and _dcov_stats: two passes over
+    the upper-triangle _distance_panels blocks, each centred block cut
+    into panels of at most panel_elements entries (or one row), each panel
+    cast to dtype.
     """
     n = directions.shape[0]
     sums = np.zeros(n)
@@ -663,15 +664,18 @@ def test_independence_large_n_matches_dense_float64():
 
 def test_independence_memory_stays_bounded():
     # the dense 3000 x 3000 direction distance matrix alone would take
-    # 34 MiB (float32) or 69 MiB (float64)
+    # 34 MiB (float32) or 69 MiB (float64), a store of each pair's
+    # centred distance 17 MiB; the B + 1 float32 radius rows take 2.3 MiB
+    # at B = 199 and 11.4 MiB at B = 999
     rows = np.random.default_rng(48).standard_normal((3000, 9))
-    tracemalloc.start()
-    try:
-        mcs.test_radial_angular_independence(rows, 199, 49)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    for draws, bound in ((199, 8), (999, 16)):
+        tracemalloc.start()
+        try:
+            mcs.test_radial_angular_independence(rows, draws, 49)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
 
 
 def test_independence_accepts_gaussian():
@@ -701,9 +705,9 @@ def test_independence_accepts_coefficient_blocks():
 def _offset_rows(a):
     """Cyclic-offset rows D[c - 1, i] = 2 a[i, (i + c) % n] of a dense symmetric a, c = 1..n // 2.
 
-    The layout _dcov_stats reads, gathered from a stored matrix.  For even
-    n the second copy of each offset-n/2 pair (columns n/2 and up of the
-    last row) is zero.
+    The layout of the offset panels, gathered from a stored matrix.  For
+    even n the second copy of each offset-n/2 pair (columns n/2 and up of
+    the last row) is zero.
     """
     n = a.shape[0]
     cols = np.arange(n)
@@ -721,7 +725,27 @@ def _offset_pairs(n):
     return pairs
 
 
-def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric"):
+def _panels_of(offset_rows, height):
+    """(c, panel) for the offset rows cut into panels of `height` offsets, as _centred_panels yields them."""
+    return [(c, offset_rows[c - 1 : c - 1 + height]) for c in range(1, offset_rows.shape[0] + 1, height)]
+
+
+def _gathered(panels):
+    """The (n // 2, n) offset rows of a stream of (c, panel), checking that the offsets run 1..n // 2 in order."""
+    panels = [(c, panel.copy()) for c, panel in panels]
+    if not panels:
+        return None
+    starts = [c for c, _ in panels]
+    assert starts == list(itertools.accumulate([1] + [p.shape[0] for _, p in panels[:-1]]))
+    return np.concatenate([p for _, p in panels])
+
+
+def _block_sizes(k, block):
+    """k rows split into consecutive blocks of at most `block` rows."""
+    return [min(block, k - lo) for lo in range(0, k, block)]
+
+
+def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric", block=None):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     a = a + a.T
@@ -742,10 +766,8 @@ def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kin
     dist = np.abs(r[:, :, None] - r[:, None, :])
     exact = np.einsum("kij,ij->k", dist, a)
     scale = np.einsum("kij,ij->k", dist, np.abs(a))
-    stored = a.astype(dtype)
-    weights = stored.sum(axis=1, dtype=np.float64) - np.diag(stored)
-    offsets = _offset_rows(stored)
-    got = mcs._dcov_stats(r_in, offsets, weights, height)
+    offsets = _offset_rows(a.astype(dtype))
+    got = mcs._dcov_stats(_panels_of(offsets, height), r_in.copy(), _block_sizes(rows, block or rows))
     return got, exact, scale, offsets
 
 
@@ -754,24 +776,26 @@ def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kin
     n=st.integers(1, 40),
     rows=st.integers(1, 5),
     height=st.integers(1, 25),
+    block=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     ties=st.booleans(),
     shift=st.sampled_from([0.0, 1e3, -1e3]),
     a_kind=st.sampled_from(["symmetric", "centred", "offset"]),
 )
-@example(n=1, rows=2, height=4, seed=6, ties=False, shift=0.0, a_kind="symmetric")  # no pair at all
-@example(n=2, rows=3, height=4, seed=7, ties=False, shift=1e3, a_kind="offset")  # one pair, half its row zero
-@example(n=3, rows=2, height=1, seed=8, ties=True, shift=0.0, a_kind="centred")  # one offset row, wrapping
-@example(n=30, rows=3, height=15, seed=1, ties=False, shift=0.0, a_kind="symmetric")  # one panel, even n
-@example(n=37, rows=2, height=5, seed=2, ties=False, shift=0.0, a_kind="symmetric")  # ragged last panel, odd n
-@example(n=25, rows=4, height=4, seed=3, ties=True, shift=0.0, a_kind="symmetric")  # tied radii
-@example(n=33, rows=3, height=4, seed=4, ties=False, shift=1e3, a_kind="offset")  # far shift, large row sums
-@example(n=28, rows=2, height=3, seed=5, ties=True, shift=-1e3, a_kind="centred")  # negative radii, dCov-like A
-def test_dcov_kernel_matches_double_sum(n, rows, height, seed, ties, shift, a_kind):
+@example(n=1, rows=2, height=4, block=2, seed=6, ties=False, shift=0.0, a_kind="symmetric")  # no pair at all
+@example(n=2, rows=3, height=4, block=2, seed=7, ties=False, shift=1e3, a_kind="offset")  # one pair, half its row zero
+@example(n=3, rows=2, height=1, block=1, seed=8, ties=True, shift=0.0, a_kind="centred")  # one offset, wrapping
+@example(n=30, rows=3, height=15, block=3, seed=1, ties=False, shift=0.0, a_kind="symmetric")  # one panel, even n
+@example(n=37, rows=2, height=5, block=1, seed=2, ties=False, shift=0.0, a_kind="symmetric")  # ragged last panel, odd n
+@example(n=25, rows=4, height=4, block=3, seed=3, ties=True, shift=0.0, a_kind="symmetric")  # tied radii, ragged blocks
+@example(n=33, rows=3, height=4, block=2, seed=4, ties=False, shift=1e3, a_kind="offset")  # far shift, large row sums
+@example(n=28, rows=2, height=3, block=2, seed=5, ties=True, shift=-1e3, a_kind="centred")  # negative radii, dCov-like A
+def test_dcov_kernel_matches_double_sum(n, rows, height, block, seed, ties, shift, a_kind):
     # relative to sum_ij |r_i - r_j| |A_ij|, since the signed sum may cancel;
-    # the min form must not lose that bound to a shift of the radii or to
-    # the row sums of A, which it adds back as 2 x.w
-    got, exact, scale, offsets = _kernel_case(n, rows, height, seed, ties, np.float64, shift, a_kind)
+    # the min form must not lose that bound to a shift of the radii, to
+    # the row sums of A, which it adds back as 2 x.w, or to the blocks the
+    # rows are scored in
+    got, exact, scale, offsets = _kernel_case(n, rows, height, seed, ties, np.float64, shift, a_kind, block)
     assert got.shape == (rows,)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
     assert offsets.shape == (n // 2, n)
@@ -796,63 +820,73 @@ def _centred_dense(points):
     shift=st.sampled_from([0.0, 1e4]),
 )
 @example(n=1, d=2, block_elements=2000, seed=6, ties=False, shift=0.0)  # no pair at all
-@example(n=2, d=3, block_elements=1, seed=7, ties=False, shift=0.0)  # one pair, one row per block
-@example(n=3, d=1, block_elements=4, seed=8, ties=True, shift=1e4)  # one offset row, wrapping
-@example(n=30, d=3, block_elements=2000, seed=1, ties=False, shift=0.0)  # one block, even n
-@example(n=37, d=2, block_elements=2000, seed=2, ties=False, shift=0.0)  # one block, odd n
-@example(n=37, d=2, block_elements=37 * 7, seed=5, ties=False, shift=0.0)  # offsets on both sides of n // 2 per block
-@example(n=40, d=2, block_elements=100, seed=9, ties=False, shift=0.0)  # many blocks, even n
+@example(n=2, d=3, block_elements=1, seed=7, ties=False, shift=0.0)  # one pair, one offset per panel
+@example(n=3, d=1, block_elements=4, seed=8, ties=True, shift=1e4)  # one offset, wrapping
+@example(n=30, d=3, block_elements=2000, seed=1, ties=False, shift=0.0)  # one panel, even n
+@example(n=37, d=2, block_elements=2000, seed=2, ties=False, shift=0.0)  # one panel, odd n
+@example(n=37, d=2, block_elements=37 * 7, seed=5, ties=False, shift=0.0)  # a ragged last panel
+@example(n=40, d=2, block_elements=100, seed=9, ties=False, shift=0.0)  # many panels, even n
 @example(n=25, d=1, block_elements=300, seed=3, ties=True, shift=0.0)  # tied rows
 @example(n=33, d=4, block_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
+@example(n=300, d=3, block_elements=2000, seed=10, ties=True, shift=0.0)  # Gram products of more than one row block
 def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shift):
-    # the offset rows of the double-centred matrix, in the layout
-    # _dcov_stats reads, written from distance blocks of _PANEL_BUDGET
-    # entries without a dense matrix
+    # the offset distances and their double centring, streamed in panels
+    # of _PANEL_BUDGET entries without a dense matrix, against the
+    # broadcast distances; bitwise equal rows are exactly zero apart
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
     if ties:
         points = np.round(2.0 * points) / 2.0
     points += shift
-    with mock.patch.object(mcs, "_PANEL_BUDGET", block_elements):
-        got, _ = mcs._dcov_offsets(points, np.float64)
     centred, scale = _centred_dense(points)
+    with mock.patch.object(mcs, "_PANEL_BUDGET", block_elements):
+        means = mcs._offset_means(points)
+        distances = _gathered(mcs._offset_distances(points, block_elements))
+        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, block_elements), means, np.float64))
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    np.testing.assert_allclose(means, dist.mean(axis=1), rtol=1e-12, atol=1e-9)
+    if n < 2:
+        assert distances is None and got is None
+        return
     assert got.shape == (n // 2, n) and got.dtype == np.float64
+    assert np.all(np.abs(distances - _offset_rows(dist) / 2) <= 1e-9 * (1.0 + _offset_rows(dist)))
+    assert not np.any(distances[_offset_rows(dist) == 0.0])
     assert np.all(np.abs(got - _offset_rows(centred)) <= 1e-9 * _offset_rows(scale))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 36, 37, 101])
 def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
-    # the dense matrix built from the same blocks by the same centring
-    # operations, gathered into the offset layout, equals _dcov_offsets bit
-    # for bit; one buffer gives many short panels, the other a first panel
-    # taller than n // 2
+    # the dense matrix built from the same distance panels, centred by the
+    # same operations and gathered into the offset layout, equals the
+    # centred panels bit for bit; one budget gives many short panels, the
+    # other one panel of all n // 2 offsets
     points = np.random.default_rng(n).standard_normal((n, 3))
     if n > 4:
         points[n // 2] = points[1]
-    for buffer in (2 * n, (n // 2 + 1) * n):
-        with mock.patch.object(mcs, "_PANEL_BUDGET", buffer):
-            got, _ = mcs._dcov_offsets(points, dtype)
-        heights = [hi - lo for lo, hi in mcs._panel_rows(n, buffer)]
-        if buffer == 2 * n and n > 2:
-            assert len(heights) > 1
-        else:
-            assert max(heights) > n // 2
-        sums = np.zeros(n)
-        for lo, hi, block in mcs._distance_panels(points, 1, buffer):
-            sums[lo:hi] += block.sum(axis=1)
-            sums[lo:] += block.sum(axis=0)
-        means = sums / n
-        grand = float(means.mean())
+    means = mcs._offset_means(points)
+    for budget in (2 * n, (n // 2 + 1) * n):
+        distances = _gathered(mcs._offset_distances(points, budget))
+        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, budget), means, dtype))
+        if n < 2:
+            assert distances is None and got is None
+            continue
+        count = len(list(mcs._offset_distances(points, budget)))
+        assert count == (-(-(n // 2) // 2) if budget == 2 * n else 1)
         dense = np.zeros((n, n))
-        for lo, hi, block in mcs._distance_panels(points, 1, buffer):
-            block -= means[lo:hi, None]
-            block -= means[None, lo:]
-            block += grand
-            dense[lo:hi, lo:] = block
-        upper = np.triu(dense, 1)
+        for c, row in enumerate(_offset_pairs(n)):
+            for i, pair in enumerate(row):
+                if pair is not None:
+                    dense[pair] = dense[pair[::-1]] = distances[c, i]
+        grand = float(means.mean())
+        centred = dense - means[:, None]
+        centred -= means[None, :]
+        centred += grand
         assert got.dtype == dtype
-        np.testing.assert_array_equal(got, _offset_rows(upper + upper.T).astype(dtype))
+        np.testing.assert_array_equal(got, _offset_rows(centred).astype(dtype))
+        if n > 4:
+            # the tied pair (1, n // 2) is exactly zero apart
+            assert distances[n // 2 - 2, 1] == 0.0
 
 
 def test_dcov_kernel_panel_shapes():
@@ -867,15 +901,23 @@ def test_dcov_kernel_panel_shapes():
         expected = np.array([[0.0 if pair is None else 2.0 for pair in row] for row in pairs]).reshape(n // 2, n)
         np.testing.assert_array_equal(_offset_rows(np.ones((n, n))), expected)
         points = np.random.default_rng(n).standard_normal((n, 2))
-        offsets, weights = mcs._dcov_offsets(points, np.float32)
-        assert offsets.shape == (n // 2, n) and offsets.dtype == np.float32 and weights.shape == (n,)
-        assert not np.any(offsets[expected == 0.0])
+        means = mcs._offset_means(points)
+        for budget in (n, 3 * n, 2**17):
+            shapes = [panel.shape for _, panel in mcs._offset_distances(points, budget)]
+            assert all(w == n and 1 <= h <= max(1, budget // n) for h, w in shapes)
+            assert sum(h for h, _ in shapes) == n // 2
+        centred = list(mcs._centred_panels(mcs._offset_distances(points, 2**17), means, np.float32))
+        assert all(panel.dtype == np.float32 for _, panel in centred)
+        if n > 1:
+            distances = _gathered(mcs._offset_distances(points, 2**17))
+            assert distances.dtype == np.float64 and np.all((distances == 0.0) == (expected == 0.0))
+            assert not np.any(centred[-1][1][expected[-centred[-1][1].shape[0] :] == 0.0])
 
 
 def test_dcov_kernel_float32_within_1e5_of_float64():
     for seed in range(5):
         for shift in (0.0, 1e3, -1e3):
-            got, exact, scale, offsets = _kernel_case(300, 4, 4, seed, False, np.float32, shift)
+            got, exact, scale, offsets = _kernel_case(300, 4, 4, seed, False, np.float32, shift, block=3)
             assert got.dtype == np.float64 and offsets.dtype == np.float32
             assert np.all(np.abs(got - exact) <= 1e-5 * scale)
 
@@ -887,9 +929,8 @@ def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
     rng = np.random.default_rng(28)
     a = rng.standard_normal((120, 120))
     a = (a + a.T).astype(dtype)
-    weights = a.sum(axis=1, dtype=np.float64) - np.diag(a)
     rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
-    got = mcs._dcov_stats(rows, _offset_rows(a), weights, 7)
+    got = mcs._dcov_stats(_panels_of(_offset_rows(a), 7), rows, [1, 3])
     assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
@@ -898,22 +939,27 @@ def test_panel_weights_are_off_diagonal_row_sums():
     # for even and odd n and either storage dtype
     for n, dtype in itertools.product((22, 23), (np.float64, np.float32)):
         points = np.random.default_rng(29).standard_normal((n, 3))
-        offsets, weights = mcs._dcov_offsets(points, dtype)
+        means = mcs._offset_means(points)
+        weights = np.zeros(n)
+        for c, panel in mcs._centred_panels(mcs._offset_distances(points, 4 * n), means, dtype):
+            mcs._add_pair_sums(weights, c, panel)
+        offsets = _gathered(mcs._centred_panels(mcs._offset_distances(points, 4 * n), means, dtype))
         stored = np.zeros((n, n))
         for c, row in enumerate(_offset_pairs(n)):
             for i, pair in enumerate(row):
                 if pair is not None:
                     stored[pair] = stored[pair[::-1]] = offsets[c, i] / 2.0
-        np.testing.assert_allclose(weights, stored.sum(axis=1), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(weights / 2, stored.sum(axis=1), rtol=1e-13, atol=1e-13)
 
 
 def _record_kernel_calls(monkeypatch):
     calls = []
     kernel = mcs._dcov_stats
 
-    def recording(radius_rows, offsets, weights, height):
-        out = kernel(radius_rows, offsets, weights, height)
-        calls.append((radius_rows.copy(), out))
+    def recording(panels, rows, sizes):
+        before = rows.copy()
+        out = kernel(panels, rows, sizes)
+        calls.append((before, list(sizes), out))
         return out
 
     monkeypatch.setattr(mcs, "_dcov_stats", recording)
@@ -930,8 +976,8 @@ def test_dcov_kernel_matches_the_row_panel_oracle_on_the_draw_stream(n, monkeypa
     rows = np.random.default_rng(54).standard_normal((n, 4))
     rows *= 1.0 + 0.2 * np.abs(rows[:, :1])
     mcs.test_radial_angular_independence(rows, 99, 55)
-    radius_rows = np.concatenate([r for r, _ in calls])
-    got = np.concatenate([out for _, out in calls])
+    radius_rows = np.concatenate([r for r, _, _ in calls])
+    got = np.concatenate([out for _, _, out in calls])
     assert radius_rows.shape == (100, n)
     radii = np.linalg.norm(rows, axis=1)
     directions = rows / radii[:, None]
@@ -949,7 +995,7 @@ def test_dcov_kernel_matches_the_row_panel_oracle_on_the_draw_stream(n, monkeypa
 
 def test_independence_permutations_follow_the_draw_stream(monkeypatch):
     # a small scratch budget splits the 99 permutations into several
-    # passes, the last one short; the count must still equal one naive
+    # blocks, the last one short; the count must still equal one naive
     # statistic per rng.permutation draw, in order
     monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
     calls = _record_kernel_calls(monkeypatch)
@@ -957,7 +1003,8 @@ def test_independence_permutations_follow_the_draw_stream(monkeypatch):
     rows = rng.standard_normal((120, 3))
     rows *= 1.0 + 0.3 * np.abs(rows[:, :1])
     report = mcs.test_radial_angular_independence(rows, 99, 19)
-    sizes = [len(out) for _, out in calls[1:]]
+    [(_, sizes, _)] = calls
+    sizes = sizes[1:]
     assert sum(sizes) == 99 and len(sizes) > 2 and sizes[-1] < sizes[0]
     radii = np.linalg.norm(rows, axis=1)
     directions = rows / radii[:, None]
@@ -980,30 +1027,37 @@ def test_permutation_batches_are_the_permutation_draws(n, k):
 
 
 def test_independence_batches_are_the_permutation_draws(monkeypatch):
-    # the radius rows scored after the observed one, over several passes,
-    # are the radii under one rng.permutation(n) draw each, in order
+    # the radius rows scored after the observed one, in several blocks of
+    # one pass or in one pass per block, are the radii under one
+    # rng.permutation(n) draw each, in order
     monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
     calls = _record_kernel_calls(monkeypatch)
     rows = np.random.default_rng(30).standard_normal((120, 3))
-    mcs.test_radial_angular_independence(rows, 99, 31)
-    assert len(calls) > 3
     draws = np.random.default_rng(31)
     expected = np.linalg.norm(rows, axis=1)[np.stack([draws.permutation(120) for _ in range(99)])]
-    np.testing.assert_array_equal(np.concatenate([r for r, _ in calls[1:]]), expected)
+    mcs.test_radial_angular_independence(rows, 99, 31)
+    [(radius_rows, sizes, _)] = calls
+    assert len(sizes) > 3
+    np.testing.assert_array_equal(radius_rows[1:], expected)
+    calls.clear()
+    mcs._independence_core(rows, 99, 31, 100)
+    assert len(calls) == len(sizes) and all(block == [size] for (_, block, _), size in zip(calls, sizes))
+    np.testing.assert_array_equal(np.concatenate([r for r, _, _ in calls[1:]]), expected)
 
 
 @pytest.mark.parametrize("n", [120, 2100])
 def test_independence_statistic_is_the_unpermuted_kernel_row(n, monkeypatch):
     # the reported statistic is exactly the kernel's value on the
-    # unpermuted radii, on both sides of the float32 cutover
+    # unpermuted radii, scored as a block of its own, on both sides of the
+    # float32 cutover
     calls = _record_kernel_calls(monkeypatch)
     rng = np.random.default_rng(20)
     rows = rng.standard_normal((n, 4))
     report = mcs.test_radial_angular_independence(rows, 99, 21)
-    radius_rows, out = calls[0]
-    np.testing.assert_array_equal(radius_rows, np.linalg.norm(rows, axis=1)[None, :].astype(radius_rows.dtype))
+    [(radius_rows, sizes, out)] = calls
+    np.testing.assert_array_equal(radius_rows[0], np.linalg.norm(rows, axis=1).astype(radius_rows.dtype))
     assert report.statistic == out[0] / (n * n)
-    assert sum(len(out) for _, out in calls[1:]) == 99
+    assert sizes[0] == 1 and sum(sizes[1:]) == 99
 
 
 def _norm_three_rows(n):
@@ -1445,12 +1499,35 @@ def _simulated_chunks(monkeypatch, first, cap_entries, run):
 
 @pytest.mark.parametrize(
     "kind, n, d, draws",
-    [("uniformity", 200, 3, 299), ("uniformity", 2000, 5, 99), ("gaussianity", 150, 1, 299)],
+    [
+        ("uniformity", 200, 3, 299),
+        ("uniformity", 2000, 5, 99),
+        ("gaussianity", 150, 1, 299),
+        ("independence", 200, 4, 199),
+        ("independence", 2100, 9, 99),
+    ],
 )
 def test_simulated_statistics_do_not_depend_on_the_chunking(kind, n, d, draws, monkeypatch):
     # curtailing scores a prefix of the full run's draws, so the draw
     # stream and the statistics must be the same in one chunk and in many
     rng = np.random.default_rng(60)
+    if kind == "independence":
+        # distance covariance keeps its chunks, one block of rows each, and
+        # scores them in one pass over the distances or, curtailed, in one
+        # pass per chunk; its observed row is a block of its own either way
+        x = rng.standard_normal((n, d))
+        one_pass = []
+        whole = _simulated_chunks(
+            monkeypatch, 7, mcs._PANEL_BUDGET, lambda: one_pass.append(mcs._independence_core(x, draws, 61))
+        )
+        passes = []
+        split = _simulated_chunks(
+            monkeypatch, 7, mcs._PANEL_BUDGET, lambda: passes.append(mcs._independence_core(x, draws, 61, draws + 1))
+        )
+        assert len(whole) == 1 and len(split) > 3
+        assert one_pass[0][0] == passes[0][0] and one_pass[0][2] == passes[0][2] == draws
+        np.testing.assert_array_equal(np.concatenate(split, axis=1), whole[0])
+        return
     if kind == "uniformity":
         x = rng.standard_normal((n, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
