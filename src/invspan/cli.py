@@ -349,9 +349,8 @@ _SEED_OUT = {"seed": DEFAULT_SEED, "out": None}
 _MC_N = (100, None)
 
 
-def _so_n(highest: int) -> dict:
-    # --n is the matrix side, >= 4 for so(n), listed after --out in the help
-    return {"out": None, "n": {"required": True, "range": (4, highest), "help": "matrix side"}}
+# --n is the matrix side, >= 4 for so(n), listed after --out in the help
+_SO_N = {"out": None, "n": {"required": True, "range": (4, 125), "help": "matrix side"}}
 
 
 # name -> (handler, help, options); each option maps to its default, or to a
@@ -360,14 +359,14 @@ def _so_n(highest: int) -> dict:
 # models are in tests/test_invariance_engine.py)
 _COMMANDS = {
     "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True, "range": (1, 41)}, "out": None}),
-    "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _so_n(125)),
-    "character": (_run_character, "transposition characters of the two components", _so_n(125)),
-    "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _so_n(99)),
+    "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _SO_N),
+    "character": (_run_character, "transposition characters of the two components", _SO_N),
+    "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _SO_N),
     "simulate-field": (_run_simulate_field, "draw random harmonic coefficients and check the variance identity", {"lmax": None, "n": 1000, "radial": "chi", "spectrum": None, **_SEED_OUT, "format": "json"}),
     "spectrum-estimate": (_run_spectrum_estimate, "estimate the power spectrum from fresh coefficient draws", {"lmax": None, "n": 2000, "radial": "chi", "spectrum": None, **_SEED_OUT}),
     "test-theorem2": (_run_test_theorem2, "exchangeability, rotation-invariance and radius/direction tests on one degree block", {"ell": {"required": True}, "n": {"default": 1000, "range": _MC_N}, "radial": "chi", "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
     "test-bernstein": (_run_test_bernstein, "Gaussian-characterization demonstrations", {"n": {"default": 2000, "range": _MC_N}, "d": 5, "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
-    "orbit-walk": (_run_orbit_walk, "random walk under conjugated rotations plus a uniformity test", {"ell": {"required": True}, "n": 2000, "alpha": 0.01, "odd": False, **_SEED_OUT, "format": "json"}),
+    "orbit-walk": (_run_orbit_walk, "random walk under conjugated rotations plus a uniformity test", {"ell": {"required": True, "range": (1, 168)}, "n": 2000, "alpha": 0.01, "odd": False, **_SEED_OUT, "format": "json"}),
     "calibrate": (_run_calibrate, "null rejection rates for every test", {"n": {"default": 200, "help": "repetitions per test"}, "alpha": 0.05, "permutations": 199, **_SEED_OUT}),
 }
 

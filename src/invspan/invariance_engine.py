@@ -250,22 +250,32 @@ def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, Subspace
     return report, standard, stabilizer
 
 
+def _pair_incidence(w: np.ndarray) -> np.ndarray:
+    """M(w)[i, k] = [r_k = i] w[s_k] - [s_k = i] w[r_k] for the pairs k = (r_k, s_k), r_k < s_k.
+
+    x @ M(w)^T = sqrt(2) A w for the flattened x of an antisymmetric A; M(1) is the pairs' incidence matrix.
+    """
+    rows, cols = upper_triangle_indices(w.size)
+    points = np.arange(w.size)[:, None]
+    return (points == rows) * w[cols] - (points == cols) * w[rows]
+
+
+def _standard_part(flat: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+    """AJ + JA = v1^T - 1v^T (J = 11^T/n, v = A1/n) for each flattened row A, with incidence = M(1)."""
+    return (flat @ incidence.T) @ incidence / incidence.shape[0]
+
+
 def _split_residual(frame: np.ndarray, standard: np.ndarray, stabilizer: np.ndarray) -> float:
     """Largest of max|frame frame^T - I|, |P x - x| over standard rows and |P x| over stabilizer rows.
 
-    In flattened coordinates the projector A -> AJ + JA is P = B^T B / n,
-    with B[i, k] = 1 and B[j, k] = -1 for pair k = (i, j), and
-    |P x| = |B x| / sqrt(n).  An orthogonal frame has orthonormal
-    second-compound rows.
+    P = _standard_part = M(1)^T M(1) / n, so |P x| = |M(1) x| / sqrt(n).
+    An orthogonal frame has orthonormal second-compound rows.
     """
     n = frame.shape[0]
-    rows, cols = upper_triangle_indices(n)
-    points = np.arange(n)[:, None]
-    incidence = (points == rows).astype(float) - (points == cols)
-    std_off = standard - (standard @ incidence.T) @ incidence / n
+    incidence = _pair_incidence(np.ones(n))
     return max(
         float(np.max(np.abs(frame @ frame.T - np.eye(n)))),
-        float(np.max(np.linalg.norm(std_off, axis=1))),
+        float(np.max(np.linalg.norm(standard - _standard_part(standard, incidence), axis=1))),
         float(np.max(np.linalg.norm(stabilizer @ incidence.T, axis=1))) / math.sqrt(n),
     )
 
@@ -314,34 +324,25 @@ def block_form_check(n: int) -> BlockFormReport:
     construction.  The projector P(A) = AJ + JA onto the standard part,
     J = 11^T/n, needs no rotation: it must fix every standard element and
     send every stabilizer element to 0.
+
+    Only the n - 1 standard elements are formed as matrices.  Row 0 of
+    b^T S b, b the rotation, is -(S b_0)^T b = -x @ M(b_0)^T @ b / sqrt(2)
+    for S's flattened row x (_pair_incidence); column 0 is its negative.
+    b_0 is b's own first column, so a frame as wrong as the bases reads 0.
+    Conjugation keeps the trace form, so the cross Gram is read unrotated.
+    P is _standard_part, as in _split_residual, on sqrt(2)-scaled entries.
     """
     _, standard, stabilizer = decompose_so_n(n)
-    std, stab = standard.matrices(), stabilizer.matrices()
+    std, stab = standard.vectors, stabilizer.vectors
     b = ones_fixing_rotation(n)
-    conj_std = b.T @ std @ b
-    conj_stab = b.T @ stab @ b
-
-    stab_max = float(max(np.max(np.abs(conj_stab[:, 0, :])), np.max(np.abs(conj_stab[:, :, 0]))))
-    std_max = float(np.max(np.abs(conj_std[:, 1:, 1:])))
-    cross = float(np.max(np.abs(np.einsum("aij,bij->ab", conj_std, conj_stab))))
-    std_proj = float(np.max(np.abs(_standard_projection(std) - std)))
-    stab_proj = float(np.max(np.abs(_standard_projection(stab))))
-
-    passed = all(r <= _BLOCK_FORM_TOL for r in (stab_max, std_max, cross, std_proj, stab_proj))
-    return BlockFormReport(
-        n=n,
-        stabilizer_first_rowcol_max=stab_max,
-        standard_complement_max=std_max,
-        cross_gram_max=cross,
-        standard_projector_residual=std_proj,
-        stabilizer_projector_residual=stab_proj,
-        tol=_BLOCK_FORM_TOL,
-        passed=passed,
-    )
-
-
-def _standard_projection(mats: np.ndarray) -> np.ndarray:
-    """AJ + JA = v1^T - 1v^T, v = A1/n, for each antisymmetric A of a (k, n, n) stack."""
-    k, n, _ = mats.shape
-    v = (mats.reshape(k * n, n) @ np.full(n, 1.0 / n)).reshape(k, n)
-    return v[:, :, None] - v[:, None, :]
+    incidence = _pair_incidence(np.ones(n))
+    root2 = math.sqrt(2.0)
+    residuals = {
+        "stabilizer_first_rowcol_max": float(np.max(np.abs(stab @ _pair_incidence(b[:, 0]).T @ b))) / root2,
+        "standard_complement_max": float(np.max(np.abs((b.T @ standard.matrices() @ b)[:, 1:, 1:]))),
+        "cross_gram_max": float(np.max(np.abs(std @ stab.T))),
+        "standard_projector_residual": float(np.max(np.abs(_standard_part(std, incidence) - std))) / root2,
+        "stabilizer_projector_residual": float(np.max(np.abs(_standard_part(stab, incidence)))) / root2,
+    }
+    passed = all(r <= _BLOCK_FORM_TOL for r in residuals.values())
+    return BlockFormReport(n=n, **residuals, tol=_BLOCK_FORM_TOL, passed=passed)

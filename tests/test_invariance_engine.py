@@ -12,6 +12,7 @@ import reference_engine as ref
 from reference_engine import plane_rotation
 
 from invspan import cli
+from invspan import monte_carlo_stats as mcs
 from invspan.errors import DegenerateInputError, DimensionError, InvarianceViolationError
 from invspan.invariance_engine import (
     accumulate_span,
@@ -279,7 +280,12 @@ def test_block_form_check_rejects_wrong_bases(split, monkeypatch):
         report = block_form_check(n)
         assert max(report.stabilizer_first_rowcol_max, report.standard_complement_max, report.cross_gram_max) == 0.0
     else:
+        # a standard element in the stabilizer basis moves the ones
+        # direction, and a stabilizer element in the standard basis does not
+        # vanish off the first row and column (0.707 swapped, 0.5 mixed)
         report = block_form_check(n)
+        assert report.stabilizer_first_rowcol_max > 0.1
+        assert report.standard_complement_max > 0.1
     assert report.standard_projector_residual > 0.1 or report.stabilizer_projector_residual > 0.1
     assert not report.passed
 
@@ -295,33 +301,48 @@ def test_span_report_round_trip():
 # ---------------------------------------------------------------------------
 # Memory models behind the CLI ceilings
 
-# command -> (size option, function, c, m(size)): peak RSS above the
-# interpreter, fitted in fresh processes with one BLAS thread, is at most
-# c x 8 m^2 bytes (CHANGES.md); tracemalloc sees numpy's buffers but not
-# LAPACK's workspace, so it reads below the fit
+# command -> (size option, run(size), c, unit(size)): peak RSS above the
+# interpreter, fitted in fresh processes with one BLAS thread
+# (tests/sweeps/algebra_peaks.py), is at most c x unit(size) bytes.  The unit
+# is 8 m^2 for the so(n) commands, with m = ell(2 ell + 1) or n(n - 1)/2, and
+# 8 d^3 for orbit-walk at its default --n, with d = 2 ell + 1.  tracemalloc
+# sees numpy's buffers but not LAPACK's workspace, so it reads below the fit
+def _so_unit(m):
+    return lambda size: 8 * m(size) ** 2
+
+
+def _walk_and_test(ell):
+    # the orbit-walk handler at --n 100, with the axis bases built afresh
+    build_generators.cache_clear()
+    mcs.test_uniform_on_sphere(mcs.orbit_walk_samples(ell, 100), 0, 0.01)
+
+
 _MEMORY_MODELS = {
-    "verify-span": ("ell", verify_span, 22.4, lambda ell: ell * (2 * ell + 1)),
-    "decompose": ("n", decompose_so_n, 4.4, lambda n: n * (n - 1) // 2),
-    "character": ("n", decompose_so_n, 4.4, lambda n: n * (n - 1) // 2),
-    "block-check": ("n", block_form_check, 11.2, lambda n: n * (n - 1) // 2),
+    "verify-span": ("ell", verify_span, 22.4, _so_unit(lambda ell: ell * (2 * ell + 1))),
+    "decompose": ("n", decompose_so_n, 4.4, _so_unit(so_dim)),
+    "character": ("n", decompose_so_n, 4.4, _so_unit(so_dim)),
+    "block-check": ("n", block_form_check, 4.4, _so_unit(so_dim)),
+    "orbit-walk": ("ell", _walk_and_test, 7.0, lambda ell: 8 * (2 * ell + 1) ** 3),
 }
 
 
-@pytest.mark.parametrize("command, size", [("verify-span", 12), ("decompose", 32), ("block-check", 32)])
+@pytest.mark.parametrize(
+    "command, size", [("verify-span", 12), ("decompose", 32), ("block-check", 32), ("orbit-walk", 32)]
+)
 def test_algebra_peaks_stay_within_their_models(command, size):
-    _, run, c, m = _MEMORY_MODELS[command]
+    _, run, c, unit = _MEMORY_MODELS[command]
     tracemalloc.start()
     try:
         run(size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= c * 8 * m(size) ** 2, peak / (8 * m(size) ** 2)
+    assert peak <= c * unit(size), peak / unit(size)
 
 
 @pytest.mark.parametrize("command", list(_MEMORY_MODELS))
 def test_cli_ceiling_is_the_largest_size_within_2_gib(command):
-    option, _, c, m = _MEMORY_MODELS[command]
+    option, _, c, unit = _MEMORY_MODELS[command]
     _, highest = cli._option_spec(command, option)["range"]
-    at_ceiling, above = (c * 8 * m(size) ** 2 for size in (highest, highest + 1))
+    at_ceiling, above = (c * unit(size) for size in (highest, highest + 1))
     assert at_ceiling <= 2**31 < above

@@ -33,6 +33,7 @@ def _invspan_references(tree: ast.AST) -> set[tuple[str, str]]:
 
 def test_every_sweep_is_checked():
     assert [p.name for p in SWEEPS] == [
+        "algebra_peaks.py",
         "curtail_sweep.py",
         "dcov_timing.py",
         "span_sweep.py",
