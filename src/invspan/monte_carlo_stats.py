@@ -14,12 +14,13 @@ distance covariance) streams its Euclidean distances in float64 panels,
 all products of the same Gram factors of the mean-centred rows, so no
 test stores an n x n matrix.  The energy tests read upper-triangle row
 panels, which meet all their permutation columns in one product each;
-distance covariance reads panels of cyclic offsets, in which each pair's
-radius partner lies in one contiguous run.  Distances between bitwise
-equal rows are exactly zero.  Distance covariance holds its radii, and
-scores its centred distances, in float32 above _FLOAT32_CUTOVER rows, so
-its last bits depend on the sample size; every other statistic is
-float64 at every size.
+distance covariance centres by w = 2m - g (m the distances' row means
+from one such pass, g their mean), 2A_ij = 2D_ij - w_i - w_j, and scores
+panels of cyclic offsets, in which each pair's radius partner lies in one
+contiguous run.  Distances between bitwise equal rows are exactly zero.
+Distance covariance holds its radii, and scores its centred distances,
+in float32 above _FLOAT32_CUTOVER rows, so its last bits depend on the
+sample size; every other statistic is float64 at every size.
 
 Every test scores its simulated statistics through one exceedance
 counter and reports the p-value (1 + c)/(B + 1), c being the number of
@@ -45,6 +46,7 @@ not depend on evaluation order.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -582,58 +584,54 @@ def _offset_distances(rows: np.ndarray, panel_elements: int):
         yield c, panel
 
 
-def _add_pair_sums(sums: np.ndarray, c: int, panel: np.ndarray) -> None:
-    """Add each entry of an offset panel (_offset_distances' layout) to the sums of both rows of its pair."""
-    n = sums.size
-    sums += panel.sum(axis=0, dtype=np.float64)
-    for e, row in enumerate(panel, c):
-        # row[i] pairs i with (i + e) % n
-        sums[e:] += row[: n - e]
-        sums[:e] += row[n - e :]
+def _distance_weights(rows: np.ndarray) -> np.ndarray:
+    """Off-diagonal row sums w of the double-centred distance matrix of rows, from one triangle pass.
 
-
-def _offset_means(rows: np.ndarray) -> np.ndarray:
-    """Row means of the distance matrix of rows, from one pass over _offset_distances."""
+    The row sums of D, with m = D1/n and g = mean(m), come from one pass
+    over _distance_panels.  Every row of A = D - m1^T - 1m^T + g sums to 0
+    and A_ii = g - 2 m_i, so w_i = sum_{j != i} A_ij = 2 m_i - g, and
+    A_ij = D_ij - (w_i + w_j)/2.
+    """
     sums = np.zeros(rows.shape[0])
-    for c, panel in _offset_distances(rows, _PANEL_BUDGET):
-        _add_pair_sums(sums, c, panel)
-    return sums / rows.shape[0]
+    for lo, hi, block in _distance_panels(rows, 1, _PANEL_BUDGET):
+        sums[lo:hi] += block.sum(axis=1)
+        sums[lo:] += block.sum(axis=0)
+    means = sums / rows.shape[0]
+    return 2.0 * means - means.mean()
 
 
-def _centred_panels(panels, means: np.ndarray, dtype):
+def _centred_panels(panels, w: np.ndarray, dtype):
     """The offset panels of a symmetric D, turned into those of 2A, A the double-centred D.
 
-    panels yields _offset_distances' (c, panel) and means holds the row
-    means of D.  Each panel is centred and doubled in float64, in place,
-    then cast to dtype; the second copy of the offset-n/2 pairs of an even
-    n stays zero.
+    panels yields _offset_distances' (c, panel) and w holds the
+    off-diagonal row sums of A (_distance_weights).  Each panel becomes
+    2A_ij = 2D_ij - w_i - w_j in float64, in place, then is cast to dtype;
+    the second copy of the offset-n/2 pairs of an even n stays zero.
     """
-    n = means.size
-    grand = float(means.mean())
-    # partner_means[e, i] = means[(i + e) % n]
-    partner_means = sliding_window_view(np.concatenate([means, means]), n)
+    n = w.size
+    # partner_w[e, i] = w[(i + e) % n]
+    partner_w = sliding_window_view(np.concatenate([w, w]), n)
     for c, panel in panels:
         h = panel.shape[0]
-        panel -= means
-        panel -= partner_means[c : c + h]
-        panel += grand
         panel *= 2
+        panel -= w
+        panel -= partner_w[c : c + h]
         if n % 2 == 0 and c + h - 1 == n // 2:
             panel[-1, n // 2 :] = 0.0
         yield c, panel.astype(dtype, copy=False)
 
 
-def _dcov_stats(panels, rows: np.ndarray, sizes) -> np.ndarray:
+def _dcov_stats(panels, rows: np.ndarray, w: np.ndarray, sizes) -> np.ndarray:
     """sum_ij |r_i - r_j| A_ij for each row r of rows, scoring each panel of A as it comes.
 
     panels yields (c, P) with P[t, i] = 2 A[i, (i + c + t) % n], in the
-    dtype of rows, for every offset c + t of 1..n // 2 (_centred_panels).
-    With |a - b| = a + b - 2 min(a, b) each sum is
-    2 x.w - 2 sum P[t, i] min(x_i, x_{(i + c + t) % n}), where
-    w_i = sum_{j != i} A_ij is summed from the panels in float64 and
-    x = r - m, m the row's lower median; rows is shifted in place.  m is a
-    radius the row takes, so the terms stay small and constant radii score
-    exactly zero.
+    dtype of rows, for every offset c + t of 1..n // 2 (_centred_panels),
+    and w holds the off-diagonal row sums w_i = sum_{j != i} A_ij in
+    float64.  With |a - b| = a + b - 2 min(a, b) each sum is
+    2 x.w - 2 sum P[t, i] min(x_i, x_{(i + c + t) % n}), where x = r - m,
+    m the row's lower median; rows is shifted in place.  m is a radius the
+    row takes, so the terms stay small and constant radii score exactly
+    zero.
 
     The rows are scored in consecutive blocks of `sizes` rows.  With
     xx = [x, x] the partners of offset e are the contiguous run
@@ -650,10 +648,8 @@ def _dcov_stats(panels, rows: np.ndarray, sizes) -> np.ndarray:
     for lo, hi in blocks:
         rows[lo:hi] -= np.partition(rows[lo:hi], mid, axis=1)[:, mid : mid + 1]
     buf = np.empty(max(_PANEL_BUDGET, max(sizes) * n), dtype=rows.dtype)
-    weights = np.zeros(n)
     totals = np.zeros(k)
     for c, panel in panels:
-        _add_pair_sums(weights, c, panel)
         h = panel.shape[0]
         for lo, hi in blocks:
             x = rows[lo:hi]
@@ -666,7 +662,7 @@ def _dcov_stats(panels, rows: np.ndarray, sizes) -> np.ndarray:
                 np.minimum(x[:, None, :], partners[:, c + t : c + t + s], out=mins)
                 totals[lo:hi] -= mins.reshape(hi - lo, s * n) @ panel[t : t + s].ravel()
     for lo, hi in blocks:
-        totals[lo:hi] += rows[lo:hi].astype(np.float64) @ (weights / 2)
+        totals[lo:hi] += rows[lo:hi].astype(np.float64) @ w
     return 2.0 * totals
 
 
@@ -681,7 +677,7 @@ def _independence_core(x, n_permutations, seed, stop=None):
     n = rows.shape[0]
     rng = np.random.default_rng(seed)
 
-    means = _offset_means(directions)
+    w = _distance_weights(directions)
     dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
     r_cast = radii.astype(dtype)
 
@@ -699,18 +695,17 @@ def _independence_core(x, n_permutations, seed, stop=None):
             # drawn a chunk at a time: the stream of one whole draw
             np.take(r_cast, _permutations(rng, k, n), out=radius_rows[at : at + k])
             at += k
-        panels = _centred_panels(_offset_distances(directions, _PANEL_BUDGET), means, dtype)
-        return _dcov_stats(panels, radius_rows, [1] * first + sizes) / (n * n)
+        panels = _centred_panels(_offset_distances(directions, _PANEL_BUDGET), w, dtype)
+        return _dcov_stats(panels, radius_rows, w, [1] * first + sizes) / (n * n)
 
     # enough permutations per chunk that a block's minima span a few offsets
     chunks = list(_chunk_sizes(n_permutations, max(1, _PANEL_BUDGET // (4 * n))))
-    if stop is None:
-        # a public run scores every row in one pass
-        stats = score(chunks, observed=True)
-        return (stats[0], *_count_exceedances(stats[0], [stats[None, 1:]]))
-    # a curtailed run passes over the distances again for each chunk it pulls
-    observed = score([], observed=True)[0]
-    return (observed, *_count_exceedances(observed, (score([k])[None] for k in chunks), stop))
+    # a public run scores every chunk in one pass, a curtailed run one
+    # chunk per pass as the counter pulls them; the observed row joins the first
+    groups = [chunks] if stop is None else [[k] for k in chunks]
+    stats = score(groups[0], observed=True)
+    sims = itertools.chain([stats[None, 1:]], (score(g)[None] for g in groups[1:]))
+    return (stats[0], *_count_exceedances(stats[0], sims, stop))
 
 
 def test_radial_angular_independence(
@@ -724,14 +719,15 @@ def test_radial_angular_independence(
     The statistic is the squared sample distance covariance (V-statistic)
     between the radius and the direction; the permutation null shuffles
     the radial column against fixed directions, which is exact under
-    independence.  No centred distance is stored: one pass sums the rows
-    of the direction distance matrix, and a second streams its pairs
-    again by cyclic offset, in panels of about _PANEL_BUDGET entries.  One
-    kernel centres each panel as it comes and scores the observed radii
-    and all B permuted ones against it, a block of radius rows against a
-    few offsets at a time, reading each offset's radius partners as one
-    contiguous run.  So memory is O(n (B + 1)) for the radius rows plus a
-    few panels.
+    independence.  No centred distance is stored: one upper-triangle pass
+    over the direction distances D gives w = 2m - g, the off-diagonal row
+    sums of the double-centred A (m the row means of D, g their mean).  A
+    second pass streams D by cyclic offset, in panels of about
+    _PANEL_BUDGET entries; one kernel centres each, 2A_ij = 2D_ij - w_i -
+    w_j, and scores the observed radii and all B permuted ones against it
+    with weights w, a block of radius rows against a few offsets at a
+    time, reading each offset's radius partners as one contiguous run.
+    So memory is O(n (B + 1)) for the radius rows plus a few panels.
     """
     observed, counts, _ = _independence_core(x, n_permutations, seed)
     return _report(

@@ -16,7 +16,7 @@ and the Casimir sum gen_x^2 + gen_y^2 + gen_z^2 = -ell(ell+1) I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,7 +79,6 @@ class IrrepGenerators:
     gen_x: np.ndarray
     gen_y: np.ndarray
     gen_z: np.ndarray
-    _exp_basis: dict = field(default_factory=dict, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -163,21 +162,22 @@ def _validate_generators(gens: IrrepGenerators) -> None:
         raise ArithmeticError(f"Casimir defect {defect:.3e} at weight {ell}")
 
 
+@lru_cache(maxsize=2)
 def _axis_exp_basis(gens: IrrepGenerators, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w of i gen_axis and the real (2d, d*d) basis [Re O; Im O], cached per instance.
+    """Eigenvalues w of i gen_axis and the real (2d, d*d) basis [Re O; Im O], read-only.
 
     With i gen_axis = V diag(w) V^H (Hermitian), exp(angle gen_axis) =
     V diag(exp(-i angle w)) V^H, whose real part is
     sum_j cos(angle w_j) Re O_j + sin(angle w_j) Im O_j for O_j = v_j v_j^H.
+    A rotation batch asks for the z and y bases of one weight; only those two are kept.
     """
-    if axis not in gens._exp_basis:
-        g = {"x": gens.gen_x, "y": gens.gen_y, "z": gens.gen_z}[axis]
-        w, vecs = np.linalg.eigh(1j * g)
-        outer = np.einsum("aj,bj->jab", vecs, vecs.conj()).reshape(w.size, -1)
-        basis = np.concatenate([outer.real, outer.imag])
-        basis.setflags(write=False)
-        gens._exp_basis[axis] = (w, basis)
-    return gens._exp_basis[axis]
+    g = {"x": gens.gen_x, "y": gens.gen_y, "z": gens.gen_z}[axis]
+    w, vecs = np.linalg.eigh(1j * g)
+    outer = np.einsum("aj,bj->jab", vecs, vecs.conj()).reshape(w.size, -1)
+    basis = np.concatenate([outer.real, outer.imag])
+    w.setflags(write=False)
+    basis.setflags(write=False)
+    return w, basis
 
 
 def _axis_exp_batch(gens: IrrepGenerators, axis: str, angles) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 For each n it draws n standard normal rows in R^9 and times
 `_independence_core` (set-up, observed statistic and B permuted
-statistics, no report) with B = 199, taking the best of a few repeats.
-One more run under tracemalloc gives the peak of the memory Python
-allocates, printed beside the time; it is not timed, since tracing slows
-every allocation.  The sizes straddle the float32 cutover (2048 rows), so
+statistics, no report) with B = 199, taking the best of a few repeats,
+and the same for one curtailed run, stopped where calibration stops it
+(`_stop_count(0.05, 199)`).  One more full run under tracemalloc gives
+the peak of the memory Python allocates, printed beside the times; it is
+not timed, since tracing slows every allocation.  The sizes straddle the float32 cutover (2048 rows), so
 both dtypes are timed.  BLAS is pinned to one thread the way the CLI pins
 it for INVSPAN_THREADS=1, before numpy loads.
 
@@ -30,13 +31,14 @@ from invspan import monte_carlo_stats as mcs  # noqa: E402
 SIZES = (200, 1000, 2048, 2100, 3000, 5000)
 PERMUTATIONS = 199
 DIMENSION = 9
+CURTAIL_STOP = mcs._stop_count(0.05, PERMUTATIONS)
 
 
-def best_time(rows, repeats: int) -> float:
+def best_time(rows, repeats: int, stop=None) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        mcs._independence_core(rows, PERMUTATIONS, 7)
+        mcs._independence_core(rows, PERMUTATIONS, 7, stop)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -61,8 +63,13 @@ def main() -> int:
         rows = np.random.default_rng(n).standard_normal((n, DIMENSION))
         dtype = "float64" if n <= mcs._FLOAT32_CUTOVER else "float32"
         seconds = best_time(rows, args.repeats)
+        curtailed = best_time(rows, args.repeats, CURTAIL_STOP)
         peak = traced_peak(rows) / 2**20
-        print(f"n = {n:5d} ({dtype}): {seconds:.3f} s, tracemalloc peak {peak:.1f} MiB", flush=True)
+        print(
+            f"n = {n:5d} ({dtype}): {seconds:.3f} s, curtailed at stop {CURTAIL_STOP} {curtailed * 1e3:.1f} ms,"
+            f" tracemalloc peak {peak:.1f} MiB",
+            flush=True,
+        )
     return 0
 
 

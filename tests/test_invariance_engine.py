@@ -30,7 +30,7 @@ from invspan.lie_core import (
     numerical_rank,
     so_dim,
 )
-from invspan.so3_irreps import build_generators
+from invspan.so3_irreps import _axis_exp_basis, build_generators
 
 
 def _coord_rotation(n, i, j):
@@ -314,6 +314,7 @@ def _so_unit(m):
 def _walk_and_test(ell):
     # the orbit-walk handler at --n 100, with the axis bases built afresh
     build_generators.cache_clear()
+    _axis_exp_basis.cache_clear()
     mcs.test_uniform_on_sphere(mcs.orbit_walk_samples(ell, 100), 0, 0.01)
 
 

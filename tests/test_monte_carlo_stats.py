@@ -53,10 +53,10 @@ def _row_panels(directions, panel_elements, dtype):
 
     The layout the distance covariance kept before its cyclic-offset
     panels, kept with _row_panel_weights and _row_panel_stats as the oracle
-    of _offset_distances, _centred_panels and _dcov_stats: two passes over
-    the upper-triangle _distance_panels blocks, each centred block cut
-    into panels of at most panel_elements entries (or one row), each panel
-    cast to dtype.
+    of _distance_weights, _offset_distances, _centred_panels and
+    _dcov_stats: two passes over the upper-triangle _distance_panels
+    blocks, each centred block cut into panels of at most panel_elements
+    entries (or one row), each panel cast to dtype.
     """
     n = directions.shape[0]
     sums = np.zeros(n)
@@ -745,6 +745,12 @@ def _block_sizes(k, block):
     return [min(block, k - lo) for lo in range(0, k, block)]
 
 
+def _off_diagonal_sums(a):
+    """w_i = sum_{j != i} a_ij in float64, the weights _dcov_stats takes with the panels of a."""
+    a = a.astype(np.float64)
+    return a.sum(axis=1) - np.diag(a)
+
+
 def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kind="symmetric", block=None):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
@@ -767,7 +773,8 @@ def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kin
     exact = np.einsum("kij,ij->k", dist, a)
     scale = np.einsum("kij,ij->k", dist, np.abs(a))
     offsets = _offset_rows(a.astype(dtype))
-    got = mcs._dcov_stats(_panels_of(offsets, height), r_in.copy(), _block_sizes(rows, block or rows))
+    weights = _off_diagonal_sums(a)
+    got = mcs._dcov_stats(_panels_of(offsets, height), r_in.copy(), weights, _block_sizes(rows, block or rows))
     return got, exact, scale, offsets
 
 
@@ -830,9 +837,10 @@ def _centred_dense(points):
 @example(n=33, d=4, block_elements=150, seed=4, ties=True, shift=1e4)  # ties far from the origin
 @example(n=300, d=3, block_elements=2000, seed=10, ties=True, shift=0.0)  # Gram products of more than one row block
 def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shift):
-    # the offset distances and their double centring, streamed in panels
-    # of _PANEL_BUDGET entries without a dense matrix, against the
-    # broadcast distances; bitwise equal rows are exactly zero apart
+    # the weights from the triangle panels, the offset distances and their
+    # double centring, streamed in panels of _PANEL_BUDGET entries without
+    # a dense matrix, against the broadcast distances and the off-diagonal
+    # row sums of their dense centring; bitwise equal rows are exactly zero apart
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d))
     if ties:
@@ -840,11 +848,11 @@ def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shif
     points += shift
     centred, scale = _centred_dense(points)
     with mock.patch.object(mcs, "_PANEL_BUDGET", block_elements):
-        means = mcs._offset_means(points)
+        weights = mcs._distance_weights(points)
         distances = _gathered(mcs._offset_distances(points, block_elements))
-        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, block_elements), means, np.float64))
+        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, block_elements), weights, np.float64))
     dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    np.testing.assert_allclose(means, dist.mean(axis=1), rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(weights, _off_diagonal_sums(centred), rtol=1e-12, atol=1e-9)
     if n < 2:
         assert distances is None and got is None
         return
@@ -858,16 +866,16 @@ def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shif
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 36, 37, 101])
 def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
     # the dense matrix built from the same distance panels, centred by the
-    # same operations and gathered into the offset layout, equals the
-    # centred panels bit for bit; one budget gives many short panels, the
-    # other one panel of all n // 2 offsets
+    # same operations (2D_ij - w_i - w_j, row index first) and gathered
+    # into the offset layout, equals the centred panels bit for bit; one
+    # budget gives many short panels, the other one panel of all n // 2 offsets
     points = np.random.default_rng(n).standard_normal((n, 3))
     if n > 4:
         points[n // 2] = points[1]
-    means = mcs._offset_means(points)
+    weights = mcs._distance_weights(points)
     for budget in (2 * n, (n // 2 + 1) * n):
         distances = _gathered(mcs._offset_distances(points, budget))
-        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, budget), means, dtype))
+        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, budget), weights, dtype))
         if n < 2:
             assert distances is None and got is None
             continue
@@ -878,12 +886,12 @@ def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
             for i, pair in enumerate(row):
                 if pair is not None:
                     dense[pair] = dense[pair[::-1]] = distances[c, i]
-        grand = float(means.mean())
-        centred = dense - means[:, None]
-        centred -= means[None, :]
-        centred += grand
+        twice = 2 * dense
+        twice -= weights[:, None]
+        twice -= weights[None, :]
         assert got.dtype == dtype
-        np.testing.assert_array_equal(got, _offset_rows(centred).astype(dtype))
+        # _offset_rows doubles what it gathers, so it gathers half of 2A
+        np.testing.assert_array_equal(got, _offset_rows(twice / 2).astype(dtype))
         if n > 4:
             # the tied pair (1, n // 2) is exactly zero apart
             assert distances[n // 2 - 2, 1] == 0.0
@@ -901,12 +909,12 @@ def test_dcov_kernel_panel_shapes():
         expected = np.array([[0.0 if pair is None else 2.0 for pair in row] for row in pairs]).reshape(n // 2, n)
         np.testing.assert_array_equal(_offset_rows(np.ones((n, n))), expected)
         points = np.random.default_rng(n).standard_normal((n, 2))
-        means = mcs._offset_means(points)
+        weights = mcs._distance_weights(points)
         for budget in (n, 3 * n, 2**17):
             shapes = [panel.shape for _, panel in mcs._offset_distances(points, budget)]
             assert all(w == n and 1 <= h <= max(1, budget // n) for h, w in shapes)
             assert sum(h for h, _ in shapes) == n // 2
-        centred = list(mcs._centred_panels(mcs._offset_distances(points, 2**17), means, np.float32))
+        centred = list(mcs._centred_panels(mcs._offset_distances(points, 2**17), weights, np.float32))
         assert all(panel.dtype == np.float32 for _, panel in centred)
         if n > 1:
             distances = _gathered(mcs._offset_distances(points, 2**17))
@@ -930,36 +938,38 @@ def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
     a = rng.standard_normal((120, 120))
     a = (a + a.T).astype(dtype)
     rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
-    got = mcs._dcov_stats(_panels_of(_offset_rows(a), 7), rows, [1, 3])
+    got = mcs._dcov_stats(_panels_of(_offset_rows(a), 7), rows, _off_diagonal_sums(a), [1, 3])
     assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
 def test_panel_weights_are_off_diagonal_row_sums():
-    # w_i sums the stored entries of row i of A, read back from the layout,
-    # for even and odd n and either storage dtype
-    for n, dtype in itertools.product((22, 23), (np.float64, np.float32)):
+    # w = 2m - g = -diag(A) is the off-diagonal row sums of the dense
+    # double-centred A, for even and odd n; the centred panels read back
+    # from the layout sum to it too, to the rounding of either storage dtype
+    for n in (22, 23):
         points = np.random.default_rng(29).standard_normal((n, 3))
-        means = mcs._offset_means(points)
-        weights = np.zeros(n)
-        for c, panel in mcs._centred_panels(mcs._offset_distances(points, 4 * n), means, dtype):
-            mcs._add_pair_sums(weights, c, panel)
-        offsets = _gathered(mcs._centred_panels(mcs._offset_distances(points, 4 * n), means, dtype))
-        stored = np.zeros((n, n))
-        for c, row in enumerate(_offset_pairs(n)):
-            for i, pair in enumerate(row):
-                if pair is not None:
-                    stored[pair] = stored[pair[::-1]] = offsets[c, i] / 2.0
-        np.testing.assert_allclose(weights / 2, stored.sum(axis=1), rtol=1e-13, atol=1e-13)
+        weights = mcs._distance_weights(points)
+        centred, _ = _centred_dense(points)
+        np.testing.assert_allclose(weights, _off_diagonal_sums(centred), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(weights, -np.diag(centred), rtol=1e-13, atol=1e-13)
+        for dtype, tol in ((np.float64, 1e-13), (np.float32, 1e-6)):
+            offsets = _gathered(mcs._centred_panels(mcs._offset_distances(points, 4 * n), weights, dtype))
+            stored = np.zeros((n, n))
+            for c, row in enumerate(_offset_pairs(n)):
+                for i, pair in enumerate(row):
+                    if pair is not None:
+                        stored[pair] = stored[pair[::-1]] = offsets[c, i] / 2.0
+            assert np.all(np.abs(stored.sum(axis=1) - weights) <= tol * (1.0 + np.abs(stored).sum(axis=1)))
 
 
 def _record_kernel_calls(monkeypatch):
     calls = []
     kernel = mcs._dcov_stats
 
-    def recording(panels, rows, sizes):
+    def recording(panels, rows, w, sizes):
         before = rows.copy()
-        out = kernel(panels, rows, sizes)
-        calls.append((before, list(sizes), out))
+        out = kernel(panels, rows, w, sizes)
+        calls.append((before, list(sizes), out, w.copy()))
         return out
 
     monkeypatch.setattr(mcs, "_dcov_stats", recording)
@@ -976,15 +986,19 @@ def test_dcov_kernel_matches_the_row_panel_oracle_on_the_draw_stream(n, monkeypa
     rows = np.random.default_rng(54).standard_normal((n, 4))
     rows *= 1.0 + 0.2 * np.abs(rows[:, :1])
     mcs.test_radial_angular_independence(rows, 99, 55)
-    radius_rows = np.concatenate([r for r, _, _ in calls])
-    got = np.concatenate([out for _, _, out in calls])
+    radius_rows = np.concatenate([r for r, _, _, _ in calls])
+    got = np.concatenate([out for _, _, out, _ in calls])
     assert radius_rows.shape == (100, n)
     radii = np.linalg.norm(rows, axis=1)
     directions = rows / radii[:, None]
     dtype = radius_rows.dtype
     panels = _row_panels(directions, 4 * n, dtype)
     oracle = _row_panel_stats(radius_rows, panels, _row_panel_weights(panels))
-    wide = [(lo, np.abs(panel)) for lo, panel in _row_panels(directions, 4 * n, np.float64)]
+    exact = _row_panels(directions, 4 * n, np.float64)
+    wide = [(lo, np.abs(panel)) for lo, panel in exact]
+    # the kernel's one weight vector is the oracle's float64 row sums of A
+    [(_, _, _, weights)] = calls
+    np.testing.assert_allclose(weights, _row_panel_weights(exact), rtol=1e-12, atol=1e-12)
     scale = _row_panel_stats(radius_rows.astype(np.float64), wide, _row_panel_weights(wide))
     tol = 1e-12 if dtype == np.float64 else 1e-5
     assert np.all(np.abs(got - oracle) <= tol * scale)
@@ -1003,7 +1017,7 @@ def test_independence_permutations_follow_the_draw_stream(monkeypatch):
     rows = rng.standard_normal((120, 3))
     rows *= 1.0 + 0.3 * np.abs(rows[:, :1])
     report = mcs.test_radial_angular_independence(rows, 99, 19)
-    [(_, sizes, _)] = calls
+    [(_, sizes, _, _)] = calls
     sizes = sizes[1:]
     assert sum(sizes) == 99 and len(sizes) > 2 and sizes[-1] < sizes[0]
     radii = np.linalg.norm(rows, axis=1)
@@ -1028,21 +1042,51 @@ def test_permutation_batches_are_the_permutation_draws(n, k):
 
 def test_independence_batches_are_the_permutation_draws(monkeypatch):
     # the radius rows scored after the observed one, in several blocks of
-    # one pass or in one pass per block, are the radii under one
-    # rng.permutation(n) draw each, in order
+    # one pass or in one pass per block (the observed row joining the
+    # first), are the radii under one rng.permutation(n) draw each, in order
     monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
     calls = _record_kernel_calls(monkeypatch)
     rows = np.random.default_rng(30).standard_normal((120, 3))
     draws = np.random.default_rng(31)
     expected = np.linalg.norm(rows, axis=1)[np.stack([draws.permutation(120) for _ in range(99)])]
     mcs.test_radial_angular_independence(rows, 99, 31)
-    [(radius_rows, sizes, _)] = calls
+    [(radius_rows, sizes, _, weights)] = calls
     assert len(sizes) > 3
     np.testing.assert_array_equal(radius_rows[1:], expected)
     calls.clear()
     mcs._independence_core(rows, 99, 31, 100)
-    assert len(calls) == len(sizes) and all(block == [size] for (_, block, _), size in zip(calls, sizes))
-    np.testing.assert_array_equal(np.concatenate([r for r, _, _ in calls[1:]]), expected)
+    assert [block for _, block, _, _ in calls] == [sizes[:2]] + [[size] for size in sizes[2:]]
+    np.testing.assert_array_equal(calls[0][0][0], radius_rows[0])
+    np.testing.assert_array_equal(np.concatenate([calls[0][0][1:]] + [r for r, _, _, _ in calls[1:]]), expected)
+    assert all(np.array_equal(w, weights) for _, _, _, w in calls)
+
+
+def test_independence_makes_one_distance_pass_per_chunk_pulled(monkeypatch):
+    # the weights come from one triangle pass; each chunk the counter
+    # pulls costs one offset pass, the observed row riding with the first,
+    # and a public run makes one offset pass in all
+    passes = {"_distance_panels": 0, "_offset_distances": 0}
+
+    def counting(name):
+        generator = getattr(mcs, name)
+
+        def counted(*args):
+            passes[name] += 1
+            return generator(*args)
+
+        monkeypatch.setattr(mcs, name, counted)
+
+    counting("_distance_panels")
+    counting("_offset_distances")
+    rows = np.random.default_rng(56).standard_normal((200, 4))
+    chunks = list(mcs._chunk_sizes(199, mcs._PANEL_BUDGET // 800))
+    assert chunks == [25, 50, 100, 24]
+    # stops that pull one, three and all four chunks, then a public run
+    for stop, pulled in ((1, 1), (mcs._stop_count(0.05, 199), 3), (200, 4), (None, 4)):
+        passes.update(dict.fromkeys(passes, 0))
+        _, _, used = mcs._independence_core(rows, 199, 57, stop)
+        assert used == sum(chunks[:pulled])
+        assert passes == {"_distance_panels": 1, "_offset_distances": 1 if stop is None else pulled}
 
 
 @pytest.mark.parametrize("n", [120, 2100])
@@ -1054,7 +1098,7 @@ def test_independence_statistic_is_the_unpermuted_kernel_row(n, monkeypatch):
     rng = np.random.default_rng(20)
     rows = rng.standard_normal((n, 4))
     report = mcs.test_radial_angular_independence(rows, 99, 21)
-    [(radius_rows, sizes, out)] = calls
+    [(radius_rows, sizes, out, _)] = calls
     np.testing.assert_array_equal(radius_rows[0], np.linalg.norm(rows, axis=1).astype(radius_rows.dtype))
     assert report.statistic == out[0] / (n * n)
     assert sizes[0] == 1 and sum(sizes[1:]) == 99

@@ -9,7 +9,7 @@ import pytest
 from reference_engine import cartesian_rotation, random_rotation
 
 from invspan.errors import DimensionError
-from invspan.so3_irreps import RotationSpec
+from invspan.so3_irreps import RotationSpec, _axis_exp_basis, build_generators
 from invspan.sphere_harmonics import (
     MAX_LMAX,
     RADIAL_LAWS,
@@ -310,6 +310,24 @@ def test_rotate_rows_acts_per_degree():
             np.testing.assert_array_equal(out, rotate_coefficients(ell, rot, row))
     with pytest.raises(DimensionError):
         rotate_coefficient_rows(np.zeros((2, 8)), rot)
+
+
+def test_rotating_rows_keeps_the_axis_bases_of_one_degree():
+    # a rotation batch asks for the z and y bases of one weight, (2d, d^2)
+    # floats each; with cold caches, rotating lmax 32 rows must not leave
+    # every degree's bases behind (about 32 d^3 bytes per degree), only
+    # those of the last one, d = 65
+    build_generators.cache_clear()
+    _axis_exp_basis.cache_clear()
+    rows = np.random.default_rng(21).standard_normal((3, 33 * 33))
+    tracemalloc.start()
+    try:
+        rotated = rotate_coefficient_rows(rows, RotationSpec(0.4, 1.1, 2.3))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rotated.shape == rows.shape
+    assert held <= 1.25 * 2 * 16 * 65**3, held / 2**20
 
 
 def test_rotate_rejects_wrong_block_length():
