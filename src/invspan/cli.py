@@ -366,7 +366,7 @@ _COMMANDS = {
     "spectrum-estimate": (_run_spectrum_estimate, "estimate the power spectrum from fresh coefficient draws", {"lmax": None, "n": 2000, "radial": "chi", "spectrum": None, **_SEED_OUT}),
     "test-theorem2": (_run_test_theorem2, "exchangeability, rotation-invariance and radius/direction tests on one degree block", {"ell": {"required": True}, "n": {"default": 1000, "range": _MC_N}, "radial": "chi", "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
     "test-bernstein": (_run_test_bernstein, "Gaussian-characterization demonstrations", {"n": {"default": 2000, "range": _MC_N}, "d": 5, "alpha": 0.01, "permutations": 999, **_SEED_OUT}),
-    "orbit-walk": (_run_orbit_walk, "random walk under conjugated rotations plus a uniformity test", {"ell": {"required": True, "range": (1, 168)}, "n": 2000, "alpha": 0.01, "odd": False, **_SEED_OUT, "format": "json"}),
+    "orbit-walk": (_run_orbit_walk, "random walk under conjugated rotations plus a uniformity test", {"ell": {"required": True, "range": (1, 915)}, "n": 2000, "alpha": 0.01, "odd": False, **_SEED_OUT, "format": "json"}),
     "calibrate": (_run_calibrate, "null rejection rates for every test", {"n": {"default": 200, "help": "repetitions per test"}, "alpha": 0.05, "permutations": 199, **_SEED_OUT}),
 }
 

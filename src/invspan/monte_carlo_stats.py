@@ -960,15 +960,14 @@ def orbit_random_walk(
     Steps are drawn in blocks of 20000: the block's Euler angles, then its
     permutations, which each piece of about _WALK_PIECE entries draws in
     turn (permuted draws row by row, so the stream is the block's).  The
-    pieces build, conjugate and multiply the step matrices, and hold at
-    least two steps unless the block has one.  The first `burn_in` steps
-    advance the state one at a time.  Every later step joins a pending
-    stack; each complete group of `thin` steps in it is multiplied
-    together, the state advances by that one product and is recorded, and
-    the fewer than `thin` steps left over carry into the next piece or
-    block.  With d = 2 ell + 1 the working set is O(_WALK_PIECE + thin d^2)
-    entries besides the block's 3 x 20000 angles, whatever `steps` and
-    `burn_in` are.
+    pieces build, conjugate and multiply the step matrices.  The first
+    `burn_in` steps advance the state one at a time.  Every later step
+    joins a pending stack; each complete group of `thin` steps in it is
+    multiplied together, the state advances by that one product and is
+    recorded, and the fewer than `thin` steps left over carry into the
+    next piece or block.  With d = 2 ell + 1 the working set is
+    O(_WALK_PIECE + thin d^2) entries besides the block's 3 x 20000
+    angles, whatever `steps` and `burn_in` are.
     """
     steps, burn_in, thin = (operator.index(k) for k in (steps, burn_in, thin))
     if steps < 0 or burn_in < 0 or thin < 1:
@@ -999,9 +998,7 @@ def orbit_random_walk(
     rows = np.arange(d)
     if include_odd_permutation:
         rows[[0, 1]] = [1, 0]
-    # steps per piece, at least two, since a one-row rep_matrix_batch goes
-    # through BLAS gemv and moves bits
-    span = max(_WALK_PIECE // (d * d), 2)
+    span = max(_WALK_PIECE // (d * d), 1)
     out = np.empty((n_states, d))
     v = start.copy()
     pending = []
@@ -1012,10 +1009,8 @@ def orbit_random_walk(
         alphas = rng.uniform(0.0, 2.0 * math.pi, block)
         betas = np.arccos(rng.uniform(-1.0, 1.0, block))
         gammas = rng.uniform(0.0, 2.0 * math.pi, block)
-        # a last piece of one step joins the one before it
-        ends = list(range(span, block - 1, span)) + [block]
-        lo = 0
-        for hi in ends:
+        for lo in range(0, block, span):
+            hi = min(lo + span, block)
             p = _permutations(rng, hi - lo, d)
             mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
@@ -1034,7 +1029,6 @@ def orbit_random_walk(
                     out[k] = v
                     k += 1
                 pending = [stack[grouped:]] if grouped < held else []
-            lo = hi
         done += block
     drift = np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
     if drift > 1e-8:

@@ -11,13 +11,16 @@ expansions, which pins down
     [gen_x, gen_y] = gen_z,  [gen_y, gen_z] = gen_x,  [gen_z, gen_x] = gen_y
 
 and the Casimir sum gen_x^2 + gen_y^2 + gen_z^2 = -ell(ell+1) I.
+
+gen_z pairs m with -m alone, so exp(t gen_z) is a plane rotation per pair, and with
+X = exp(-(pi/2) gen_x), exp(t gen_y) = X exp(t gen_z) X^T (Pinchon & Hoggan 2007).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -87,6 +90,17 @@ class IrrepGenerators:
     @property
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.gen_x, self.gen_y, self.gen_z)
+
+    @cached_property
+    def z_to_y(self) -> np.ndarray:
+        """Read-only X = exp(-(pi/2) gen_x) = Re V diag(i^w) V^H for i gen_x = V diag(w) V^H."""
+        w, vecs = np.linalg.eigh(1j * self.gen_x)
+        x = np.ascontiguousarray(((vecs * np.exp(0.5j * math.pi * w)) @ vecs.conj().T).real)
+        defect = max(np.max(np.abs(x @ self.gen_z @ x.T - self.gen_y)), np.max(np.abs(x.T @ x - np.eye(len(x)))))
+        if defect > 1e-10:
+            raise ArithmeticError(f"z-to-y rotation misses by {defect:.3e} at weight {self.ell}")
+        x.setflags(write=False)
+        return x
 
 
 def _angular_momentum(ell: int):
@@ -160,32 +174,24 @@ def _validate_generators(gens: IrrepGenerators) -> None:
     defect = np.max(np.abs(casimir + ell * (ell + 1) * np.eye(gens.dimension)))
     if defect > 1e-8:
         raise ArithmeticError(f"Casimir defect {defect:.3e} at weight {ell}")
+    if np.any(np.count_nonzero(gz, axis=1) > 1):
+        raise ArithmeticError(f"a row of gen_z has more than one nonzero entry at weight {ell}")
 
 
-@lru_cache(maxsize=2)
-def _axis_exp_basis(gens: IrrepGenerators, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w of i gen_axis and the real (2d, d*d) basis [Re O; Im O], read-only.
+def _z_rotations(gens: IrrepGenerators, angles) -> np.ndarray:
+    """Stack of exp(angle * gen_z), one plane rotation per (m, -m) pair.
 
-    With i gen_axis = V diag(w) V^H (Hermitian), exp(angle gen_axis) =
-    V diag(exp(-i angle w)) V^H, whose real part is
-    sum_j cos(angle w_j) Re O_j + sin(angle w_j) Im O_j for O_j = v_j v_j^H.
-    A rotation batch asks for the z and y bases of one weight; only those two are kept.
+    Row i of gen_z holds at most one entry a = gen_z[i, j], so row i of
+    exp(angle gen_z) is cos(a angle) at i and sin(a angle) at j.
     """
-    g = {"x": gens.gen_x, "y": gens.gen_y, "z": gens.gen_z}[axis]
-    w, vecs = np.linalg.eigh(1j * g)
-    outer = np.einsum("aj,bj->jab", vecs, vecs.conj()).reshape(w.size, -1)
-    basis = np.concatenate([outer.real, outer.imag])
-    w.setflags(write=False)
-    basis.setflags(write=False)
-    return w, basis
-
-
-def _axis_exp_batch(gens: IrrepGenerators, axis: str, angles) -> np.ndarray:
-    """Stack of exp(angle * gen_axis), one real matrix product for all angles."""
-    w, basis = _axis_exp_basis(gens, axis)
-    theta = np.multiply.outer(np.asarray(angles, dtype=float), w)
-    d = w.size
-    return (np.concatenate([np.cos(theta), np.sin(theta)], axis=1) @ basis).reshape(-1, d, d)
+    gz = gens.gen_z
+    rows = np.arange(gens.dimension)
+    cols = np.abs(gz).argmax(axis=1)
+    theta = np.multiply.outer(np.asarray(angles, dtype=float), gz[rows, cols])
+    out = np.zeros(theta.shape + (rows.size,))
+    out[:, rows, rows] = np.cos(theta)
+    out[:, rows, cols] = np.sin(theta)
+    return out
 
 
 def rep_matrix(gens: IrrepGenerators, rot: RotationSpec) -> np.ndarray:
@@ -199,11 +205,11 @@ def rep_matrix(gens: IrrepGenerators, rot: RotationSpec) -> np.ndarray:
 
 
 def rep_matrix_batch(gens: IrrepGenerators, alphas, betas, gammas) -> np.ndarray:
-    """Stack of representation matrices for arrays of Euler angles."""
-    ez_a = _axis_exp_batch(gens, "z", alphas)
-    ey_b = _axis_exp_batch(gens, "y", betas)
-    ez_g = _axis_exp_batch(gens, "z", gammas)
-    return ez_a @ ey_b @ ez_g
+    """Stack of Z(alpha) X Z(beta) X^T Z(gamma), with Z = `_z_rotations` and X = gens.z_to_y.
+
+    Each matrix is a product of its own d x d factors, so no bit depends on the batch length."""
+    x = gens.z_to_y
+    return _z_rotations(gens, alphas) @ x @ _z_rotations(gens, betas) @ x.T @ _z_rotations(gens, gammas)
 
 
 def _generator_triple(gens) -> list[np.ndarray]:

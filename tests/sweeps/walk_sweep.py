@@ -8,12 +8,15 @@ ell x odd swap x (burn_in, thin) x seeds, with n recorded states per
 walk.  (burn_in, thin) runs at (100, 10) and at (7, 3), whose groups
 start off the pieces' boundaries and so carry from one piece to the
 next.  Large ells (say --ells 5,12) split each draw block into many
-pieces of a few dozen steps.
+pieces of a few dozen steps.  Each walk also runs again with one-step
+pieces (`_WALK_PIECE` = d^2), and a case whose states differ from the
+default pieces' in any bit is counted as unstable; that checks bit
+stability by hand at weights beyond the tier-1 tests (say --ells 12,24).
 
     PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000] [--ells 1,2,3]
 
-It prints every moved case and the largest state difference, and exits
-1 if any case moved.  pytest does not collect this file; the walk oracle
+It prints every moved or unstable case and the largest state
+difference, and exits 1 if any case moved or is unstable.  pytest does not collect this file; the walk oracle
 in tests/test_monte_carlo_stats.py covers the same walk at small sizes.
 """
 
@@ -41,11 +44,19 @@ def main() -> int:
     args = parser.parse_args()
     ells = [int(ell) for ell in args.ells.split(",")]
     start = time.perf_counter()
-    cases = moved = 0
+    cases = moved = unstable = 0
     worst_state = worst_statistic = 0.0
     for ell, odd, (burn_in, thin), seed in itertools.product(ells, (False, True), SCHEDULES, range(args.seeds)):
         walk_seed = 1000 * ell + 100 * odd + seed
         states = mcs.orbit_walk_samples(ell, args.n, odd, walk_seed, burn_in, thin).rows
+        default, mcs._WALK_PIECE = mcs._WALK_PIECE, (2 * ell + 1) ** 2
+        try:
+            one_step = mcs.orbit_walk_samples(ell, args.n, odd, walk_seed, burn_in, thin).rows
+        finally:
+            mcs._WALK_PIECE = default
+        if not np.array_equal(one_step, states):
+            unstable += 1
+            print(f"UNSTABLE ell={ell} odd={odd} burn_in={burn_in} thin={thin} seed={walk_seed}: one-step pieces move a bit")
         reference = ref.orbit_random_walk(
             ell, burn_in + thin * args.n, odd, seed=walk_seed, burn_in=burn_in, thin=thin
         )
@@ -61,10 +72,10 @@ def main() -> int:
             )
         cases += 1
     print(
-        f"{cases} cases, {moved} moved, largest state difference {worst_state:.1e}, "
+        f"{cases} cases, {moved} moved, {unstable} unstable, largest state difference {worst_state:.1e}, "
         f"largest statistic difference {worst_statistic:.1e}, {time.perf_counter() - start:.1f} s"
     )
-    return 1 if moved else 0
+    return 1 if moved or unstable else 0
 
 
 if __name__ == "__main__":

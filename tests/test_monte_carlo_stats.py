@@ -1345,12 +1345,8 @@ def test_orbit_walk_matches_reference_across_a_draw_block():
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("odd", [False, True])
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
-    # the default pieces, one piece per draw block, and pieces of thin, 2,
-    # 3 and 5 steps, which split the burn-in and the thin-groups, give the
-    # same states bit for bit
+def _recorded_walk(ell, odd, monkeypatch):
+    """walk(budget, steps, burn_in, thin) -> states, with `pieces` the steps of each rep_matrix_batch call."""
     d = 2 * ell + 1
     pieces = []
     rep_matrix_batch = mcs.rep_matrix_batch
@@ -1366,21 +1362,30 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
         monkeypatch.setattr(mcs, "_WALK_PIECE", budget)
         kwargs = dict(seed=100 * thin + burn_in, burn_in=burn_in, thin=thin)
         rows = mcs.orbit_random_walk(ell, steps, odd, **kwargs).rows
-        # a one-step piece would take BLAS's matrix-vector path
-        assert min(pieces) >= 2
         # each draw block is cut into pieces of `span` steps, and its last
-        # piece holds the 2 to span + 1 steps left
-        span = max(budget // (d * d), 2)
+        # piece holds the 1 to span steps left
+        span = max(budget // (d * d), 1)
         sizes = iter(pieces)
         for first in range(0, steps, 20000):
             held = [next(sizes)]
             while sum(held) < min(20000, steps - first):
                 held.append(next(sizes))
             assert sum(held) == min(20000, steps - first)
-            assert set(held[:-1]) <= {span} and held[-1] <= span + 1
+            assert set(held[:-1]) <= {span} and held[-1] <= span
         assert next(sizes, None) is None
         return rows
 
+    return walk, pieces
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
+    # the default pieces, one piece per draw block, and pieces of thin, 1,
+    # 2, 3 and 5 steps, which split the burn-in and the thin-groups, give
+    # the same states bit for bit
+    d = 2 * ell + 1
+    walk, pieces = _recorded_walk(ell, odd, monkeypatch)
     default = mcs._WALK_PIECE
     for thin, burn_in, across_block in [(1, 0, True), (10, 7, True)] + [
         (thin, burn_in, False) for thin, burn_in in itertools.product((1, 3, 10), (0, 7, 100))
@@ -1399,19 +1404,32 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
         # a dozen groups, ending thin - 1 steps into the next
         steps = burn_in + 13 * thin - 1
         want = walk(default, steps, burn_in, thin)
-        for budget in (2 * d * d, 3 * d * d, 5 * d * d):
+        for budget in (d * d, 2 * d * d, 3 * d * d, 5 * d * d):
             np.testing.assert_array_equal(walk(budget, steps, burn_in, thin), want)
             ends = np.cumsum(pieces)[:-1]
             if budget % (thin * d * d):
                 # some piece ends inside a group, which carries into the next
                 assert np.any((ends > burn_in) & ((ends - burn_in) % thin != 0))
 
-    # two-step pieces leave one step over on an odd step count, which joins
-    # the last piece
+    # one-step pieces: every step matrix is built alone
     for thin, burn_in in itertools.product((1, 3), (0, 7)):
-        got = walk(2 * d * d, 41, burn_in, thin)
-        assert pieces == [2] * 19 + [3]
+        got = walk(d * d, 41, burn_in, thin)
+        assert pieces == [1] * 41
         np.testing.assert_array_equal(got, walk(default, 41, burn_in, thin))
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_orbit_walk_pieces_change_no_bits_at_weight_7(odd, monkeypatch):
+    # from weight 7 on, a batch's BLAS kernel once depended on its length
+    d = 15
+    walk, pieces = _recorded_walk(7, odd, monkeypatch)
+    steps, burn_in, thin = 2 * (mcs._WALK_PIECE // (d * d)) + 7 + 4 * 3 - 1, 7, 3
+    want = walk(mcs._WALK_PIECE, steps, burn_in, thin)
+    assert len(pieces) == 3
+    np.testing.assert_array_equal(walk(20000 * d * d, steps, burn_in, thin), want)
+    assert pieces == [steps]
+    np.testing.assert_array_equal(walk(d * d, steps, burn_in, thin), want)
+    assert pieces == [1] * steps
 
 
 # ---------------------------------------------------------------------------

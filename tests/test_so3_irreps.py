@@ -5,13 +5,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference_engine import cartesian_rotation, euler_zyz_from_matrix, random_rotation
+from reference_engine import cartesian_rotation, euler_zyz_from_matrix, haar_rotation, random_rotation
 from scipy.linalg import expm
 
 from invspan.errors import DimensionError
 from invspan.lie_core import flatten_antisym, numerical_rank
 from invspan.so3_irreps import (
+    IrrepGenerators,
     RotationSpec,
+    _validate_generators,
+    _z_rotations,
     build_generators,
     common_fixed_subspace_dim,
     commutant_dimension,
@@ -108,10 +111,46 @@ def test_rep_matrix_batch_matches_single():
     batch = rep_matrix_batch(gens, alphas, betas, gammas)
     assert batch.shape == (5, 5, 5)
     for k, r in enumerate(rots):
-        np.testing.assert_allclose(batch[k], rep_matrix(gens, r), atol=1e-12)
+        np.testing.assert_array_equal(batch[k], rep_matrix(gens, r))
 
 
-@pytest.mark.parametrize("ell", range(1, 7))
+@pytest.mark.parametrize("ell", [2, 7, 12])
+def test_rep_matrix_batch_rows_do_not_depend_on_batch_length(ell):
+    # each matrix is a product of its own factors, so a one-matrix batch
+    # (which once took BLAS's matrix-vector path) and long batches agree
+    gens = build_generators(ell)
+    rng = np.random.default_rng(ell)
+    alphas, betas, gammas = rng.uniform(0.0, 2.0 * math.pi, (3, 777))
+    whole = rep_matrix_batch(gens, alphas, betas, gammas)
+    for t in (1, 2, 50):
+        np.testing.assert_array_equal(rep_matrix_batch(gens, alphas[:t], betas[:t], gammas[:t]), whole[:t])
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 12])
+def test_z_rotations_and_z_to_y_match_the_generators(ell):
+    gens = build_generators(ell)
+    angles = np.array([0.0, 0.7, math.pi, 2.0 * math.pi - 1e-3])
+    for angle, z in zip(angles, _z_rotations(gens, angles)):
+        np.testing.assert_allclose(z, expm(angle * gens.gen_z), rtol=0.0, atol=1e-12)
+    x = gens.z_to_y
+    assert x is gens.z_to_y and not x.flags.writeable
+    np.testing.assert_allclose(x @ gens.gen_z @ x.T, gens.gen_y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(x, expm(-0.5 * math.pi * gens.gen_x), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_validate_generators_needs_gen_z_in_plane_rotation_form(ell):
+    # a random orthogonal change of basis keeps the brackets and the
+    # Casimir, but spreads gen_z's rows over many entries
+    q = haar_rotation(2 * ell + 1, ell)
+    gens = build_generators(ell)
+    _validate_generators(gens)
+    turned = IrrepGenerators(ell, *(q @ g @ q.T for g in gens.matrices))
+    with pytest.raises(ArithmeticError, match="more than one nonzero entry"):
+        _validate_generators(turned)
+
+
+@pytest.mark.parametrize("ell", [*range(1, 7), 12, 24])
 def test_rep_matrix_batch_matches_matrix_exponential(ell):
     gens = build_generators(ell)
     near = 2.0 * math.pi - 1e-9

@@ -9,7 +9,7 @@ import pytest
 from reference_engine import cartesian_rotation, random_rotation
 
 from invspan.errors import DimensionError
-from invspan.so3_irreps import RotationSpec, _axis_exp_basis, build_generators
+from invspan.so3_irreps import RotationSpec, build_generators
 from invspan.sphere_harmonics import (
     MAX_LMAX,
     RADIAL_LAWS,
@@ -312,13 +312,11 @@ def test_rotate_rows_acts_per_degree():
         rotate_coefficient_rows(np.zeros((2, 8)), rot)
 
 
-def test_rotating_rows_keeps_the_axis_bases_of_one_degree():
-    # a rotation batch asks for the z and y bases of one weight, (2d, d^2)
-    # floats each; with cold caches, rotating lmax 32 rows must not leave
-    # every degree's bases behind (about 32 d^3 bytes per degree), only
-    # those of the last one, d = 65
+def test_rotating_rows_keeps_only_each_degrees_generators_and_z_to_y():
+    # with cold caches, rotating lmax 32 rows leaves each degree's three
+    # generators and its z_to_y matrix, 4 d^2 floats, and no basis of
+    # d^3 floats per degree
     build_generators.cache_clear()
-    _axis_exp_basis.cache_clear()
     rows = np.random.default_rng(21).standard_normal((3, 33 * 33))
     tracemalloc.start()
     try:
@@ -327,7 +325,7 @@ def test_rotating_rows_keeps_the_axis_bases_of_one_degree():
     finally:
         tracemalloc.stop()
     assert rotated.shape == rows.shape
-    assert held <= 1.25 * 2 * 16 * 65**3, held / 2**20
+    assert held <= 1.25 * 32 * sum((2 * ell + 1) ** 2 for ell in range(33)), held / 2**20
 
 
 def test_rotate_rejects_wrong_block_length():
