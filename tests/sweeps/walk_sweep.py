@@ -16,8 +16,9 @@ stability by hand at weights beyond the tier-1 tests (say --ells 12,24).
     PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000] [--ells 1,2,3]
 
 It prints every moved or unstable case and the largest state
-difference, and exits 1 if any case moved or is unstable.  pytest does not collect this file; the walk oracle
-in tests/test_monte_carlo_stats.py covers the same walk at small sizes.
+difference, and exits 1 if any case moved or is unstable.  pytest does
+not collect this file; the walk oracle in tests/test_monte_carlo_stats.py
+covers the same walk at small sizes.
 """
 
 import argparse

@@ -1420,10 +1420,12 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
 
 @pytest.mark.parametrize("odd", [False, True])
 def test_orbit_walk_pieces_change_no_bits_at_weight_7(odd, monkeypatch):
-    # from weight 7 on, a batch's BLAS kernel once depended on its length
+    # from weight 7 on, BLAS picks its kernel by size, so a product taken
+    # over a whole piece would give other bits for other piece budgets
     d = 15
     walk, pieces = _recorded_walk(7, odd, monkeypatch)
-    steps, burn_in, thin = 2 * (mcs._WALK_PIECE // (d * d)) + 7 + 4 * 3 - 1, 7, 3
+    burn_in, thin = 7, 3
+    steps = burn_in + 2 * (mcs._WALK_PIECE // (d * d)) + 4 * thin - 1
     want = walk(mcs._WALK_PIECE, steps, burn_in, thin)
     assert len(pieces) == 3
     np.testing.assert_array_equal(walk(20000 * d * d, steps, burn_in, thin), want)

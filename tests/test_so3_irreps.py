@@ -116,8 +116,8 @@ def test_rep_matrix_batch_matches_single():
 
 @pytest.mark.parametrize("ell", [2, 7, 12])
 def test_rep_matrix_batch_rows_do_not_depend_on_batch_length(ell):
-    # each matrix is a product of its own factors, so a one-matrix batch
-    # (which once took BLAS's matrix-vector path) and long batches agree
+    # each matrix is a product of its own factors, so a batch of one and
+    # longer batches give the same bits
     gens = build_generators(ell)
     rng = np.random.default_rng(ell)
     alphas, betas, gammas = rng.uniform(0.0, 2.0 * math.pi, (3, 777))
