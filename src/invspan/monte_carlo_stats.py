@@ -959,15 +959,12 @@ def orbit_random_walk(
 
     Steps are drawn in blocks of 20000: the block's Euler angles, then its
     permutations, which each piece of about _WALK_PIECE entries draws in
-    turn (permuted draws row by row, so the stream is the block's).  The
-    pieces build, conjugate and multiply the step matrices.  The first
-    `burn_in` steps advance the state one at a time.  Every later step
-    joins a pending stack; each complete group of `thin` steps in it is
-    multiplied together, the state advances by that one product and is
-    recorded, and the fewer than `thin` steps left over carry into the
-    next piece or block.  With d = 2 ell + 1 the working set is
-    O(_WALK_PIECE + thin d^2) entries besides the block's 3 x 20000
-    angles, whatever `steps` and `burn_in` are.
+    turn (permuted draws row by row, so the stream is the block's).  Each
+    piece builds and conjugates its step matrices, and the state advances
+    by them one at a time, v <- step @ v, so no piece boundary changes a
+    bit of the recorded states.  With d = 2 ell + 1 the working set is
+    O(_WALK_PIECE + d^2) entries besides the block's 3 x 20000 angles,
+    whatever `steps` and `burn_in` are.
     """
     steps, burn_in, thin = (operator.index(k) for k in (steps, burn_in, thin))
     if steps < 0 or burn_in < 0 or thin < 1:
@@ -1001,7 +998,6 @@ def orbit_random_walk(
     span = max(_WALK_PIECE // (d * d), 1)
     out = np.empty((n_states, d))
     v = start.copy()
-    pending = []
     k = done = 0
     block_size = 20000
     while done < steps:
@@ -1014,37 +1010,17 @@ def orbit_random_walk(
             p = _permutations(rng, hi - lo, d)
             mats = rep_matrix_batch(gens, alphas[lo:hi], betas[lo:hi], gammas[lo:hi])
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
-            single = max(burn_in - done - lo, 0)
-            for step in conj[:single]:
+            # past counts the steps taken after burn_in, this one included
+            for past, step in enumerate(conj, done + lo + 1 - burn_in):
                 v = step @ v
-            # later steps join the pending ones, kept as slices of their
-            # pieces, so an unfinished group is copied once, when it is whole
-            pending += [conj[single:]] if single < hi - lo else []
-            held = sum(map(len, pending))
-            if held >= thin:
-                stack = np.concatenate(pending) if len(pending) > 1 else pending[0]
-                grouped = thin * (held // thin)
-                for product in _ordered_products(stack[:grouped].reshape(-1, thin, d, d)):
-                    v = product @ v
+                if past > 0 and past % thin == 0:
                     out[k] = v
                     k += 1
-                pending = [stack[grouped:]] if grouped < held else []
         done += block
     drift = np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0))
     if drift > 1e-8:
         raise ArithmeticError(f"norm drift {drift:.3e} exceeds 1e-8")
     return SampleMatrix(out)
-
-
-def _ordered_products(mats: np.ndarray) -> np.ndarray:
-    """The products M[k, t-1] ... M[k, 1] M[k, 0] of a (g, t, d, d) stack, by pairwise halving."""
-    while mats.shape[1] > 1:
-        pairs = mats.shape[1] // 2
-        halved = mats[:, 1 : 2 * pairs : 2] @ mats[:, 0 : 2 * pairs : 2]
-        if mats.shape[1] % 2:
-            halved = np.concatenate([halved, mats[:, -1:]], axis=1)
-        mats = halved
-    return mats[:, 0]
 
 
 def orbit_walk_samples(

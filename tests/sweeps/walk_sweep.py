@@ -3,15 +3,16 @@
 Each case runs `orbit_walk_samples` and the one-step-at-a-time walk in
 tests/reference_engine.py on the same seed, then the uniformity test on
 both sets of recorded states with one test seed.  A case has moved when
-the two p-values or the two statistics differ in any bit.  The grid is
-ell x odd swap x (burn_in, thin) x seeds, with n recorded states per
-walk.  (burn_in, thin) runs at (100, 10) and at (7, 3), whose groups
-start off the pieces' boundaries and so carry from one piece to the
-next.  Large ells (say --ells 5,12) split each draw block into many
-pieces of a few dozen steps.  Each walk also runs again with one-step
-pieces (`_WALK_PIECE` = d^2), and a case whose states differ from the
-default pieces' in any bit is counted as unstable; that checks bit
-stability by hand at weights beyond the tier-1 tests (say --ells 12,24).
+any recorded state, or either p-value or statistic, differs from the
+reference's in any bit.  The grid is ell x odd swap x (burn_in, thin) x
+seeds, with n recorded states per walk.  (burn_in, thin) runs at
+(100, 10) and at (7, 3), whose recorded states fall off the pieces'
+boundaries.  Large ells (say --ells 5,12) split each draw block into
+many pieces of a few dozen steps.  Each walk also runs again with
+one-step pieces (`_WALK_PIECE` = d^2), and a case whose states differ
+from the default pieces' in any bit is counted as unstable; that checks
+bit stability by hand at weights beyond the tier-1 tests (say
+--ells 12,24).
 
     PYTHONPATH=src python tests/sweeps/walk_sweep.py [--seeds 20] [--n 2000] [--ells 1,2,3]
 
@@ -65,10 +66,12 @@ def main() -> int:
         want = mcs.test_uniform_on_sphere(reference, walk_seed + 1)
         worst_state = max(worst_state, float(np.max(np.abs(states - reference))))
         worst_statistic = max(worst_statistic, abs(got.statistic - want.statistic))
-        if got.p_value != want.p_value or got.statistic != want.statistic:
+        same_states = np.array_equal(states, reference)
+        if not same_states or got.p_value != want.p_value or got.statistic != want.statistic:
             moved += 1
             print(
                 f"MOVED ell={ell} odd={odd} burn_in={burn_in} thin={thin} seed={walk_seed}: "
+                f"states {'equal' if same_states else 'differ'}, "
                 f"p {want.p_value} -> {got.p_value}, statistic {want.statistic!r} -> {got.statistic!r}"
             )
         cases += 1

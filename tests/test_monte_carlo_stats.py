@@ -1321,7 +1321,7 @@ def test_orbit_walk_requires_integer_step_counts():
 
 
 @pytest.mark.parametrize("odd", [False, True])
-@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3, 7])
 def test_orbit_walk_matches_step_by_step_reference(ell, odd):
     start = np.random.default_rng(ell).standard_normal(2 * ell + 1)
     start /= np.linalg.norm(start)
@@ -1332,7 +1332,7 @@ def test_orbit_walk_matches_step_by_step_reference(ell, odd):
         got = mcs.orbit_random_walk(ell, steps, odd, **kwargs).rows
         want = ref.orbit_random_walk(ell, steps, odd, **kwargs)
         assert got.shape == want.shape == (25, 2 * ell + 1)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_orbit_walk_matches_reference_across_a_draw_block():
@@ -1342,7 +1342,7 @@ def test_orbit_walk_matches_reference_across_a_draw_block():
     got = mcs.orbit_random_walk(2, steps, True, seed=41, burn_in=burn_in, thin=thin).rows
     want = ref.orbit_random_walk(2, steps, True, seed=41, burn_in=burn_in, thin=thin)
     assert got.shape == want.shape == ((steps - burn_in) // thin, 5)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+    np.testing.assert_array_equal(got, want)
 
 
 def _recorded_walk(ell, odd, monkeypatch):
@@ -1382,8 +1382,8 @@ def _recorded_walk(ell, odd, monkeypatch):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
     # the default pieces, one piece per draw block, and pieces of thin, 1,
-    # 2, 3 and 5 steps, which split the burn-in and the thin-groups, give
-    # the same states bit for bit
+    # 2, 3 and 5 steps, which end inside the burn-in and between recorded
+    # states, give the same states bit for bit
     d = 2 * ell + 1
     walk, pieces = _recorded_walk(ell, odd, monkeypatch)
     default = mcs._WALK_PIECE
@@ -1408,7 +1408,7 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
             np.testing.assert_array_equal(walk(budget, steps, burn_in, thin), want)
             ends = np.cumsum(pieces)[:-1]
             if budget % (thin * d * d):
-                # some piece ends inside a group, which carries into the next
+                # some piece ends between two recorded states
                 assert np.any((ends > burn_in) & ((ends - burn_in) % thin != 0))
 
     # one-step pieces: every step matrix is built alone
@@ -1420,8 +1420,8 @@ def test_orbit_walk_pieces_change_no_bits(ell, odd, monkeypatch):
 
 @pytest.mark.parametrize("odd", [False, True])
 def test_orbit_walk_pieces_change_no_bits_at_weight_7(odd, monkeypatch):
-    # from weight 7 on, BLAS picks its kernel by size, so a product taken
-    # over a whole piece would give other bits for other piece budgets
+    # from weight 7 on, BLAS picks its kernel by size, so this checks that
+    # a step matrix's bits do not depend on how many are built at once
     d = 15
     walk, pieces = _recorded_walk(7, odd, monkeypatch)
     burn_in, thin = 7, 3
