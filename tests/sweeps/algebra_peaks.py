@@ -11,9 +11,9 @@ n(n - 1)/2 otherwise) and 8 d^2 for orbit-walk at its default --n
 (d = 2 ell + 1).  orbit-walk runs at sizes where the walk's d^2 terms
 (a piece's step matrices, the generators and `z_to_y`) outweigh the
 uniformity test's fixed buffers; its time still grows as 20000 d^3,
-since each step matrix is built from dense products.  The models, c x unit, are `_MEMORY_MODELS` in
-tests/test_invariance_engine.py, which also derives each ceiling from
-its model.
+since each step matrix is built from dense products.  The models,
+c x unit, are `_MEMORY_MODELS` in tests/test_invariance_engine.py,
+which also derives each ceiling from its model.
 
     PYTHONPATH=src python tests/sweeps/algebra_peaks.py [--commands block-check,orbit-walk]
 
