@@ -109,14 +109,6 @@ class SampleMatrix:
             raise ValueError("sample entries must be finite")
         object.__setattr__(self, "rows", r)
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
-
 
 def dump_sample_matrix(samples: SampleMatrix, path) -> None:
     np.savetxt(path, samples.rows, fmt="%.17g", delimiter=",")
@@ -541,18 +533,21 @@ def test_rotational_invariance(
 # Distance covariance: radius vs direction
 
 
-def _offset_distances(rows: np.ndarray, panel_elements: int):
-    """Float64 Euclidean distances of rows by cyclic offset, in panels of about panel_elements entries.
+def _centred_offsets(rows: np.ndarray, w: np.ndarray, dtype, panel_elements: int):
+    """Twice the double-centred distances of rows by cyclic offset, in panels of about panel_elements entries.
 
-    Yields (c, panel) with panel[t, i] = |u_i - u_{(i + c + t) % n}|, the
-    offsets c + t running through 1..n // 2 in order: diagonals e and n - e
-    of the distance matrix for each offset e, so every pair i < j is met
-    once, at offset j - i or n - (j - i), whichever is at most n // 2.
-    For even n the pairs at offset n / 2 would be met twice; the second
-    copy (columns n / 2 and up of that offset) is zero.  The distances of
-    _GRAM_ROWS rows to their h partners each are the band of one product
-    of the _gram_factors, clamped at zero and square rooted; distances
-    between bitwise equal rows are exactly zero.  panel is a reused
+    w holds the off-diagonal row sums of the double-centred A
+    (_distance_weights).  Yields (c, panel) with panel[t, i] =
+    2 A[i, (i + c + t) % n] = 2 D_ij - w_i - w_j, D_ij = |u_i - u_j| and
+    j = (i + c + t) % n, the offsets c + t running through 1..n // 2 in
+    order: diagonals e and n - e for each offset e, so every pair i < j
+    is met once, at offset j - i or n - (j - i), whichever is at most
+    n // 2.  For even n the pairs at offset n / 2 would be met twice; the
+    second copy (columns n / 2 and up of that offset) is zero.  The
+    distances of _GRAM_ROWS rows to their h partners each are the band of
+    one product of the _gram_factors, clamped at zero and square rooted;
+    distances between bitwise equal rows are exactly zero.  Each panel is
+    centred in float64, in place, then cast to dtype; it is a reused
     buffer, valid until the next one is yielded.
     """
     n = rows.shape[0]
@@ -562,6 +557,8 @@ def _offset_distances(rows: np.ndarray, panel_elements: int):
     right = np.concatenate([right, right[:half]])
     if classes is not None:
         same_class = sliding_window_view(np.concatenate([classes, classes]), n)
+    # partner_w[e, i] = w[(i + e) % n]
+    partner_w = sliding_window_view(np.concatenate([w, w]), n)
     height = max(1, min(half, panel_elements // n))
     buf = np.empty(height * n)
     gram = np.empty(_GRAM_ROWS * (_GRAM_ROWS + height))
@@ -570,18 +567,21 @@ def _offset_distances(rows: np.ndarray, panel_elements: int):
         panel = buf[: h * n].reshape(h, n)
         for lo in range(0, n, _GRAM_ROWS):
             m = min(_GRAM_ROWS, n - lo)
-            w = m + h - 1
-            # rows lo..lo+m-1 against partners lo+c..lo+c+w-1; a row
-            # stride of w + 1 reads the band entry (r, r + t) at (r, t)
-            np.matmul(left[lo : lo + m], right[lo + c : lo + c + w].T, out=gram[: m * w].reshape(m, w))
-            panel[:, lo : lo + m] = gram[: m * (w + 1)].reshape(m, w + 1)[:, :h].T
+            width = m + h - 1
+            # rows lo..lo+m-1 against partners lo+c..lo+c+width-1; a row
+            # stride of width + 1 reads the band entry (r, r + t) at (r, t)
+            np.matmul(left[lo : lo + m], right[lo + c : lo + c + width].T, out=gram[: m * width].reshape(m, width))
+            panel[:, lo : lo + m] = gram[: m * (width + 1)].reshape(m, width + 1)[:, :h].T
         np.maximum(panel, 0.0, out=panel)
         np.sqrt(panel, out=panel)
         if classes is not None:
             panel[classes == same_class[c : c + h]] = 0.0
+        panel *= 2
+        panel -= w
+        panel -= partner_w[c : c + h]
         if n % 2 == 0 and c + h - 1 == half:
             panel[-1, half:] = 0.0
-        yield c, panel
+        yield c, panel.astype(dtype, copy=False)
 
 
 def _distance_weights(rows: np.ndarray) -> np.ndarray:
@@ -600,66 +600,46 @@ def _distance_weights(rows: np.ndarray) -> np.ndarray:
     return 2.0 * means - means.mean()
 
 
-def _centred_panels(panels, w: np.ndarray, dtype):
-    """The offset panels of a symmetric D, turned into those of 2A, A the double-centred D.
-
-    panels yields _offset_distances' (c, panel) and w holds the
-    off-diagonal row sums of A (_distance_weights).  Each panel becomes
-    2A_ij = 2D_ij - w_i - w_j in float64, in place, then is cast to dtype;
-    the second copy of the offset-n/2 pairs of an even n stays zero.
-    """
-    n = w.size
-    # partner_w[e, i] = w[(i + e) % n]
-    partner_w = sliding_window_view(np.concatenate([w, w]), n)
-    for c, panel in panels:
-        h = panel.shape[0]
-        panel *= 2
-        panel -= w
-        panel -= partner_w[c : c + h]
-        if n % 2 == 0 and c + h - 1 == n // 2:
-            panel[-1, n // 2 :] = 0.0
-        yield c, panel.astype(dtype, copy=False)
-
-
 def _dcov_stats(panels, rows: np.ndarray, w: np.ndarray, sizes) -> np.ndarray:
     """sum_ij |r_i - r_j| A_ij for each row r of rows, scoring each panel of A as it comes.
 
     panels yields (c, P) with P[t, i] = 2 A[i, (i + c + t) % n], in the
-    dtype of rows, for every offset c + t of 1..n // 2 (_centred_panels),
+    dtype of rows, for every offset c + t of 1..n // 2 (_centred_offsets),
     and w holds the off-diagonal row sums w_i = sum_{j != i} A_ij in
     float64.  With |a - b| = a + b - 2 min(a, b) each sum is
-    2 x.w - 2 sum P[t, i] min(x_i, x_{(i + c + t) % n}), where x = r - m,
-    m the row's lower median; rows is shifted in place.  m is a radius the
-    row takes, so the terms stay small and constant radii score exactly
-    zero.
+    2 x.w - 2 sum P[t, i] min(x_i, x_{(i + c + t) % n}), where x is the
+    row as given.  The caller shifts the radii by one radius they take
+    (_independence_core takes their lower median), so the terms stay
+    small and constant radii score exactly zero.
 
     The rows are scored in consecutive blocks of `sizes` rows.  With
     xx = [x, x] the partners of offset e are the contiguous run
-    xx[e : e + n], so against each panel one `np.minimum` of two
+    xx[e : e + n]; each block is copied into one scratch buffer of
+    doubled rows, so against each panel one `np.minimum` of two
     contiguous operands fills about _PANEL_BUDGET scratch entries with
     the minima of a whole block over a few offsets, and one matrix-vector
     product reduces them.  A row's sum depends in its last bits on the
     block it is scored in, and on nothing else.
     """
     k, n = rows.shape
-    mid = (n - 1) // 2
     bounds = np.cumsum([0, *sizes])
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    for lo, hi in blocks:
-        rows[lo:hi] -= np.partition(rows[lo:hi], mid, axis=1)[:, mid : mid + 1]
+    doubled = np.empty((max(sizes), 2 * n), dtype=rows.dtype)
+    # partners[b, e, i] = doubled[b, i + e], the row's entry (i + e) % n
+    partners = sliding_window_view(doubled, n, axis=1)
     buf = np.empty(max(_PANEL_BUDGET, max(sizes) * n), dtype=rows.dtype)
     totals = np.zeros(k)
     for c, panel in panels:
         h = panel.shape[0]
         for lo, hi in blocks:
             x = rows[lo:hi]
-            # partners[:, e, i] = x[:, (i + e) % n]
-            partners = sliding_window_view(np.concatenate([x, x], axis=1), n, axis=1)
+            doubled[: hi - lo, :n] = x
+            doubled[: hi - lo, n:] = x
             step = max(1, _PANEL_BUDGET // x.size)
             for t in range(0, h, step):
                 s = min(step, h - t)
                 mins = buf[: x.size * s].reshape(hi - lo, s, n)
-                np.minimum(x[:, None, :], partners[:, c + t : c + t + s], out=mins)
+                np.minimum(x[:, None, :], partners[: hi - lo, c + t : c + t + s], out=mins)
                 totals[lo:hi] -= mins.reshape(hi - lo, s * n) @ panel[t : t + s].ravel()
     for lo, hi in blocks:
         totals[lo:hi] += rows[lo:hi].astype(np.float64) @ w
@@ -680,6 +660,10 @@ def _independence_core(x, n_permutations, seed, stop=None):
     w = _distance_weights(directions)
     dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
     r_cast = radii.astype(dtype)
+    # every radius row is a permutation of r_cast, so the lower median
+    # taken out here is the one each row would take
+    mid = (n - 1) // 2
+    r_cast -= np.partition(r_cast, mid)[mid]
 
     def score(sizes, observed=False):
         """The statistics of the observed radii, if asked, then of sum(sizes) permuted ones, in one pass.
@@ -695,7 +679,7 @@ def _independence_core(x, n_permutations, seed, stop=None):
             # drawn a chunk at a time: the stream of one whole draw
             np.take(r_cast, _permutations(rng, k, n), out=radius_rows[at : at + k])
             at += k
-        panels = _centred_panels(_offset_distances(directions, _PANEL_BUDGET), w, dtype)
+        panels = _centred_offsets(directions, w, dtype, _PANEL_BUDGET)
         return _dcov_stats(panels, radius_rows, w, [1] * first + sizes) / (n * n)
 
     # enough permutations per chunk that a block's minima span a few offsets
@@ -721,13 +705,16 @@ def test_radial_angular_independence(
     the radial column against fixed directions, which is exact under
     independence.  No centred distance is stored: one upper-triangle pass
     over the direction distances D gives w = 2m - g, the off-diagonal row
-    sums of the double-centred A (m the row means of D, g their mean).  A
-    second pass streams D by cyclic offset, in panels of about
-    _PANEL_BUDGET entries; one kernel centres each, 2A_ij = 2D_ij - w_i -
-    w_j, and scores the observed radii and all B permuted ones against it
-    with weights w, a block of radius rows against a few offsets at a
-    time, reading each offset's radius partners as one contiguous run.
-    So memory is O(n (B + 1)) for the radius rows plus a few panels.
+    sums of the double-centred A (m the row means of D, g their mean).
+    The radii are shifted once by their lower median before any is
+    drawn; every permuted row holds the same radii, so each row takes the
+    shift it would take on its own.  A second pass streams D by cyclic
+    offset, in panels of about _PANEL_BUDGET entries, each centred as it
+    is made, 2A_ij = 2D_ij - w_i - w_j; one kernel scores the observed
+    radii and all B permuted ones against it with weights w, a block of
+    radius rows against a few offsets at a time, reading each offset's
+    radius partners as one contiguous run.  So memory is O(n (B + 1)) for
+    the radius rows plus a few panels.
     """
     observed, counts, _ = _independence_core(x, n_permutations, seed)
     return _report(

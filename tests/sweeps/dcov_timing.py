@@ -10,7 +10,16 @@ not timed, since tracing slows every allocation.  The sizes straddle the float32
 both dtypes are timed.  BLAS is pinned to one thread the way the CLI pins
 it for INVSPAN_THREADS=1, before numpy loads.
 
+With --digests nothing is timed: for each digest case it prints the
+observed statistic as float.hex, the exceedance count and the draws
+scored, for the public run and for runs curtailed at stop 1 and 5.  Two
+checkouts that print the same lines score every case bit for bit alike.
+The cases are normal rows in R^9 at even and odd n on both sides of the
+cutover, 120 rows on 24 directions with one row repeated (tied
+directions), and 120 rows of norm exactly 3 (constant radii).
+
     PYTHONPATH=src python tests/sweeps/dcov_timing.py [--repeats 3] [--sizes 200 3000]
+    PYTHONPATH=src python tests/sweeps/dcov_timing.py --digests
 
 pytest does not collect this file.
 """
@@ -32,6 +41,8 @@ SIZES = (200, 1000, 2048, 2100, 3000, 5000)
 PERMUTATIONS = 199
 DIMENSION = 9
 CURTAIL_STOP = mcs._stop_count(0.05, PERMUTATIONS)
+DIGEST_SIZES = (100, 101, 200, 257, 1000, 2048, 2049, 3000)
+DIGEST_STOPS = (None, 1, 5)
 
 
 def best_time(rows, repeats: int, stop=None) -> float:
@@ -53,11 +64,40 @@ def traced_peak(rows) -> int:
         tracemalloc.stop()
 
 
+def digest_cases():
+    """(name, rows) for every digest case."""
+    for n in DIGEST_SIZES:
+        yield f"normal n={n}", np.random.default_rng(n).standard_normal((n, DIMENSION))
+    rng = np.random.default_rng(24)
+    directions = rng.standard_normal((24, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    tied = directions[np.arange(120) % 24] * rng.uniform(1.0, 2.0, (120, 1))
+    tied[119] = tied[0]
+    yield "tied directions n=120", tied
+    # the signed permutations of (1, 2, 2) all have norm exactly 3
+    signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
+    base = np.concatenate([signs * np.roll([1.0, 2.0, 2.0], k) for k in range(3)])
+    yield "constant radii n=120", np.tile(base, (5, 1))
+
+
+def print_digests() -> None:
+    print(f"B = {PERMUTATIONS}, numpy {np.__version__}")
+    for name, rows in digest_cases():
+        for stop in DIGEST_STOPS:
+            statistic, counts, used = mcs._independence_core(rows, PERMUTATIONS, 7, stop)
+            run = "public" if stop is None else f"stop {stop}"
+            print(f"{name} {run}: {float(statistic).hex()} counts {counts.tolist()} draws {used}", flush=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--digests", action="store_true", help="print each case's statistic and counts, untimed")
     args = parser.parse_args()
+    if args.digests:
+        print_digests()
+        return 0
     print(f"B = {PERMUTATIONS}, d = {DIMENSION}, best of {args.repeats}, numpy {np.__version__}")
     for n in args.sizes:
         rows = np.random.default_rng(n).standard_normal((n, DIMENSION))

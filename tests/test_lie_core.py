@@ -1,6 +1,7 @@
 """Antisymmetric matrix algebra, permutation actions, and rank tools."""
 
 import math
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 from invspan.errors import DimensionError
 from invspan.lie_core import (
     Permutation,
+    SubspaceBasis,
+    _check_antisym,
     flatten_antisym,
     numerical_rank,
     signed_index_map,
     so_dim,
+    svd_row_basis,
     unflatten_antisym,
 )
 
@@ -256,3 +260,30 @@ def test_generator_families_share_one_shape_check():
     # antisymmetry stays with flatten_antisym
     with pytest.raises(ValueError, match="not exactly antisymmetric"):
         accumulate_span([np.eye(3)], 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _check_antisym(np.zeros((2, 3))), DimensionError, "matrix must be square, got shape (2, 3)"),
+        (lambda: Permutation.transposition(3, 1, 1), ValueError, "invalid transposition (1 1) on 3 points"),
+        (lambda: Permutation.transposition(3, 0, 3), ValueError, "invalid transposition (0 3) on 3 points"),
+        (
+            lambda: unflatten_antisym(np.float64(1.0)),
+            DimensionError,
+            "flattened vector must have at least one dimension",
+        ),
+        (
+            lambda: SubspaceBasis(3, np.zeros((2, 3)), 1, 0.0),
+            DimensionError,
+            "basis shape (2, 3) does not match rank 1 in so(3)",
+        ),
+        (lambda: svd_row_basis(np.zeros((0, 3))), ValueError, "need a non-empty 2-d stack of vectors"),
+        (lambda: svd_row_basis(np.zeros(3)), ValueError, "need a non-empty 2-d stack of vectors"),
+        (lambda: svd_row_basis(np.array([[np.nan, 1.0, 0.0]])), ValueError, "non-finite entries in span vectors"),
+    ],
+)
+def test_input_checks_raise_their_messages(call, error, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+        call()
+    assert excinfo.type is error

@@ -53,8 +53,7 @@ def _row_panels(directions, panel_elements, dtype):
 
     The layout the distance covariance kept before its cyclic-offset
     panels, kept with _row_panel_weights and _row_panel_stats as the oracle
-    of _distance_weights, _offset_distances, _centred_panels and
-    _dcov_stats: two passes over the upper-triangle _distance_panels
+    of _distance_weights, _centred_offsets and _dcov_stats: two passes over the upper-triangle _distance_panels
     blocks, each centred block cut into panels of at most panel_elements
     entries (or one row), each panel cast to dtype.
     """
@@ -726,7 +725,7 @@ def _offset_pairs(n):
 
 
 def _panels_of(offset_rows, height):
-    """(c, panel) for the offset rows cut into panels of `height` offsets, as _centred_panels yields them."""
+    """(c, panel) for the offset rows cut into panels of `height` offsets, as _centred_offsets yields them."""
     return [(c, offset_rows[c - 1 : c - 1 + height]) for c in range(1, offset_rows.shape[0] + 1, height)]
 
 
@@ -738,6 +737,18 @@ def _gathered(panels):
     starts = [c for c, _ in panels]
     assert starts == list(itertools.accumulate([1] + [p.shape[0] for _, p in panels[:-1]]))
     return np.concatenate([p for _, p in panels])
+
+
+def _offset_distances(points, budget):
+    """The (n // 2, n) offset rows of the distances of points, from the generator's exact 2D at zero weights."""
+    twice = _gathered(mcs._centred_offsets(points, np.zeros(points.shape[0]), np.float64, budget))
+    return None if twice is None else twice / 2
+
+
+def _median_shifted(rows):
+    """Each row less its lower median, the shift _independence_core gives the radii before scoring."""
+    mid = (rows.shape[-1] - 1) // 2
+    return rows - np.partition(rows, mid, axis=-1)[..., mid : mid + 1]
 
 
 def _block_sizes(k, block):
@@ -774,7 +785,8 @@ def _kernel_case(n, rows, height, seed, ties, dtype=np.float64, shift=0.0, a_kin
     scale = np.einsum("kij,ij->k", dist, np.abs(a))
     offsets = _offset_rows(a.astype(dtype))
     weights = _off_diagonal_sums(a)
-    got = mcs._dcov_stats(_panels_of(offsets, height), r_in.copy(), weights, _block_sizes(rows, block or rows))
+    sizes = _block_sizes(rows, block or rows)
+    got = mcs._dcov_stats(_panels_of(offsets, height), _median_shifted(r_in), weights, sizes)
     return got, exact, scale, offsets
 
 
@@ -849,8 +861,8 @@ def test_dcov_panels_match_dense_centring(n, d, block_elements, seed, ties, shif
     centred, scale = _centred_dense(points)
     with mock.patch.object(mcs, "_PANEL_BUDGET", block_elements):
         weights = mcs._distance_weights(points)
-        distances = _gathered(mcs._offset_distances(points, block_elements))
-        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, block_elements), weights, np.float64))
+        distances = _offset_distances(points, block_elements)
+        got = _gathered(mcs._centred_offsets(points, weights, np.float64, block_elements))
     dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
     np.testing.assert_allclose(weights, _off_diagonal_sums(centred), rtol=1e-12, atol=1e-9)
     if n < 2:
@@ -874,12 +886,12 @@ def test_dcov_offsets_place_each_centred_entry_exactly(n, dtype):
         points[n // 2] = points[1]
     weights = mcs._distance_weights(points)
     for budget in (2 * n, (n // 2 + 1) * n):
-        distances = _gathered(mcs._offset_distances(points, budget))
-        got = _gathered(mcs._centred_panels(mcs._offset_distances(points, budget), weights, dtype))
+        distances = _offset_distances(points, budget)
+        got = _gathered(mcs._centred_offsets(points, weights, dtype, budget))
         if n < 2:
             assert distances is None and got is None
             continue
-        count = len(list(mcs._offset_distances(points, budget)))
+        count = len(list(mcs._centred_offsets(points, weights, dtype, budget)))
         assert count == (-(-(n // 2) // 2) if budget == 2 * n else 1)
         dense = np.zeros((n, n))
         for c, row in enumerate(_offset_pairs(n)):
@@ -911,13 +923,13 @@ def test_dcov_kernel_panel_shapes():
         points = np.random.default_rng(n).standard_normal((n, 2))
         weights = mcs._distance_weights(points)
         for budget in (n, 3 * n, 2**17):
-            shapes = [panel.shape for _, panel in mcs._offset_distances(points, budget)]
+            shapes = [panel.shape for _, panel in mcs._centred_offsets(points, weights, np.float64, budget)]
             assert all(w == n and 1 <= h <= max(1, budget // n) for h, w in shapes)
             assert sum(h for h, _ in shapes) == n // 2
-        centred = list(mcs._centred_panels(mcs._offset_distances(points, 2**17), weights, np.float32))
+        centred = list(mcs._centred_offsets(points, weights, np.float32, 2**17))
         assert all(panel.dtype == np.float32 for _, panel in centred)
         if n > 1:
-            distances = _gathered(mcs._offset_distances(points, 2**17))
+            distances = _offset_distances(points, 2**17)
             assert distances.dtype == np.float64 and np.all((distances == 0.0) == (expected == 0.0))
             assert not np.any(centred[-1][1][expected[-centred[-1][1].shape[0] :] == 0.0])
 
@@ -932,14 +944,18 @@ def test_dcov_kernel_float32_within_1e5_of_float64():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
-    # the shift is a radius the row takes, so every shifted radius is
-    # exactly zero; the mean of 0.1 repeated 120 times is not 0.1
-    rng = np.random.default_rng(28)
-    a = rng.standard_normal((120, 120))
-    a = (a + a.T).astype(dtype)
-    rows = np.array([[0.1], [1.0 / 3.0], [7.3], [1e3 + 0.1]]).repeat(120, axis=1).astype(dtype)
-    got = mcs._dcov_stats(_panels_of(_offset_rows(a), 7), rows, _off_diagonal_sums(a), [1, 3])
-    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+    # the shift is a radius the rows take, so every shifted radius is
+    # exactly zero; the mean of 0.1 repeated n times is not 0.1.  Rows on
+    # the coordinate axes have norm exactly r, and n picks the dtype
+    n = 120 if dtype == np.float64 else 2100
+    axes = np.arange(n) % 3
+    for r in (0.1, 1.0 / 3.0, 7.3, 1e3 + 0.1):
+        rows = np.zeros((n, 3))
+        rows[np.arange(n), axes] = np.where(np.arange(n) % 2, -r, r)
+        observed, counts, used = mcs._independence_core(rows, 99, 28)
+        assert observed == 0.0 and not np.signbit(observed)
+        # every permuted statistic is exactly zero too
+        assert counts.tolist() == [99] and used == 99
 
 
 def test_panel_weights_are_off_diagonal_row_sums():
@@ -953,7 +969,7 @@ def test_panel_weights_are_off_diagonal_row_sums():
         np.testing.assert_allclose(weights, _off_diagonal_sums(centred), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(weights, -np.diag(centred), rtol=1e-13, atol=1e-13)
         for dtype, tol in ((np.float64, 1e-13), (np.float32, 1e-6)):
-            offsets = _gathered(mcs._centred_panels(mcs._offset_distances(points, 4 * n), weights, dtype))
+            offsets = _gathered(mcs._centred_offsets(points, weights, dtype, 4 * n))
             stored = np.zeros((n, n))
             for c, row in enumerate(_offset_pairs(n)):
                 for i, pair in enumerate(row):
@@ -1043,12 +1059,13 @@ def test_permutation_batches_are_the_permutation_draws(n, k):
 def test_independence_batches_are_the_permutation_draws(monkeypatch):
     # the radius rows scored after the observed one, in several blocks of
     # one pass or in one pass per block (the observed row joining the
-    # first), are the radii under one rng.permutation(n) draw each, in order
+    # first), are the median-shifted radii under one rng.permutation(n)
+    # draw each, in order
     monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
     calls = _record_kernel_calls(monkeypatch)
     rows = np.random.default_rng(30).standard_normal((120, 3))
     draws = np.random.default_rng(31)
-    expected = np.linalg.norm(rows, axis=1)[np.stack([draws.permutation(120) for _ in range(99)])]
+    expected = _median_shifted(np.linalg.norm(rows, axis=1))[np.stack([draws.permutation(120) for _ in range(99)])]
     mcs.test_radial_angular_independence(rows, 99, 31)
     [(radius_rows, sizes, _, weights)] = calls
     assert len(sizes) > 3
@@ -1065,7 +1082,7 @@ def test_independence_makes_one_distance_pass_per_chunk_pulled(monkeypatch):
     # the weights come from one triangle pass; each chunk the counter
     # pulls costs one offset pass, the observed row riding with the first,
     # and a public run makes one offset pass in all
-    passes = {"_distance_panels": 0, "_offset_distances": 0}
+    passes = {"_distance_panels": 0, "_centred_offsets": 0}
 
     def counting(name):
         generator = getattr(mcs, name)
@@ -1077,7 +1094,7 @@ def test_independence_makes_one_distance_pass_per_chunk_pulled(monkeypatch):
         monkeypatch.setattr(mcs, name, counted)
 
     counting("_distance_panels")
-    counting("_offset_distances")
+    counting("_centred_offsets")
     rows = np.random.default_rng(56).standard_normal((200, 4))
     chunks = list(mcs._chunk_sizes(199, mcs._PANEL_BUDGET // 800))
     assert chunks == [25, 50, 100, 24]
@@ -1086,7 +1103,7 @@ def test_independence_makes_one_distance_pass_per_chunk_pulled(monkeypatch):
         passes.update(dict.fromkeys(passes, 0))
         _, _, used = mcs._independence_core(rows, 199, 57, stop)
         assert used == sum(chunks[:pulled])
-        assert passes == {"_distance_panels": 1, "_offset_distances": 1 if stop is None else pulled}
+        assert passes == {"_distance_panels": 1, "_centred_offsets": 1 if stop is None else pulled}
 
 
 @pytest.mark.parametrize("n", [120, 2100])
@@ -1099,7 +1116,8 @@ def test_independence_statistic_is_the_unpermuted_kernel_row(n, monkeypatch):
     rows = rng.standard_normal((n, 4))
     report = mcs.test_radial_angular_independence(rows, 99, 21)
     [(radius_rows, sizes, out, _)] = calls
-    np.testing.assert_array_equal(radius_rows[0], np.linalg.norm(rows, axis=1).astype(radius_rows.dtype))
+    radii = np.linalg.norm(rows, axis=1).astype(radius_rows.dtype)
+    np.testing.assert_array_equal(radius_rows[0], _median_shifted(radii))
     assert report.statistic == out[0] / (n * n)
     assert sizes[0] == 1 and sum(sizes[1:]) == 99
 
@@ -1460,6 +1478,19 @@ def test_sample_matrix_round_trip(tmp_path):
         mcs.SampleMatrix(np.zeros(3))
     with pytest.raises(ValueError):
         mcs.SampleMatrix(np.array([[1.0, math.inf]]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mcs.orbit_walk_samples(1, 0), "need at least one sample, got 0"),
+        (lambda: mcs.calibration_suite(repetitions=0), "need at least one repetition, got 0"),
+    ],
+)
+def test_count_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+        call()
+    assert excinfo.type is ValueError
 
 
 def test_calibration_suite_structure():

@@ -14,6 +14,7 @@ from invspan.sphere_harmonics import (
     MAX_LMAX,
     RADIAL_LAWS,
     PowerSpectrum,
+    SphereGrid,
     empirical_power_spectrum,
     eval_ylm,
     gauss_legendre_grid,
@@ -405,3 +406,51 @@ def test_power_spectrum_file_errors(tmp_path):
 def test_lmax_cap_enforced():
     with pytest.raises(DimensionError):
         gauss_legendre_grid(MAX_LMAX + 1)
+
+
+def _spectrum_file(tmp_path, text):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    return path
+
+
+_Z3 = np.zeros(3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: ylm_matrix(2, [0.1, 0.2], [0.3]), DimensionError, "theta and phi must be 1-d arrays of equal"),
+        (lambda tmp: ylm_matrix(2, np.zeros((2, 2)), np.zeros((2, 2))), DimensionError, "theta and phi must be 1-d"),
+        (lambda tmp: ylm_matrix(2, [4.0], [0.0]), ValueError, "theta must lie in [0, pi]"),
+        (lambda tmp: SphereGrid(_Z3, _Z3, np.ones(2)), DimensionError, "grid arrays must share one shape"),
+        (lambda tmp: SphereGrid(_Z3, _Z3, np.array([-1.0, 1.0, 13.0])), ValueError, "grid weights must be positive"),
+        (lambda tmp: SphereGrid(_Z3, _Z3, np.ones(3)), ValueError, "grid weights sum to 3.0, expected 4 pi"),
+        (lambda tmp: PowerSpectrum(np.array([])), DimensionError, "power spectrum must be a non-empty 1-d array"),
+        (lambda tmp: PowerSpectrum(np.ones((2, 2))), DimensionError, "power spectrum must be a non-empty 1-d array"),
+        (lambda tmp: PowerSpectrum(np.array([1.0, -0.5])), ValueError, "power values must be finite and nonnegative"),
+        (
+            lambda tmp: read_power_spectrum(_spectrum_file(tmp, "0 1.0\n1 0.5 0.25\n")),
+            ValueError,
+            ":2: expected 'ell value', got '1 0.5 0.25\\n'",
+        ),
+        (
+            lambda tmp: read_power_spectrum(_spectrum_file(tmp, "# comments only\n\n")),
+            ValueError,
+            "spec.txt: no spectrum entries found",
+        ),
+        (lambda tmp: sample_degree_block(-1, 1.0, "chi", 10, 0), ValueError, "need ell >= 0, n >= 1 and c >= 0"),
+        (lambda tmp: sample_degree_block(2, 1.0, "chi", 0, 0), ValueError, "need ell >= 0, n >= 1 and c >= 0"),
+        (lambda tmp: sample_degree_block(2, -1.0, "chi", 10, 0), ValueError, "need ell >= 0, n >= 1 and c >= 0"),
+        (lambda tmp: sample_coefficient_arrays(PowerSpectrum.constant(2), "chi", 0, 0), ValueError, "need n >= 1"),
+        (
+            lambda tmp: synthesize_batch(np.zeros((2, 9)), 3, gauss_legendre_grid(3)),
+            DimensionError,
+            "rows of shape (2, 9) do not match lmax 3",
+        ),
+    ],
+)
+def test_input_checks_raise_their_messages(call, error, message, tmp_path):
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+        call(tmp_path)
+    assert excinfo.type is error
