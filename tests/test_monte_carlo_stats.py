@@ -53,9 +53,10 @@ def _row_panels(directions, panel_elements, dtype):
 
     The layout the distance covariance kept before its cyclic-offset
     panels, kept with _row_panel_weights and _row_panel_stats as the oracle
-    of _distance_weights, _centred_offsets and _dcov_stats: two passes over the upper-triangle _distance_panels
-    blocks, each centred block cut into panels of at most panel_elements
-    entries (or one row), each panel cast to dtype.
+    of _distance_weights, _centred_offsets and _dcov_stats: two passes
+    over the upper-triangle _distance_panels blocks, each centred block
+    cut into panels of at most panel_elements entries (or one row), each
+    panel cast to dtype.
     """
     n = directions.shape[0]
     sums = np.zeros(n)
