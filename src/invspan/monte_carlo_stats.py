@@ -19,8 +19,7 @@ from one such pass, g their mean), 2A_ij = 2D_ij - w_i - w_j, and scores
 panels of cyclic offsets, in which each pair's radius partner lies in one
 contiguous run.  Distances between bitwise equal rows are exactly zero.
 Distance covariance holds its radii, and scores its centred distances,
-in float32 above _FLOAT32_CUTOVER rows, so its last bits depend on the
-sample size; every other statistic is float64 at every size.
+in float32 at every size; every other statistic is float64.
 
 Every test scores its simulated statistics through one exceedance
 counter and reports the p-value (1 + c)/(B + 1), c being the number of
@@ -78,9 +77,6 @@ DEFAULT_ALPHA = 0.01
 UNIFORMITY_SIMULATIONS = 499
 GAUSSIANITY_BOOTSTRAP = 299
 
-# above this many rows distance covariance scores its centred distances,
-# and the radii it holds, in float32
-_FLOAT32_CUTOVER = 2048
 # scratch entries per kernel buffer (1 MiB in float64): an energy-test
 # triangle panel (a paired test's Gram block holds 4x), a cyclic-offset
 # distance panel of distance covariance and its minima, a row block
@@ -658,8 +654,7 @@ def _independence_core(x, n_permutations, seed, stop=None):
     rng = np.random.default_rng(seed)
 
     w = _distance_weights(directions)
-    dtype = np.float64 if n <= _FLOAT32_CUTOVER else np.float32
-    r_cast = radii.astype(dtype)
+    r_cast = radii.astype(np.float32)
     # every radius row is a permutation of r_cast, so the lower median
     # taken out here is the one each row would take
     mid = (n - 1) // 2
@@ -672,14 +667,14 @@ def _independence_core(x, n_permutations, seed, stop=None):
         permutations one block, so every run scores each row alike.
         """
         first = int(observed)
-        radius_rows = np.empty((first + sum(sizes), n), dtype=dtype)
+        radius_rows = np.empty((first + sum(sizes), n), dtype=np.float32)
         radius_rows[:first] = r_cast
         at = first
         for k in sizes:
             # drawn a chunk at a time: the stream of one whole draw
             np.take(r_cast, _permutations(rng, k, n), out=radius_rows[at : at + k])
             at += k
-        panels = _centred_offsets(directions, w, dtype, _PANEL_BUDGET)
+        panels = _centred_offsets(directions, w, np.float32, _PANEL_BUDGET)
         return _dcov_stats(panels, radius_rows, w, [1] * first + sizes) / (n * n)
 
     # enough permutations per chunk that a block's minima span a few offsets
@@ -709,12 +704,15 @@ def test_radial_angular_independence(
     The radii are shifted once by their lower median before any is
     drawn; every permuted row holds the same radii, so each row takes the
     shift it would take on its own.  A second pass streams D by cyclic
-    offset, in panels of about _PANEL_BUDGET entries, each centred as it
-    is made, 2A_ij = 2D_ij - w_i - w_j; one kernel scores the observed
-    radii and all B permuted ones against it with weights w, a block of
+    offset, in panels of about _PANEL_BUDGET entries, each centred in
+    float64 as it is made, 2A_ij = 2D_ij - w_i - w_j, then cast to
+    float32 at every n; one kernel scores the observed radii and all B
+    permuted ones, held in float32, against it with weights w, a block of
     radius rows against a few offsets at a time, reading each offset's
-    radius partners as one contiguous run.  So memory is O(n (B + 1)) for
-    the radius rows plus a few panels.
+    radius partners as one contiguous run.  Radii equal up to float64
+    rounding round to one float32 value, barring a rounding boundary
+    between them, and score exactly zero.  Memory is O(n (B + 1)) for the
+    radius rows plus a few panels.
     """
     observed, counts, _ = _independence_core(x, n_permutations, seed)
     return _report(

@@ -6,17 +6,17 @@ statistics, no report) with B = 199, taking the best of a few repeats,
 and the same for one curtailed run, stopped where calibration stops it
 (`_stop_count(0.05, 199)`).  One more full run under tracemalloc gives
 the peak of the memory Python allocates, printed beside the times; it is
-not timed, since tracing slows every allocation.  The sizes straddle the float32 cutover (2048 rows), so
-both dtypes are timed.  BLAS is pinned to one thread the way the CLI pins
-it for INVSPAN_THREADS=1, before numpy loads.
+not timed, since tracing slows every allocation.  BLAS is pinned to one
+thread the way the CLI pins it for INVSPAN_THREADS=1, before numpy loads.
 
 With --digests nothing is timed: for each digest case it prints the
 observed statistic as float.hex, the exceedance count and the draws
 scored, for the public run and for runs curtailed at stop 1 and 5.  Two
 checkouts that print the same lines score every case bit for bit alike.
-The cases are normal rows in R^9 at even and odd n on both sides of the
-cutover, 120 rows on 24 directions with one row repeated (tied
-directions), and 120 rows of norm exactly 3 (constant radii).
+The cases are normal rows in R^9 at even and odd n from 100 to 3000, 120
+rows on 24 directions with one row repeated (tied directions), 120 rows
+of norm exactly 3 (constant radii), and 1000 rows of the `constant` law
+at degree 2 (radii equal only up to rounding).
 
     PYTHONPATH=src python tests/sweeps/dcov_timing.py [--repeats 3] [--sizes 200 3000]
     PYTHONPATH=src python tests/sweeps/dcov_timing.py --digests
@@ -36,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 import numpy as np  # noqa: E402
 
 from invspan import monte_carlo_stats as mcs  # noqa: E402
+from invspan.sphere_harmonics import sample_degree_block  # noqa: E402
 
 SIZES = (200, 1000, 2048, 2100, 3000, 5000)
 PERMUTATIONS = 199
@@ -78,6 +79,7 @@ def digest_cases():
     signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
     base = np.concatenate([signs * np.roll([1.0, 2.0, 2.0], k) for k in range(3)])
     yield "constant radii n=120", np.tile(base, (5, 1))
+    yield "constant law n=1000", sample_degree_block(2, 1.0, "constant", 1000, 1000)
 
 
 def print_digests() -> None:
@@ -101,12 +103,11 @@ def main() -> int:
     print(f"B = {PERMUTATIONS}, d = {DIMENSION}, best of {args.repeats}, numpy {np.__version__}")
     for n in args.sizes:
         rows = np.random.default_rng(n).standard_normal((n, DIMENSION))
-        dtype = "float64" if n <= mcs._FLOAT32_CUTOVER else "float32"
         seconds = best_time(rows, args.repeats)
         curtailed = best_time(rows, args.repeats, CURTAIL_STOP)
         peak = traced_peak(rows) / 2**20
         print(
-            f"n = {n:5d} ({dtype}): {seconds:.3f} s, curtailed at stop {CURTAIL_STOP} {curtailed * 1e3:.1f} ms,"
+            f"n = {n:5d}: {seconds:.3f} s, curtailed at stop {CURTAIL_STOP} {curtailed * 1e3:.1f} ms,"
             f" tracemalloc peak {peak:.1f} MiB",
             flush=True,
         )

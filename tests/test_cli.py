@@ -140,6 +140,18 @@ def test_theorem2_pipeline(capsys):
         assert report["reject"] is False
 
 
+def test_theorem2_accepts_the_constant_law(capsys):
+    # radii equal up to rounding must not read as dependent on direction
+    code, payload = run_json(
+        capsys,
+        ["test-theorem2", "--ell", "2", "--n", "1000", "--radial", "constant", "--permutations", "199"],
+    )
+    assert code == 0
+    assert payload["all_passed"] is True
+    assert payload["reports"]["radial_angular_independence"]["statistic"] == 0.0
+    assert payload["reports"]["radial_angular_independence"]["p_value"] == 1.0
+
+
 def test_bernstein_pipeline(capsys):
     code, payload = run_json(
         capsys,

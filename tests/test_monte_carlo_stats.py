@@ -626,10 +626,23 @@ def test_exchangeability_memory_stays_bounded():
 
 
 def test_independence_statistic_matches_naive():
+    # the float64 kernel, on the same weights, offset panels and median
+    # shift, matches the naive double sum to 1e-12; the public statistic,
+    # scored in float32, lies within the float32 kernel band of it,
+    # 1e-5 sum_ij |r_i - r_j| |A_ij| / n^2
     rng = np.random.default_rng(16)
     rows = rng.standard_normal((120, 3))
     report = mcs.test_radial_angular_independence(rows, 99, 17)
-    assert report.statistic == pytest.approx(_dcov_statistic_naive(rows), abs=1e-12)
+    naive = _dcov_statistic_naive(rows)
+    radii = np.linalg.norm(rows, axis=1)
+    directions = rows / radii[:, None]
+    weights = mcs._distance_weights(directions)
+    panels = mcs._centred_offsets(directions, weights, np.float64, mcs._PANEL_BUDGET)
+    [wide] = mcs._dcov_stats(panels, _median_shifted(radii[None]), weights, [1]) / 120**2
+    assert wide == pytest.approx(naive, abs=1e-12)
+    centred, _ = _centred_dense(directions)
+    scale = np.sum(np.abs(radii[:, None] - radii[None, :]) * np.abs(centred)) / 120**2
+    assert abs(report.statistic - naive) <= 1e-5 * scale
 
 
 def _dcov_statistic_chunked(rows, chunk=100):
@@ -652,8 +665,8 @@ def _dcov_statistic_chunked(rows, chunk=100):
 
 
 def test_independence_large_n_matches_dense_float64():
-    # above the float32 cutover only the storage of the centred panels is
-    # float32; their distances and centring stay float64
+    # only the storage of the centred panels and of the radii is float32;
+    # the distances and their centring stay float64
     rng = np.random.default_rng(45)
     small = rng.standard_normal((120, 3))
     assert _dcov_statistic_chunked(small, 7) == pytest.approx(_dcov_statistic_naive(small), rel=1e-12)
@@ -947,12 +960,18 @@ def test_dcov_kernel_float32_within_1e5_of_float64():
 def test_dcov_kernel_constant_rows_score_exactly_zero(dtype):
     # the shift is a radius the rows take, so every shifted radius is
     # exactly zero; the mean of 0.1 repeated n times is not 0.1.  Rows on
-    # the coordinate axes have norm exactly r, and n picks the dtype
+    # the coordinate axes have norm exactly r.  The kernel in dtype scores
+    # the shifted radii zero, and so does the test, which scores in float32
     n = 120 if dtype == np.float64 else 2100
     axes = np.arange(n) % 3
     for r in (0.1, 1.0 / 3.0, 7.3, 1e3 + 0.1):
         rows = np.zeros((n, 3))
         rows[np.arange(n), axes] = np.where(np.arange(n) % 2, -r, r)
+        directions = rows / r
+        weights = mcs._distance_weights(directions)
+        panels = mcs._centred_offsets(directions, weights, dtype, mcs._PANEL_BUDGET)
+        shifted = _median_shifted(np.linalg.norm(rows, axis=1).astype(dtype)[None])
+        assert mcs._dcov_stats(panels, shifted, weights, [1]).tolist() == [0.0]
         observed, counts, used = mcs._independence_core(rows, 99, 28)
         assert observed == 0.0 and not np.signbit(observed)
         # every permuted statistic is exactly zero too
@@ -1060,13 +1079,14 @@ def test_permutation_batches_are_the_permutation_draws(n, k):
 def test_independence_batches_are_the_permutation_draws(monkeypatch):
     # the radius rows scored after the observed one, in several blocks of
     # one pass or in one pass per block (the observed row joining the
-    # first), are the median-shifted radii under one rng.permutation(n)
-    # draw each, in order
+    # first), are the float32 median-shifted radii under one
+    # rng.permutation(n) draw each, in order
     monkeypatch.setattr(mcs, "_PANEL_BUDGET", 2**12)
     calls = _record_kernel_calls(monkeypatch)
     rows = np.random.default_rng(30).standard_normal((120, 3))
     draws = np.random.default_rng(31)
-    expected = _median_shifted(np.linalg.norm(rows, axis=1))[np.stack([draws.permutation(120) for _ in range(99)])]
+    radii = np.linalg.norm(rows, axis=1).astype(np.float32)
+    expected = _median_shifted(radii)[np.stack([draws.permutation(120) for _ in range(99)])]
     mcs.test_radial_angular_independence(rows, 99, 31)
     [(radius_rows, sizes, _, weights)] = calls
     assert len(sizes) > 3
@@ -1110,8 +1130,7 @@ def test_independence_makes_one_distance_pass_per_chunk_pulled(monkeypatch):
 @pytest.mark.parametrize("n", [120, 2100])
 def test_independence_statistic_is_the_unpermuted_kernel_row(n, monkeypatch):
     # the reported statistic is exactly the kernel's value on the
-    # unpermuted radii, scored as a block of its own, on both sides of the
-    # float32 cutover
+    # unpermuted radii, scored as a block of its own, at a small and a large n
     calls = _record_kernel_calls(monkeypatch)
     rng = np.random.default_rng(20)
     rows = rng.standard_normal((n, 4))
@@ -1139,6 +1158,33 @@ def test_independence_constant_radii(n):
     assert report.statistic == 0.0
     assert report.p_value == 1.0
     assert not report.reject
+
+
+@pytest.mark.parametrize("n", [300, 1000, 2048])
+@pytest.mark.parametrize("ell", [1, 2, 4])
+def test_independence_constant_law_scores_exactly_zero(ell, n):
+    # the constant law's radii are equal only up to float64 rounding, a
+    # noise that is a function of the direction; float32 rounds it away at
+    # every n, so every statistic is exactly zero
+    block = sample_degree_block(ell, 1.0, "constant", n, 100 * ell + n)
+    assert len(np.unique(np.linalg.norm(block, axis=1))) > 1
+    report = mcs.test_radial_angular_independence(block, 99, 23)
+    assert report.statistic == 0.0
+    assert report.p_value == 1.0
+
+
+def test_independence_constant_radii_on_tied_directions():
+    # 120 rows of norm 3, up to rounding, on 24 directions, one row
+    # repeated: the exact tie whose float64 rounding rejected independence
+    rng = np.random.default_rng(24)
+    directions = rng.standard_normal((24, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    rows = 3.0 * directions[np.arange(120) % 24]
+    rows[119] = rows[0]
+    assert len(np.unique(np.linalg.norm(rows, axis=1))) > 1
+    report = mcs.test_radial_angular_independence(rows, 199, 25)
+    assert report.statistic == 0.0
+    assert report.p_value == 1.0
 
 
 def test_independence_all_radii_but_one_equal():
