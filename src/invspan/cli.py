@@ -337,7 +337,7 @@ _OPTIONS = {
     "radial": {"choices": _RADIAL_CHOICES, "help": "radial law for coefficient draws"},
     "spectrum": {"help": "power spectrum file ('ell value' lines)"},
     "alpha": {"type": float, "help": "test level in (0, 1)"},
-    "permutations": {"type": int, "range": (99, None), "help": "permutation / replicate count"},
+    "permutations": {"type": int, "range": (99, None), "help": "permutation draws of the energy, paired and distance-covariance tests"},
     "odd": {"action": "store_true", "help": "interleave a fixed odd coordinate swap into the walk"},
     "seed": {"type": int, "help": "master seed"},
     "out": {"help": "write the report here instead of stdout"},

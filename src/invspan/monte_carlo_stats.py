@@ -78,7 +78,8 @@ UNIFORMITY_SIMULATIONS = 499
 GAUSSIANITY_BOOTSTRAP = 299
 
 # scratch entries per kernel buffer (1 MiB in float64): an energy-test
-# triangle panel (a paired test's Gram block holds 4x), a cyclic-offset
+# triangle panel, a paired test's K panel or its scratch block, a row
+# chunk of the paired tests' signs cast to float64, a cyclic-offset
 # distance panel of distance covariance and its minima, a row block
 # of the paired tests' swap draws or of the rotation test's Haar partners,
 # and a uniformity or Gaussianity chunk
@@ -301,36 +302,46 @@ def _gram_factors(rows: np.ndarray):
     return classes, np.column_stack([-2.0 * centred, sq, ones]), np.column_stack([centred, ones, sq])
 
 
-def _distance_panels(pooled: np.ndarray, parts: int, panel_elements: int):
-    """Float64 Euclidean distances of pooled rows in upper-triangle row panels.
+def _distance_block(left, right, classes, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+    """Float64 Euclidean distances from the pooled rows `rows` to the pooled rows `cols`, written into out.
 
-    pooled stacks `parts` samples of k rows each.  For each range (lo, hi)
-    of _panel_rows(k, panel_elements) this yields (lo, hi, block), where
-    block holds the distances from rows lo..hi-1 to rows lo..k-1 of every
-    pair of samples: a parts x parts grid of h x w blocks (h = hi - lo,
-    w = k - lo) whose entries on and below the diagonal are zero.  Each
-    block is one product of the _gram_factors, clamped at zero and square
-    rooted; distances between bitwise equal rows are exactly zero.  block
-    is a reused buffer, valid until the next one is yielded.
+    left, right and classes are the _gram_factors of the pooled rows.  The
+    block is one product of the Gram factors, clamped at zero and square
+    rooted; distances between bitwise equal rows are exactly zero.  Entry
+    (i, j) with j <= i is set to zero, so that when both ranges start at
+    the same row of their samples the block holds only the upper triangle.
     """
-    k = pooled.shape[0] // parts
-    classes, left, right = _gram_factors(pooled)
-    offsets = k * np.arange(parts)[:, None]
-    bounds = list(_panel_rows(k, panel_elements))
-    buf = np.empty(parts * parts * max((hi - lo) * (k - lo) for lo, hi in bounds))
+    block = np.matmul(left[rows], right[cols].T, out=out)
+    np.maximum(block, 0.0, out=block)
+    np.sqrt(block, out=block)
+    if classes is not None:
+        block[classes[rows][:, None] == classes[cols][None, :]] = 0.0
+    h = block.shape[0]
+    block[:, :h][np.tri(h, dtype=bool)] = 0.0
+    return block
+
+
+def _panel_buffers(n: int, panel_elements: int, count: int):
+    """_panel_rows(n, panel_elements) and `count` float64 buffers that each hold its largest panel."""
+    bounds = list(_panel_rows(n, panel_elements))
+    size = max((hi - lo) * (n - lo) for lo, hi in bounds)
+    return bounds, [np.empty(size) for _ in range(count)]
+
+
+def _distance_panels(rows: np.ndarray, panel_elements: int):
+    """Float64 Euclidean distances of rows in upper-triangle row panels.
+
+    For each range (lo, hi) of _panel_rows(n, panel_elements) this yields
+    (lo, hi, block), where block is the _distance_block from rows lo..hi-1
+    to rows lo..n-1, zero on and below the diagonal.  block is a reused
+    buffer, valid until the next one is yielded.
+    """
+    n = rows.shape[0]
+    classes, left, right = _gram_factors(rows)
+    bounds, (buf,) = _panel_buffers(n, panel_elements, 1)
     for lo, hi in bounds:
-        h, w = hi - lo, k - lo
-        rows = (offsets + np.arange(lo, hi)).ravel()
-        cols = (offsets + np.arange(lo, k)).ravel()
-        block = np.matmul(left[rows], right[cols].T, out=buf[: rows.size * cols.size].reshape(rows.size, cols.size))
-        np.maximum(block, 0.0, out=block)
-        np.sqrt(block, out=block)
-        if classes is not None:
-            block[classes[rows][:, None] == classes[cols][None, :]] = 0.0
-        lower = np.tri(h, dtype=bool)
-        for p, q in np.ndindex(parts, parts):
-            block[p * h : (p + 1) * h, q * w : q * w + h][lower] = 0.0
-        yield lo, hi, block
+        out = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        yield lo, hi, _distance_block(left, right, classes, slice(lo, hi), slice(lo, n), out)
 
 
 def _energy_stats(pooled: np.ndarray, labels: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -354,7 +365,7 @@ def _energy_stats(pooled: np.ndarray, labels: np.ndarray, n: int, m: int) -> np.
         sizes = np.diff(starts, append=order.size)[:, None]
     weights = labels / n - (sizes - labels) / m
     totals = np.zeros(weights.shape[1])
-    for lo, hi, block in _distance_panels(pooled, 1, _PANEL_BUDGET):
+    for lo, hi, block in _distance_panels(pooled, _PANEL_BUDGET):
         totals += np.einsum("ib,ib->b", weights[lo:hi], block @ weights[lo:])
     # adding 0.0 turns the -0.0 of all-zero weights into 0.0
     return -2.0 * totals + 0.0
@@ -370,12 +381,16 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
     2 s_ab - s_aa - s_bb = u^T K u, so each statistic is
     (tr K + 2 sum_{i<j} K_ij u_i u_j) / n^2.
 
-    K is never stored: its upper-triangle row panels K[lo:hi, lo:] are
-    formed in the D_xy block of each 2 x 2 block panel of _distance_panels
-    on the pooled rows (x, y), about _PANEL_BUDGET entries of K each, and
-    each panel meets every column in one matrix product with signs[lo:].  The
-    diagonal 2|x_i - y_i| comes from x - y directly.  Pairs with x_i == y_i
-    bitwise are left out (u_i = 0): their row and column of K vanish.
+    K is never stored: its upper-triangle row panels K[lo:hi, lo:], about
+    _PANEL_BUDGET entries each, are built one at a time from four
+    _distance_block products of the _gram_factors of the pooled rows
+    (x, y): D_xy is written into the panel, then D_yx, D_xx and D_yy each
+    pass through one scratch block (add, subtract, subtract).  Each panel
+    meets every column in the product with signs[lo:], taken in row
+    chunks of _PANEL_BUDGET // columns rows cast to float64, so signs may
+    be stored as int8.  The diagonal 2|x_i - y_i| comes from x - y
+    directly.  Pairs with x_i == y_i bitwise are left out (u_i = 0): their
+    row and column of K vanish.
     """
     n = x_rows.shape[0]
     live = np.any(x_rows != y_rows, axis=1)
@@ -383,34 +398,43 @@ def _paired_energy_stats(x_rows: np.ndarray, y_rows: np.ndarray, signs: np.ndarr
         x_rows, y_rows, signs = x_rows[live], y_rows[live], signs[live]
     k = x_rows.shape[0]
     trace = 2.0 * float(np.linalg.norm(x_rows - y_rows, axis=1).sum())
-    totals = np.zeros(signs.shape[1])
+    columns = signs.shape[1]
+    totals = np.zeros(columns)
     if k > 1:
-        for lo, hi, gram in _distance_panels(np.concatenate([x_rows, y_rows]), 2, _PANEL_BUDGET):
+        chunk = max(1, _PANEL_BUDGET // columns)
+        classes, left, right = _gram_factors(np.concatenate([x_rows, y_rows]))
+        bounds, (buf, scratch_buf) = _panel_buffers(k, _PANEL_BUDGET, 2)
+        for lo, hi in bounds:
             h, w = hi - lo, k - lo
-            panel = gram[:h, w:]
-            panel += gram[h:, :w]
-            panel -= gram[:h, :w]
-            panel -= gram[h:, w:]
-            totals += np.einsum("ib,ib->b", signs[lo:hi], panel @ signs[lo:])
+            x_at, y_at, x_to, y_to = slice(lo, hi), slice(k + lo, k + hi), slice(lo, k), slice(k + lo, 2 * k)
+            panel = _distance_block(left, right, classes, x_at, y_to, buf[: h * w].reshape(h, w))
+            scratch = scratch_buf[: h * w].reshape(h, w)
+            panel += _distance_block(left, right, classes, y_at, x_to, scratch)
+            panel -= _distance_block(left, right, classes, x_at, x_to, scratch)
+            panel -= _distance_block(left, right, classes, y_at, y_to, scratch)
+            product = np.zeros((h, columns))
+            for c in range(0, w, chunk):
+                product += panel[:, c : c + chunk] @ signs[lo + c : lo + c + chunk].astype(np.float64)
+            totals += np.einsum("ib,ib->b", signs[lo:hi].astype(np.float64), product)
     return (trace + 2.0 * totals) / (n * n)
 
 
 def _paired_swap_stats(x_rows, y_rows, n_permutations, rng) -> np.ndarray:
     """Observed paired energy statistic, then n_permutations within-pair swap statistics.
 
-    Column 0 of the sign matrix is the observed orientation (all ones);
-    each further column swaps pair i where rng.integers(0, 2) drew 0.
-    The int32 draw is the default int64 stream at half the memory, taken
-    in row blocks of about _PANEL_BUDGET entries.
+    Column 0 of the int8 sign matrix is the observed orientation (all
+    ones); each further column swaps pair i where rng.integers(0, 2) drew
+    0.  The int32 draw is the default int64 stream at half the memory,
+    taken in row blocks of about _PANEL_BUDGET entries.
     """
     n = x_rows.shape[0]
-    signs = np.ones((n, n_permutations + 1))
+    signs = np.ones((n, n_permutations + 1), dtype=np.int8)
     rows = max(1, _PANEL_BUDGET // n_permutations)
     for lo in range(0, n, rows):
         # the draws run row by row, so row blocks take the stream in order
         block = signs[lo:lo + rows, 1:]
-        np.multiply(rng.integers(0, 2, size=block.shape, dtype=np.int32), 2.0, out=block)
-        block -= 1.0
+        np.multiply(rng.integers(0, 2, size=block.shape, dtype=np.int32), 2, out=block, casting="unsafe")
+        block -= 1
     return _paired_energy_stats(x_rows, y_rows, signs)
 
 
@@ -589,7 +613,7 @@ def _distance_weights(rows: np.ndarray) -> np.ndarray:
     A_ij = D_ij - (w_i + w_j)/2.
     """
     sums = np.zeros(rows.shape[0])
-    for lo, hi, block in _distance_panels(rows, 1, _PANEL_BUDGET):
+    for lo, hi, block in _distance_panels(rows, _PANEL_BUDGET):
         sums[lo:hi] += block.sum(axis=1)
         sums[lo:] += block.sum(axis=0)
     means = sums / rows.shape[0]
@@ -946,7 +970,7 @@ def orbit_random_walk(
     permutations, which each piece of about _WALK_PIECE entries draws in
     turn (permuted draws row by row, so the stream is the block's).  Each
     piece builds and conjugates its step matrices, and the state advances
-    by them one at a time, v <- step @ v, so no piece boundary changes a
+    by them one at a time, v <- np.dot(step, v), so no piece boundary changes a
     bit of the recorded states.  With d = 2 ell + 1 the working set is
     O(_WALK_PIECE + d^2) entries besides the block's 3 x 20000 angles,
     whatever `steps` and `burn_in` are.
@@ -997,7 +1021,7 @@ def orbit_random_walk(
             conj = mats[np.arange(hi - lo)[:, None, None], p[:, rows, None], p[:, None, :]]
             # past counts the steps taken after burn_in, this one included
             for past, step in enumerate(conj, done + lo + 1 - burn_in):
-                v = step @ v
+                v = np.dot(step, v)
                 if past > 0 and past % thin == 0:
                     out[k] = v
                     k += 1

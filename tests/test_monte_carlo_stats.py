@@ -60,13 +60,13 @@ def _row_panels(directions, panel_elements, dtype):
     """
     n = directions.shape[0]
     sums = np.zeros(n)
-    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._PANEL_BUDGET):
+    for lo, hi, block in mcs._distance_panels(directions, mcs._PANEL_BUDGET):
         sums[lo:hi] += block.sum(axis=1)
         sums[lo:] += block.sum(axis=0)
     means = sums / n
     grand = float(means.mean())
     panels = []
-    for lo, hi, block in mcs._distance_panels(directions, 1, mcs._PANEL_BUDGET):
+    for lo, hi, block in mcs._distance_panels(directions, mcs._PANEL_BUDGET):
         block -= means[lo:hi, None]
         block -= means[None, lo:]
         block += grand
@@ -271,6 +271,23 @@ def test_energy_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def test_paired_memory_stays_bounded():
+    # the (n, B+1) swap signs take 4.58 MiB in float64 and 0.57 MiB in
+    # int8, and a 2 x 2 grid of distance blocks per panel took 4 MiB where
+    # the K panel and its scratch block take 1 MiB each; with the float64
+    # signs and the grid each paired test peaked at 10.84 MiB
+    x = np.random.default_rng(40).standard_normal((3000, 9))
+    tests = (lambda: mcs.test_exchangeability(x, 199, 41), lambda: mcs.test_rotational_invariance(x, 1, 199, 42))
+    for run in tests:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20, peak
 
 
 def test_orbit_walk_memory_stays_bounded():
@@ -559,6 +576,8 @@ def test_paired_swap_row_blocks_reproduce_one_whole_draw():
     whole = np.random.default_rng(33)
     expected = np.ones((n, k + 1))
     expected[:, 1:] = 2.0 * whole.integers(0, 2, (n, k)) - 1.0
+    # one byte per sign: n (k + 1) bytes where float64 took 8 n (k + 1)
+    assert captured[0].dtype == np.int8
     np.testing.assert_array_equal(captured[0], expected)
     np.testing.assert_array_equal(rng.random(8), whole.random(8))
 

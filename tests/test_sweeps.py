@@ -36,6 +36,7 @@ def test_every_sweep_is_checked():
         "algebra_peaks.py",
         "curtail_sweep.py",
         "dcov_timing.py",
+        "paired_sweep.py",
         "span_sweep.py",
         "split_sweep.py",
         "walk_sweep.py",
