@@ -6,15 +6,12 @@ the symmetric group.  When the family is the generator image of an
 irreducible SO(3) representation with no fixed vectors, that span is the
 whole of so(n): certifying this numerically is what verify_span does.
 
-The module also builds the complementary pair of symmetric-group
-invariant subspaces of so(n),
-
-    stabilizer part: matrices annihilating the all-ones vector,
-    standard part:   its orthocomplement under the trace form,
-
-whose characters on a transposition (+1 on the standard part, -1 on the
-stabilizer part for n = 4) drive the span argument.  Both bases are
-built in closed form from ones_fixing_rotation; no rank is decided.
+Under relabeling, so(n) splits into the standard part and the stabilizer
+part (the matrices annihilating the all-ones vector).  For n >= 3 the two
+are irreducible and not isomorphic (Fulton & Harris, Representation
+Theory, Prop. 3.12), so the span is the sum of the parts the family
+touches, and accumulate_span reads it from two projection norms.
+decompose_so_n builds both parts in closed form from ones_fixing_rotation.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ _BLOCK_FORM_TOL = 1e-10
 
 @dataclass
 class SpanReport:
-    """Outcome of the conjugated-span accumulation in so(n)."""
+    """Outcome of the span certificate in so(n); rounds counts the parts whose norm exceeds tol."""
 
     n: int
     generator_dim: int
@@ -65,6 +62,8 @@ class SpanReport:
     full: bool
     rounds: int
     tol: float
+    standard_norm: float
+    stabilizer_norm: float
     hypothesis_satisfied: bool = True
 
     def to_dict(self) -> dict:
@@ -102,93 +101,61 @@ class BlockFormReport:
         return asdict(self)
 
 
-def accumulate_span(generators, n: int) -> tuple[SpanReport, SubspaceBasis]:
-    """Close the span of antisymmetric generators under index relabeling.
+def accumulate_span(generators, n: int, *, basis: bool = True) -> tuple[SpanReport, SubspaceBasis | None]:
+    """Certify the span of the generators' conjugates under index relabeling from two norms.
 
-    Starting from the given n x n antisymmetric matrices, the span is
-    conjugated by every adjacent transposition and the results are added,
-    round after round, until one round adds nothing.  Adjacent
-    transpositions generate the symmetric group, so the stable span
-    equals the sum of conjugates over all permutations.
+    numerical_rank gives the generators' flattened rows an orthonormal
+    basis B (k x m, m = n(n-1)/2; k is generator_dim).  On flattened rows
+    the projector A -> AJ + JA = v 1^T - 1 v^T (J = 11^T/n, v = A 1 / n)
+    onto the standard part is x -> x M^T M / n, with M the pairs' signed
+    incidence matrix (_pair_incidence(ones)).  Since M M^T = n I - 11^T,
+    standard_norm = |P B| = |B M^T| / sqrt(n); stabilizer_norm = |B - P B|
+    is taken directly, since a difference of squares cancels to about 1e-8
+    when B lies in the standard part.  The two parts are irreducible and
+    not isomorphic for n >= 3, so the span contains a part exactly when
+    its norm is nonzero:
 
-    Only the frontier is conjugated: the directions D_k that round k
-    added, with D_0 the generators' own basis.  If B_k = B_{k-1} + D_k,
-    every transposition t maps B_{k-1} into B_k, so the span of B_k and
-    t B_k equals the span of B_k and t D_k.
+        span_dim = (n-1) [standard_norm > tol] + (n-1)(n-2)/2 [stabilizer_norm > tol]
 
-    Alongside the span the function keeps an orthonormal basis C of its
-    complement, taken at the start from the full SVD of the generators'
-    basis.  A round stacks the n-1 images of D_k and forms images @ C^T,
-    their coordinates in the complement: the projection off the span
-    becomes one product with an orthonormal C instead of two
-    Gram-Schmidt passes against the whole span, and every factorization
-    after it has width dim C, which shrinks as the span grows.  A tall
-    product is reduced to its R factor first.  Its full SVD R = U S W^T
-    splits the complement: the rows of W^T with singular value above the
-    threshold, times C, are D_{k+1}, and the remaining rows, times C,
-    are the next C.  Both come out orthonormal and orthogonal to each
-    other, and over the whole run at most (n-1) n(n-1)/2 rows are ever
-    conjugated.
+    with tol = DEFAULT_RANK_TOL * sqrt(n); rounds counts the parts contained.
+    tests/sweeps/span_sweep.py read absent parts at most 3.3e-13, present ones at least 4.2e-2.
 
-    The threshold is DEFAULT_RANK_TOL * sqrt(n).  sqrt(n) is the largest
-    singular value of the stack [B; t_1 B; ...; t_{n-1} B] of n
-    orthonormal blocks once B is stable (stack^T stack is then n times
-    the projector onto B), and an upper bound on it before, since each
-    block has norm 1.  Since C has orthonormal rows, images @ C^T has
-    the singular values of the images projected off the span, so the
-    threshold is compared with what each round adds, as in full so(n)
-    coordinates.  Kept and dropped singular values
-    sit many orders apart (for the weight-ell generators, ell <= 20,
-    kept ones are >= 5e-4 and dropped ones <= 2e-12; see
-    tests/sweeps/span_sweep.py), so every round's rank, and with it
-    rounds, span_dim and full, equals that of thresholding each whole
-    stack relative to its largest singular value.
+    For the weight-ell generators J_a (n = 2 ell + 1) the Casimir identity
+    sum_a J_a^2 = -ell(ell+1) I gives sum_a |J_a 1|^2 = ell(ell+1) n, so by
+    |P A|^2 = (2/n) |A 1|^2 the standard parts' squared norms sum to
+    2 ell(ell+1).  The total sum_a |J_a|^2 = -tr(sum_a J_a^2) =
+    ell(ell+1)(2 ell+1) leaves ell(ell+1)(2 ell-1) to the stabilizer parts.
+    Both are positive, so every weight spans all of so(n).
 
-    Once C is empty the span is all of so(n) and every image lies in
-    it.  If the frontier is not empty then, the next round is counted,
-    since projecting its images off the span would leave nothing, but it
-    is not carried out.
-
-    Returns the report and an orthonormal basis of the accumulated span.
+    With basis (the default) the second value is the span's orthonormal
+    closed-form rows (_compound_rows); with basis=False it is None, and
+    nothing with m^2 entries is built.
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
     mats = _square_stack(generators, n)
-
-    full_dim = so_dim(n)
-    maps = [signed_index_map(Permutation.transposition(n, i, i + 1)) for i in range(n - 1)]
-    basis = numerical_rank([flatten_antisym(g) for g in mats])
-    generator_dim = basis.rank
-    if generator_dim == 0:
+    family = numerical_rank([flatten_antisym(g) for g in mats])
+    if family.rank == 0:
         raise DegenerateInputError("the generators span only the zero matrix")
 
-    threshold = DEFAULT_RANK_TOL * math.sqrt(n)
-    span = frontier = basis.vectors
-    complement = np.linalg.svd(span, full_matrices=True)[2][generator_dim:]
-    rounds = 0
-    while frontier.shape[0]:
-        rounds += 1
-        if not complement.shape[0]:
-            break
-        images = np.vstack([frontier[:, idx] * sign for idx, sign in maps]) @ complement.T
-        if images.shape[0] > images.shape[1]:
-            images = np.linalg.qr(images, mode="r")
-        _, s, wt = np.linalg.svd(images, full_matrices=True)
-        kept = int(np.count_nonzero(s > threshold))
-        frontier = wt[:kept] @ complement
-        complement = wt[kept:] @ complement
-        span = np.vstack([span, frontier])
-
-    rank = span.shape[0]
+    tol = DEFAULT_RANK_TOL * math.sqrt(n)
+    standard_norm, stabilizer_norm = _part_norms(family.vectors, n)
+    standard, stabilizer = standard_norm > tol, stabilizer_norm > tol
+    span_dim = (n - 1) * standard + so_dim(n - 1) * stabilizer
     report = SpanReport(
         n=n,
-        generator_dim=generator_dim,
-        span_dim=rank,
-        full=rank == full_dim,
-        rounds=rounds,
-        tol=threshold,
+        generator_dim=family.rank,
+        span_dim=span_dim,
+        full=span_dim == so_dim(n),
+        rounds=int(standard) + int(stabilizer),
+        tol=tol,
+        standard_norm=standard_norm,
+        stabilizer_norm=stabilizer_norm,
     )
-    return report, SubspaceBasis(n=n, vectors=span, rank=rank, tol=threshold)
+    if not basis:
+        return report, None
+    keep = slice(0 if standard else n - 1, None if stabilizer else n - 1)
+    return report, SubspaceBasis(n=n, vectors=_compound_rows(ones_fixing_rotation(n), keep), rank=span_dim, tol=tol)
 
 
 def verify_span(ell: int) -> SpanReport:
@@ -206,7 +173,7 @@ def verify_span(ell: int) -> SpanReport:
     """
     gens = build_generators(ell)
     hypothesis = common_fixed_subspace_dim(gens) == 0
-    report, _ = accumulate_span(gens.matrices, gens.dimension)
+    report, _ = accumulate_span(gens.matrices, gens.dimension, basis=False)
     report.hypothesis_satisfied = hypothesis
     return report
 
@@ -214,28 +181,21 @@ def verify_span(ell: int) -> SpanReport:
 def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, SubspaceBasis]:
     """Split so(n) into its two invariant parts under index relabeling.
 
-    Let b_0, ..., b_{n-1} be the columns of b = ones_fixing_rotation(n),
-    with b_0 = ones/sqrt(n).  The flattened matrices
-    (b_j b_k^T - b_k b_j^T) / sqrt(2) = b (E_jk - E_kj) b^T / sqrt(2),
-    j < k in row-major order, are the rows of the second compound of b^T
-    and form an orthonormal basis of so(n).  The n-1 rows with j = 0 are
-    plane rotations moving the ones direction: they span the standard
-    part, a copy of the standard permutation representation.  The other
-    (n-1)(n-2)/2 rows only involve columns orthogonal to ones, so they
-    annihilate it and span the stabilizer part.  The projector
-    A -> AJ + JA (J = 11^T/n) onto the standard part commutes with every
-    relabeling, so a standard basis that it fixes and a stabilizer basis
-    that it sends to 0 span invariant subspaces: _split_residual checks
-    that, and that b is orthogonal.  Returns (report, standard, stabilizer).
+    The parts are the rows of _compound_rows(ones_fixing_rotation(n)): the
+    n-1 standard rows move the ones direction and the rest annihilate it.
+    The projector A -> AJ + JA (J = 11^T/n) onto the standard part commutes
+    with every relabeling, so a standard basis that it fixes and a
+    stabilizer basis that it sends to 0 span invariant subspaces:
+    _split_residual checks that, and that the frame is orthogonal.
+    Returns (report, standard, stabilizer).
     """
     if n < 4:
         raise DimensionError(f"decomposition is defined for n >= 4, got {n}")
-    bt = ones_fixing_rotation(n).T
-    rows, cols = upper_triangle_indices(n)
-    pairs = bt[rows][:, rows] * bt[cols][:, cols] - bt[rows][:, cols] * bt[cols][:, rows]
+    frame = ones_fixing_rotation(n)
+    pairs = _compound_rows(frame)
     standard = SubspaceBasis(n=n, vectors=pairs[: n - 1], rank=n - 1, tol=0.0)
     stabilizer = SubspaceBasis(n=n, vectors=pairs[n - 1 :], rank=so_dim(n) - n + 1, tol=0.0)
-    res = _split_residual(bt.T, standard.vectors, stabilizer.vectors)
+    res = _split_residual(frame, standard.vectors, stabilizer.vectors)
     if res > _SPLIT_TOL:
         raise InvarianceViolationError(f"so({n}) split is not invariant under relabeling, residual {res:.3e}")
 
@@ -248,6 +208,42 @@ def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, Subspace
         stabilizer_char_transposition=character_on_subspace(stabilizer, swap01),
     )
     return report, standard, stabilizer
+
+
+def _compound_rows(frame: np.ndarray, keep: slice = slice(None)) -> np.ndarray:
+    """Rows keep of the second compound of frame^T: for an orthogonal frame, a basis of so(n).
+
+    Row (j, k), j < k in row-major order, is the flattened
+    (b_j b_k^T - b_k b_j^T) / sqrt(2) for the columns b_j of frame: entry
+    (r, s) is b_j[r] b_k[s] - b_j[s] b_k[r].  With b_0 = ones/sqrt(n) the
+    first n-1 rows span the standard part and the rest the stabilizer
+    part.  Each block of entries with a common r is filled in place, so no
+    temporary is larger than rows x n.
+    """
+    n = frame.shape[0]
+    rows, cols = upper_triangle_indices(n)
+    first, second = frame.T[rows[keep]], frame.T[cols[keep]]
+    out = np.empty((first.shape[0], rows.size))
+    start = 0
+    for r in range(n - 1):
+        block = out[:, start : start + n - 1 - r]
+        np.multiply(first[:, r, None], second[:, r + 1 :], out=block)
+        block -= first[:, r + 1 :] * second[:, r, None]
+        start += n - 1 - r
+    return out
+
+
+def _part_norms(flat: np.ndarray, n: int) -> tuple[float, float]:
+    """Frobenius norms of the standard and stabilizer parts of a stack of flattened rows.
+
+    x M(1)^T is a signed scatter onto the n points, the standard part its gather over n.
+    """
+    rows, cols = upper_triangle_indices(n)
+    sums = np.zeros((flat.shape[0], n))
+    np.add.at(sums, (slice(None), rows), flat)
+    np.subtract.at(sums, (slice(None), cols), flat)
+    standard = (sums[:, rows] - sums[:, cols]) / n
+    return float(np.linalg.norm(sums)) / math.sqrt(n), float(np.linalg.norm(flat - standard))
 
 
 def _pair_incidence(w: np.ndarray) -> np.ndarray:
@@ -289,10 +285,11 @@ def character_on_subspace(basis: SubspaceBasis, perm: Permutation) -> float:
     if perm.n != basis.n:
         raise DimensionError(f"permutation on {perm.n} points vs so({basis.n}) subspace")
     idx, sign = signed_index_map(perm)
-    images = basis.vectors[:, idx] * sign
+    images = basis.vectors[:, idx]
+    images *= sign
     if basis.residual(images) > _CHARACTER_TOL:
         raise InvarianceViolationError("subspace is not invariant under the given permutation")
-    return float(np.sum(basis.vectors * images))
+    return float(np.sum(np.multiply(images, basis.vectors, out=images)))
 
 
 def ones_fixing_rotation(n: int) -> np.ndarray:

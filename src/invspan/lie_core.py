@@ -195,11 +195,13 @@ class SubspaceBasis:
     def residual(self, flat: np.ndarray) -> float:
         """Distance from flat to its projection onto the subspace.
 
-        For a stack of flattened vectors (rows) this is the largest distance.
+        For a stack of flattened vectors (rows) this is the largest
+        distance, projected 256 rows at a time to keep temporaries small.
         """
         flat = np.atleast_2d(np.asarray(flat, dtype=float))
-        off = flat - (flat @ self.vectors.T) @ self.vectors
-        return float(np.max(np.linalg.norm(off, axis=1), initial=0.0))
+        chunks = (flat[i : i + 256] for i in range(0, flat.shape[0], 256))
+        off = (c - (c @ self.vectors.T) @ self.vectors for c in chunks)
+        return max((float(np.max(np.linalg.norm(o, axis=1))) for o in off), default=0.0)
 
 
 def svd_row_basis(rows: np.ndarray):

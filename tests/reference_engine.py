@@ -9,8 +9,11 @@ block-form entry is computed vector by vector.  invariance_engine works on
 whole bases through signed index maps and must agree with these functions
 up to rounding.  accumulate_span_projected is the frontier accumulation
 that projects the images off the whole span with two Gram-Schmidt passes
-in full so(n) coordinates; the engine, which works in coordinates of the
-span's complement, must report the same rank, rounds and tol.  The orbit
+in full so(n) coordinates.  The engine certifies the span from two
+projection norms instead of accumulating it: it must report the same
+span_dim, generator_dim, full and tol as these SVD loops, and norms
+that part_norms, matrix by matrix, reproduces; its rounds counts the
+parts of so(n) the span contains, not accumulation rounds.  The orbit
 walk here applies every step to the state on its own;
 monte_carlo_stats.orbit_random_walk draws the same steps and must record
 the same states up to rounding.
@@ -150,11 +153,27 @@ def residual(basis, v):
     return float(np.linalg.norm(v - basis.vectors.T @ (basis.vectors @ v)))
 
 
+def part_norms(vectors, n):
+    """Frobenius norms of the standard parts AJ + JA (J = 11^T/n) of the rows' matrices and of the rest.
+
+    Matrix by matrix: AJ + JA = v 1^T - 1 v^T with v = A 1 / n, and the
+    Frobenius norm of a matrix equals that of its flattened row.
+    """
+    standard = stabilizer = 0.0
+    for a in unflatten_antisym(np.asarray(vectors), n):
+        v = a.sum(axis=1) / n
+        part = np.subtract.outer(v, v)
+        standard += float(np.sum(part * part))
+        stabilizer += float(np.sum((a - part) ** 2))
+    return math.sqrt(standard), math.sqrt(stabilizer)
+
+
 def accumulate_span(generators, n):
     full_dim = so_dim(n)
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(n - 1)]
     basis = numerical_rank([flatten_antisym(np.asarray(g, dtype=float)) for g in generators])
     generator_dim = basis.rank
+    standard_norm, stabilizer_norm = part_norms(basis.vectors, n)
     rounds = 0
     while True:
         rounds += 1
@@ -172,6 +191,8 @@ def accumulate_span(generators, n):
         full=basis.rank == full_dim,
         rounds=rounds,
         tol=basis.tol,
+        standard_norm=standard_norm,
+        stabilizer_norm=stabilizer_norm,
     )
     return report, basis
 
@@ -202,6 +223,7 @@ def accumulate_span_projected(generators, n):
         span = np.vstack([span, frontier])
         assert span.shape[0] <= full_dim, "span accumulation exceeded the dimension of so(n)"
     rank = span.shape[0]
+    standard_norm, stabilizer_norm = part_norms(basis.vectors, n)
     report = SpanReport(
         n=n,
         generator_dim=basis.rank,
@@ -209,6 +231,8 @@ def accumulate_span_projected(generators, n):
         full=rank == full_dim,
         rounds=rounds,
         tol=threshold,
+        standard_norm=standard_norm,
+        stabilizer_norm=stabilizer_norm,
     )
     return report, SubspaceBasis(n=n, vectors=span, rank=rank, tol=threshold)
 

@@ -6,9 +6,11 @@ fresh interpreter with one BLAS thread (INVSPAN_THREADS=1 and no BLAS
 thread variable), its report discarded.  Peak RSS above the interpreter
 is the run's `ru_maxrss` minus that of the same command at its smallest
 size (ell = 1, n = 4), and the script divides it by the model's unit:
-8 m^2 bytes for the so(n) commands (m = ell(2 ell + 1) for verify-span,
-n(n - 1)/2 otherwise) and 8 d^2 for orbit-walk at its default --n
-(d = 2 ell + 1).  orbit-walk runs at sizes where the walk's d^2 terms
+8 m^2 bytes for decompose, character and block-check (m = n(n - 1)/2)
+and 8 d^2 for verify-span and for orbit-walk at its default --n
+(d = 2 ell + 1).  verify-span's certificate holds only 3 x m flattened
+rows, so its peak is the generators' and the d x d factorizations'; its
+time grows as d^3.  orbit-walk runs at sizes where the walk's d^2 terms
 (a piece's step matrices, the generators and `z_to_y`) outweigh the
 uniformity test's fixed buffers; its time still grows as 20000 d^3,
 since each step matrix is built from dense products.  The models,
@@ -38,7 +40,7 @@ from pathlib import Path
 from invspan import cli
 
 SIZES = {
-    "verify-span": (12, 16, 20),
+    "verify-span": (64, 128, 256),
     "decompose": (48, 64, 80),
     "character": (48, 64, 80),
     "block-check": (48, 64, 80),

@@ -1,24 +1,29 @@
-"""Compare span accumulation in complement coordinates with the projected frontier.
+"""Compare the two-norm span certificate with the projected frontier accumulation.
 
-Each case runs `invariance_engine.accumulate_span` and
-`accumulate_span_projected` from tests/reference_engine.py, which projects
-each round's images off the whole span with two Gram-Schmidt passes.  A case
-is a mismatch when span_dim, generator_dim, rounds, full or tol differ
-(tol bit for bit) or the two span projectors differ by more than 1e-10.
-The cases are the weight-ell generators for ell = 1..20, the criterion-2
-control (one plane rotation annihilating the ones vector in so(4)) and
-random families in so(n), n = 3..9: generic, stabilizer-only,
+Each case runs `invariance_engine.accumulate_span`, which decides the span
+from the Frobenius norms of the family's standard and stabilizer parts,
+and `accumulate_span_projected` from tests/reference_engine.py, which
+conjugates the frontier by the adjacent transpositions round after round
+and projects the images off the whole span with two Gram-Schmidt passes.
+A case is a mismatch when span_dim, generator_dim, full or tol differ
+(tol bit for bit), when rounds is not the number of parts of so(n) the
+reference's span contains, or when the two span projectors differ by more
+than 1e-10.  The cases are the weight-ell generators for ell = 1..20, the
+criterion-2 control (one plane rotation annihilating the ones vector in
+so(4)) and random families in so(n), n = 3..9: generic, stabilizer-only,
 standard-only, rank-deficient and stabilizer with a standard part at
 1e-16 relative size.
 
-    PYTHONPATH=src python tests/sweeps/span_sweep.py [--families 200] [--max-ell 20] [--per-round]
+    PYTHONPATH=src python tests/sweeps/span_sweep.py [--families 200] [--max-ell 20]
 
-For every case the engine's own SVDs are recorded.  The sweep prints the
-smallest kept and the largest dropped singular value over all rounds
-against the threshold DEFAULT_RANK_TOL * sqrt(n) (per round with --per-round),
-every mismatch, and exits 1 if there is one.  pytest does not collect this
-file; tests/test_engine_oracle.py covers the same comparison up to n = 12
-and ell = 12.
+Which parts a case contains is read from the reference's span
+(`part_norms` of its basis: n - 1 and (n-1)(n-2)/2 for a whole part, 0
+for none).  The sweep prints the largest norm the engine read for a part
+the reference's span does not contain and the smallest norm it read for
+one it does, each against its case's threshold DEFAULT_RANK_TOL * sqrt(n),
+every mismatch, and exits 1 if there is one.  pytest does not collect
+this file; tests/test_engine_oracle.py covers the same comparison up to
+n = 12 and ell = 12.
 """
 
 import argparse
@@ -35,34 +40,8 @@ import reference_engine as ref  # noqa: E402
 from invspan.invariance_engine import accumulate_span  # noqa: E402
 from invspan.so3_irreps import build_generators  # noqa: E402
 
-FIELDS = ("span_dim", "generator_dim", "rounds", "full")
+FIELDS = ("span_dim", "generator_dim", "full")
 KINDS = ("generic", "stabilizer", "standard", "repeated", "near-stabilizer")
-
-
-def recorded_accumulation(generators, n):
-    """accumulate_span with the singular values of each of its rounds.
-
-    The engine calls np.linalg.svd with full_matrices=True once to split
-    off the generators' complement and then once per round that forms
-    images, so every such call after the first is a round.
-    """
-    real_svd = np.linalg.svd
-    seen = []
-
-    def svd(a, *args, **kwargs):
-        out = real_svd(a, *args, **kwargs)
-        if kwargs.get("full_matrices", True):
-            seen.append(out[1])
-        return out
-
-    np.linalg.svd = svd
-    try:
-        report, basis = accumulate_span(generators, n)
-    finally:
-        np.linalg.svd = real_svd
-    rounds = seen[1:]
-    assert len(rounds) in (report.rounds, report.rounds - 1), "unexpected SVD calls"
-    return report, basis, rounds
 
 
 def standard_part(a):
@@ -97,21 +76,30 @@ def cases(families, max_ell):
     yield from random_families(families)
 
 
+def contained_parts(slow_basis, n):
+    """Whether the reference's span contains the standard and the stabilizer part."""
+    standard, stabilizer = ref.part_norms(slow_basis.vectors, n)
+    return standard**2 > 0.5, stabilizer**2 > 0.5
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--families", type=int, default=200)
     parser.add_argument("--max-ell", type=int, default=20)
-    parser.add_argument("--per-round", action="store_true")
     args = parser.parse_args()
     start = time.perf_counter()
     total = mismatches = 0
-    worst_kept, worst_dropped = math.inf, 0.0
+    absent = (0.0, "none", math.nan)  # largest absent-part norm, its case, its threshold
+    present = (math.inf, "none", math.nan)  # smallest present-part norm, its case, its threshold
     for name, generators, n in cases(args.families, args.max_ell):
-        report, basis, rounds = recorded_accumulation(generators, n)
+        report, basis = accumulate_span(generators, n)
         slow, slow_basis = ref.accumulate_span_projected(generators, n)
+        contained = contained_parts(slow_basis, n)
         differ = [f for f in FIELDS if getattr(report, f) != getattr(slow, f)]
         if report.tol.hex() != slow.tol.hex():
             differ.append("tol")
+        if report.rounds != sum(contained):
+            differ.append(f"rounds {report.rounds} for {sum(contained)} parts")
         gap = float(np.max(np.abs(basis.vectors.T @ basis.vectors - slow_basis.vectors.T @ slow_basis.vectors)))
         if gap > 1e-10:
             differ.append(f"projector {gap:.1e}")
@@ -119,21 +107,21 @@ def main() -> int:
         if differ:
             mismatches += 1
             print(f"MISMATCH {name}: {', '.join(differ)}")
-        kept = [float(s[s > report.tol].min(initial=math.inf)) for s in rounds]
-        dropped = [float(s[s <= report.tol].max(initial=0.0)) for s in rounds]
-        low, high = min(kept, default=math.inf), max(dropped, default=0.0)
-        worst_kept, worst_dropped = min(worst_kept, low), max(worst_dropped, high)
+        for norm, inside in zip((report.standard_norm, report.stabilizer_norm), contained):
+            if inside and norm < present[0]:
+                present = (norm, name, report.tol)
+            elif not inside and norm > absent[0]:
+                absent = (norm, name, report.tol)
         if name.startswith(("ell", "criterion")):
             print(
                 f"{name}: span_dim {report.span_dim}, rounds {report.rounds}, threshold {report.tol:.1e}, "
-                f"smallest kept {low:.1e}, largest dropped {high:.1e}"
+                f"standard norm {report.standard_norm:.3e}, stabilizer norm {report.stabilizer_norm:.3e}"
             )
-            if args.per_round:
-                for k, (a, b) in enumerate(zip(kept, dropped), 1):
-                    print(f"    round {k}: smallest kept {a:.1e}, largest dropped {b:.1e}")
     print(
-        f"{total} cases, {mismatches} mismatches, smallest kept {worst_kept:.1e}, "
-        f"largest dropped {worst_dropped:.1e}, {time.perf_counter() - start:.1f} s"
+        f"{total} cases, {mismatches} mismatches, "
+        f"largest absent-part norm {absent[0]:.1e} ({absent[1]}, threshold {absent[2]:.1e}), "
+        f"smallest present-part norm {present[0]:.1e} ({present[1]}, threshold {present[2]:.1e}), "
+        f"{time.perf_counter() - start:.1f} s"
     )
     return 1 if mismatches else 0
 

@@ -6,6 +6,7 @@ import reference_engine as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invspan import invariance_engine as ie
 from invspan.invariance_engine import (
     accumulate_span,
     block_form_check,
@@ -21,12 +22,26 @@ def _projector(basis):
     return basis.vectors.T @ basis.vectors
 
 
+def _parts(report):
+    """Invariant parts of so(n) in a nonzero span: both when it is all of so(n), n >= 3, else one."""
+    return 2 if report.full and report.n > 2 else 1
+
+
+def _assert_same_norms(fast, slow):
+    # the same orthonormal family basis, projected by the scatter and by matrices
+    for field in ("standard_norm", "stabilizer_norm"):
+        assert getattr(fast, field) == pytest.approx(getattr(slow, field), rel=1e-12, abs=1e-12), field
+
+
 def _assert_same_span(generators, n):
     fast, fast_basis = accumulate_span(generators, n)
     slow, slow_basis = ref.accumulate_span(generators, n)
-    for field in ("span_dim", "generator_dim", "rounds", "full"):
+    for field in ("span_dim", "generator_dim", "full"):
         assert getattr(fast, field) == getattr(slow, field), field
+    # rounds counts the parts the span contains, not the reference's accumulation rounds
+    assert fast.rounds == _parts(slow)
     assert fast.tol == pytest.approx(slow.tol, rel=1e-12, abs=0)
+    _assert_same_norms(fast, slow)
     assert np.max(np.abs(_projector(fast_basis) - _projector(slow_basis))) <= 1e-10
     return fast
 
@@ -114,22 +129,66 @@ def test_span_matches_projected_accumulation_for_drawn_families(data):
     family, n, expected_dim = _draw_family(data, 12)
     fast, fast_basis = accumulate_span(family, n)
     slow, slow_basis = ref.accumulate_span_projected(family, n)
-    for field in ("n", "generator_dim", "span_dim", "full", "rounds", "tol"):
+    for field in ("n", "generator_dim", "span_dim", "full", "tol"):
         assert getattr(fast, field) == getattr(slow, field), field
+    assert fast.rounds == _parts(slow)
+    _assert_same_norms(fast, slow)
     assert fast.span_dim == expected_dim
     assert np.max(np.abs(_projector(fast_basis) - _projector(slow_basis))) <= 1e-10
     assert np.max(np.abs(fast_basis.vectors @ fast_basis.vectors.T - np.eye(fast.span_dim))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(3, 9),
+    count=st.integers(1, 3),
+    kind=st.sampled_from(["standard", "stabilizer", "both"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_norm_certificate_matches_projected_accumulation_on_each_part(n, count, kind, seed):
+    # families inside one part close up to that part; the closed-form
+    # basis=True rows span what the projected accumulation spans
+    m = np.random.default_rng(seed).standard_normal((count, n, n))
+    family = list(m - np.swapaxes(m, 1, 2))
+    if kind == "standard":
+        family = [_standard_part(a) for a in family]
+    elif kind == "stabilizer":
+        family = [a - _standard_part(a) for a in family]
+    fast, fast_basis = accumulate_span(family, n)
+    slow, slow_basis = ref.accumulate_span_projected(family, n)
+    for field in ("span_dim", "generator_dim", "full"):
+        assert getattr(fast, field) == getattr(slow, field), field
+    assert (fast.standard_norm > fast.tol, fast.stabilizer_norm > fast.tol) == {
+        "standard": (True, False),
+        "stabilizer": (False, True),
+        "both": (True, True),
+    }[kind]
+    assert fast.rounds == 1 + (kind == "both")
+    assert np.max(np.abs(_projector(fast_basis) - _projector(slow_basis))) <= 1e-10
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 12, 20, 41, 64, 128])
+def test_generator_part_norms_match_casimir_closed_form(ell):
+    # accumulate_span's docstring: the standard parts' squared norms sum to
+    # 2 ell(ell+1), the stabilizer parts' to ell(ell+1)(2 ell-1)
+    g = np.array([flatten_antisym(m) for m in build_generators(ell).matrices])
+    standard, stabilizer = ie._part_norms(g, 2 * ell + 1)
+    casimir = ell * (ell + 1)
+    assert standard**2 == pytest.approx(2 * casimir, rel=1e-12, abs=0)
+    assert stabilizer**2 == pytest.approx(casimir * (2 * ell - 1), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("ell", range(1, 13))
 def test_verify_span_matches_projected_accumulation(ell):
     report = verify_span(ell)
     slow, _ = ref.accumulate_span_projected(build_generators(ell).matrices, 2 * ell + 1)
-    slow.hypothesis_satisfied = True
-    assert report == slow
+    for field in ("n", "generator_dim", "span_dim", "full"):
+        assert getattr(report, field) == getattr(slow, field), field
     # the same float, bit for bit
     assert report.tol.hex() == slow.tol.hex()
-    assert report.full
+    assert report.rounds == _parts(slow) == 2
+    _assert_same_norms(report, slow)
+    assert report.full and report.hypothesis_satisfied
 
 
 @pytest.mark.parametrize("n", range(4, 17))

@@ -76,9 +76,9 @@ def test_accumulate_span_returns_orthonormal_basis():
 
 
 def test_accumulate_span_weight_twelve():
-    # so(25) is reached after 12 rounds; the threshold is DEFAULT_RANK_TOL * sqrt(n)
+    # so(25) contains both parts, so rounds is 2; the threshold is DEFAULT_RANK_TOL * sqrt(n)
     report, basis = accumulate_span(build_generators(12).matrices, 25)
-    assert (report.span_dim, report.rounds, report.full) == (300, 12, True)
+    assert (report.span_dim, report.rounds, report.full) == (300, 2, True)
     assert report.tol == DEFAULT_RANK_TOL * math.sqrt(25)
     gram = basis.vectors @ basis.vectors.T
     assert np.max(np.abs(gram - np.eye(300))) <= 1e-12
@@ -107,6 +107,50 @@ def test_ones_annihilating_plane_rotation_is_not_full():
     # every element of the accumulated span annihilates ones
     for mat in basis.matrices():
         np.testing.assert_allclose(mat @ np.ones(4), np.zeros(4), atol=1e-12)
+
+
+def test_reducible_control_reports_its_two_norms():
+    # criterion 2's control lies in the stabilizer part: its standard norm
+    # is rounding, far below tol, and its stabilizer norm is the whole basis
+    import invspan.invariance_engine as ie
+
+    u = np.array([1.0, -1.0, 0.0, 0.0])
+    v = np.array([0.0, 1.0, -1.0, 0.0])
+    report, basis = accumulate_span([plane_rotation(u, v)], 4)
+    assert report.standard_norm <= 1e-12
+    assert report.stabilizer_norm > report.tol
+    assert report.rounds == 1
+    _, stabilizer = ref.compound_split(ones_fixing_rotation(4))
+    np.testing.assert_array_equal(basis.vectors, ie._compound_rows(ones_fixing_rotation(4))[3:])
+    assert np.max(np.abs(basis.vectors - stabilizer)) <= 1e-15
+
+
+def test_verify_span_norms_are_the_casimir_shares():
+    # the weight-ell generators are orthogonal with equal norms, so the
+    # orthonormal basis carries 3 / (ell(ell+1)(2 ell+1)) of the generators'
+    # squared part norms 2 ell(ell+1) and ell(ell+1)(2 ell-1)
+    for ell in (1, 2, 3, 12):
+        n = 2 * ell + 1
+        report, basis = accumulate_span(build_generators(ell).matrices, n, basis=False)
+        assert basis is None
+        assert report.standard_norm**2 == pytest.approx(6 / n, rel=1e-12)
+        assert report.stabilizer_norm**2 == pytest.approx(3 * (n - 2) / n, rel=1e-12)
+
+
+def test_compound_rows_peak_at_their_output():
+    # the rows are filled in place; the four gathered (m, m) temporaries
+    # they replace peaked at about 4 times the output
+    import invspan.invariance_engine as ie
+
+    frame = ones_fixing_rotation(48)
+    tracemalloc.start()
+    try:
+        out = ie._compound_rows(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (so_dim(48), so_dim(48))
+    assert peak <= 1.25 * out.nbytes, peak / out.nbytes
 
 
 def test_accumulate_span_input_validation():
@@ -304,13 +348,21 @@ def test_span_report_round_trip():
 # command -> (size option, run(size), c, unit(size)): peak RSS above the
 # interpreter, fitted in fresh processes with one BLAS thread
 # (tests/sweeps/algebra_peaks.py), is at most c x unit(size) bytes.  The unit
-# is 8 m^2 for the so(n) commands, with m = ell(2 ell + 1) or n(n - 1)/2, and
-# 8 d^2 for orbit-walk at its default --n, with d = 2 ell + 1.  tracemalloc
-# sees numpy's buffers but not LAPACK's workspace, so it reads below the fit;
-# orbit-walk's c also covers its tracemalloc peak at ell = 32, which counts
-# the walk's fixed piece buffers that the fit's ell = 1 baseline takes away
+# is 8 m^2 for decompose, character and block-check, with m = n(n - 1)/2,
+# and 8 d^2 for verify-span and for orbit-walk at its default --n, with
+# d = 2 ell + 1: verify-span holds the generators and d x d factorizations,
+# and only 3 x m flattened rows.  Its fit read 20.6-25.5 x unit at ell = 64,
+# 128 and 256, highest at 64; c = 32 leaves a quarter of headroom there.
+# tracemalloc sees numpy's buffers but not LAPACK's workspace, so it reads
+# below the fit; orbit-walk's c also covers its tracemalloc peak at ell = 32,
+# which counts the walk's fixed piece buffers that the fit's ell = 1 baseline
+# takes away
 def _so_unit(m):
     return lambda size: 8 * m(size) ** 2
+
+
+def _irrep_unit(ell):
+    return 8 * (2 * ell + 1) ** 2
 
 
 def _walk_and_test(ell):
@@ -320,11 +372,11 @@ def _walk_and_test(ell):
 
 
 _MEMORY_MODELS = {
-    "verify-span": ("ell", verify_span, 22.4, _so_unit(lambda ell: ell * (2 * ell + 1))),
+    "verify-span": ("ell", verify_span, 32.0, _irrep_unit),
     "decompose": ("n", decompose_so_n, 4.4, _so_unit(so_dim)),
     "character": ("n", decompose_so_n, 4.4, _so_unit(so_dim)),
     "block-check": ("n", block_form_check, 4.4, _so_unit(so_dim)),
-    "orbit-walk": ("ell", _walk_and_test, 80.0, lambda ell: 8 * (2 * ell + 1) ** 2),
+    "orbit-walk": ("ell", _walk_and_test, 80.0, _irrep_unit),
 }
 
 
