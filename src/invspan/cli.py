@@ -358,7 +358,7 @@ _SO_N = {"out": None, "n": {"required": True, "range": (4, 125), "help": "matrix
 # ceiling is the largest size whose fitted peak RSS stays within 2 GiB (the
 # models are in tests/test_invariance_engine.py)
 _COMMANDS = {
-    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True, "range": (1, 1447)}, "out": None}),
+    "verify-span": (_run_verify_span, "certify that conjugated generators span the full antisymmetric algebra", {"ell": {"required": True, "range": (1, 1364)}, "out": None}),
     "decompose": (_run_decompose, "split so(n) into the standard-part and stabilizer-part components", _SO_N),
     "character": (_run_character, "transposition characters of the two components", _SO_N),
     "block-check": (_run_block_check, "verify the basis change splitting the permutation action", _SO_N),

@@ -87,9 +87,11 @@ def _direct_sum(*ells):
 FAMILIES = {
     "SO(3)xSO(3) on l=1 (x) l=1": _tensor(1, 1),
     "SO(3)xSO(3) on l=1 (x) l=2": _tensor(1, 2),
+    "SO(3)xSO(3) on l=2 (x) l=2": _tensor(2, 2),
     "SU(2) on H": _quaternion_units(),
     "SO(3) on traceless symmetric 3x3": _traceless_symmetric(3),
     "SO(4) on traceless symmetric 4x4": _traceless_symmetric(4),
+    "SO(5) on traceless symmetric 5x5": _traceless_symmetric(5),
     "SO(2) on R^2": [np.array([[0.0, -1.0], [1.0, 0.0]])],
     "l=1 (+) l=1": _direct_sum(1, 1),
     "l=1 (+) l=2": _direct_sum(1, 2),

@@ -112,16 +112,14 @@ def test_ones_annihilating_plane_rotation_is_not_full():
 def test_reducible_control_reports_its_two_norms():
     # criterion 2's control lies in the stabilizer part: its standard norm
     # is rounding, far below tol, and its stabilizer norm is the whole basis
-    import invspan.invariance_engine as ie
-
     u = np.array([1.0, -1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, -1.0, 0.0])
     report, basis = accumulate_span([plane_rotation(u, v)], 4)
     assert report.standard_norm <= 1e-12
     assert report.stabilizer_norm > report.tol
     assert report.rounds == 1
+    # the basis is the closed-form stabilizer rows
     _, stabilizer = ref.compound_split(ones_fixing_rotation(4))
-    np.testing.assert_array_equal(basis.vectors, ie._compound_rows(ones_fixing_rotation(4))[3:])
     assert np.max(np.abs(basis.vectors - stabilizer)) <= 1e-15
 
 
@@ -351,8 +349,9 @@ def test_span_report_round_trip():
 # is 8 m^2 for decompose, character and block-check, with m = n(n - 1)/2,
 # and 8 d^2 for verify-span and for orbit-walk at its default --n, with
 # d = 2 ell + 1: verify-span holds the generators and d x d factorizations,
-# and only 3 x m flattened rows.  Its fit read 20.6-25.5 x unit at ell = 64,
-# 128 and 256, highest at 64; c = 32 leaves a quarter of headroom there.
+# and only 3 x m flattened rows.  Its fits read 20.6-27.3 x unit at ell = 64,
+# 128 and 256, highest at 64, where the peak is 3.5 MiB; c = 36 leaves a
+# third of headroom there.
 # tracemalloc sees numpy's buffers but not LAPACK's workspace, so it reads
 # below the fit; orbit-walk's c also covers its tracemalloc peak at ell = 32,
 # which counts the walk's fixed piece buffers that the fit's ell = 1 baseline
@@ -372,7 +371,7 @@ def _walk_and_test(ell):
 
 
 _MEMORY_MODELS = {
-    "verify-span": ("ell", verify_span, 32.0, _irrep_unit),
+    "verify-span": ("ell", verify_span, 36.0, _irrep_unit),
     "decompose": ("n", decompose_so_n, 4.4, _so_unit(so_dim)),
     "character": ("n", decompose_so_n, 4.4, _so_unit(so_dim)),
     "block-check": ("n", block_form_check, 4.4, _so_unit(so_dim)),
