@@ -101,19 +101,18 @@ class BlockFormReport:
         return asdict(self)
 
 
-def accumulate_span(generators, n: int, *, basis: bool = True) -> tuple[SpanReport, SubspaceBasis | None]:
+def accumulate_span(generators, n: int) -> tuple[SpanReport, SubspaceBasis]:
     """Certify the span of the generators' conjugates under index relabeling from two norms.
 
     numerical_rank gives the generators' flattened rows an orthonormal
-    basis B (k x m, m = n(n-1)/2; k is generator_dim).  On flattened rows
-    the projector A -> AJ + JA = v 1^T - 1 v^T (J = 11^T/n, v = A 1 / n)
-    onto the standard part is x -> x M^T M / n, with M the pairs' signed
-    incidence matrix (_pair_incidence(ones)).  Since M M^T = n I - 11^T,
-    standard_norm = |P B| = |B M^T| / sqrt(n); stabilizer_norm = |B - P B|
-    is taken directly, since a difference of squares cancels to about 1e-8
-    when B lies in the standard part.  The two parts are irreducible and
-    not isomorphic for n >= 3, so the span contains a part exactly when
-    its norm is nonzero:
+    basis B (k x m, m = n(n-1)/2; k is generator_dim).  The projector P
+    onto the standard part is _standard_part, x M^T M / n with M = M(1);
+    M M^T = n I - 11^T, so standard_norm = |P B| = |B M^T| / sqrt(n), a
+    scatter of B onto the n points (_part_norms).  stabilizer_norm =
+    |B - P B| is taken directly, since a difference of squares cancels to
+    about 1e-8 when B lies in the standard part.
+    The two parts are irreducible and not isomorphic for n >= 3, so the
+    span contains a part exactly when its norm is nonzero:
 
         span_dim = (n-1) [standard_norm > tol] + (n-1)(n-2)/2 [stabilizer_norm > tol]
 
@@ -127,9 +126,7 @@ def accumulate_span(generators, n: int, *, basis: bool = True) -> tuple[SpanRepo
     ell(ell+1)(2 ell+1) leaves ell(ell+1)(2 ell-1) to the stabilizer parts.
     Both are positive, so every weight spans all of so(n).
 
-    With basis (the default) the second value is the span's orthonormal
-    closed-form rows (_compound_rows); with basis=False it is None, and
-    nothing with m^2 entries is built.
+    Returns (report, B); nothing with m^2 entries is built.
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
@@ -152,10 +149,7 @@ def accumulate_span(generators, n: int, *, basis: bool = True) -> tuple[SpanRepo
         standard_norm=standard_norm,
         stabilizer_norm=stabilizer_norm,
     )
-    if not basis:
-        return report, None
-    keep = slice(0 if standard else n - 1, None if stabilizer else n - 1)
-    return report, SubspaceBasis(n=n, vectors=_compound_rows(ones_fixing_rotation(n), keep), rank=span_dim, tol=tol)
+    return report, family
 
 
 def verify_span(ell: int) -> SpanReport:
@@ -173,7 +167,7 @@ def verify_span(ell: int) -> SpanReport:
     """
     gens = build_generators(ell)
     hypothesis = common_fixed_subspace_dim(gens) == 0
-    report, _ = accumulate_span(gens.matrices, gens.dimension, basis=False)
+    report, _ = accumulate_span(gens.matrices, gens.dimension)
     report.hypothesis_satisfied = hypothesis
     return report
 
@@ -210,20 +204,20 @@ def decompose_so_n(n: int) -> tuple[DecompositionReport, SubspaceBasis, Subspace
     return report, standard, stabilizer
 
 
-def _compound_rows(frame: np.ndarray, keep: slice = slice(None)) -> np.ndarray:
-    """Rows keep of the second compound of frame^T: for an orthogonal frame, a basis of so(n).
+def _compound_rows(frame: np.ndarray) -> np.ndarray:
+    """Rows of the second compound of frame^T: for an orthogonal frame, a basis of so(n).
 
     Row (j, k), j < k in row-major order, is the flattened
     (b_j b_k^T - b_k b_j^T) / sqrt(2) for the columns b_j of frame: entry
     (r, s) is b_j[r] b_k[s] - b_j[s] b_k[r].  With b_0 = ones/sqrt(n) the
     first n-1 rows span the standard part and the rest the stabilizer
     part.  Each block of entries with a common r is filled in place, so no
-    temporary is larger than rows x n.
+    temporary is larger than m x n.
     """
     n = frame.shape[0]
     rows, cols = upper_triangle_indices(n)
-    first, second = frame.T[rows[keep]], frame.T[cols[keep]]
-    out = np.empty((first.shape[0], rows.size))
+    first, second = frame.T[rows], frame.T[cols]
+    out = np.empty((rows.size, rows.size))
     start = 0
     for r in range(n - 1):
         block = out[:, start : start + n - 1 - r]
@@ -236,6 +230,7 @@ def _compound_rows(frame: np.ndarray, keep: slice = slice(None)) -> np.ndarray:
 def _part_norms(flat: np.ndarray, n: int) -> tuple[float, float]:
     """Frobenius norms of the standard and stabilizer parts of a stack of flattened rows.
 
+    _standard_part's projector without its (n, m) M(1), 67 MB at n = 257:
     x M(1)^T is a signed scatter onto the n points, the standard part its gather over n.
     """
     rows, cols = upper_triangle_indices(n)
@@ -257,7 +252,11 @@ def _pair_incidence(w: np.ndarray) -> np.ndarray:
 
 
 def _standard_part(flat: np.ndarray, incidence: np.ndarray) -> np.ndarray:
-    """AJ + JA = v1^T - 1v^T (J = 11^T/n, v = A1/n) for each flattened row A, with incidence = M(1)."""
+    """AJ + JA = v1^T - 1v^T (J = 11^T/n, v = A1/n) for each flattened row A, with incidence = M(1).
+
+    A second form of _part_norms' scatter: at decompose's n <= 125 the dense product
+    is BLAS-fast, and the scatter would move block-check's reported last bits.
+    """
     return (flat @ incidence.T) @ incidence / incidence.shape[0]
 
 
